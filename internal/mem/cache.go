@@ -533,38 +533,90 @@ func (c *Cache) LiveCapacity() int {
 // inputs; the SoA columns, clocks, rotation offset and stats are the
 // state. The attached endurance array is snapshotted separately by its
 // own package (registration order is deterministic).
+//
+// The columns are sparse: a freshly built array is all-zero, and a run
+// touches only a few percent of a multi-megabyte L2/L3, so only the
+// ways with a non-zero tag, stamp or state byte are listed. Index holds
+// their global way indices (set*assoc+way) in strictly ascending order;
+// Tags, Used, Written and LineStates hold their values in the same
+// order. Every unlisted way is all-zero.
 type CacheState struct {
+	// Ways is the array's total way count, so a state captured from a
+	// different geometry is refused instead of scattered out of range.
+	Ways                int
+	Index               []uint32
 	Tags, Used, Written []uint64
 	LineStates          []LineState
 	Tick, Now, Rotation uint64
 	Stats               Stats
 }
 
-// Snapshot captures the array's mutable state.
+// Snapshot captures the array's mutable state, listing only the ways
+// whose columns are not all zero.
 func (c *Cache) Snapshot() CacheState {
-	return CacheState{
-		Tags:       append([]uint64(nil), c.tags...),
-		Used:       append([]uint64(nil), c.used...),
-		Written:    append([]uint64(nil), c.written...),
-		LineStates: append([]LineState(nil), c.state...),
-		Tick:       c.tick,
-		Now:        c.now,
-		Rotation:   c.rotation,
-		Stats:      c.Stats,
+	st := CacheState{
+		Ways:     len(c.tags),
+		Tick:     c.tick,
+		Now:      c.now,
+		Rotation: c.rotation,
+		Stats:    c.Stats,
 	}
+	for i := range c.tags {
+		if c.tags[i]|c.used[i]|c.written[i] == 0 && c.state[i] == StateInvalid {
+			continue
+		}
+		st.Index = append(st.Index, uint32(i))
+		st.Tags = append(st.Tags, c.tags[i])
+		st.Used = append(st.Used, c.used[i])
+		st.Written = append(st.Written, c.written[i])
+		st.LineStates = append(st.LineStates, c.state[i])
+	}
+	return st
 }
 
-// Restore repositions a freshly built array of identical geometry to a
-// captured state. The columns are copied into the existing backing (the
-// three uint64 columns share one flat allocation that must stay intact).
-func (c *Cache) Restore(st CacheState) error {
-	if len(st.Tags) != len(c.tags) || len(st.LineStates) != len(c.state) {
-		return fmt.Errorf("mem: restore has %d ways, cache has %d", len(st.Tags), len(c.tags))
+// check validates a captured state against the array's geometry. The
+// checkpoint checksum only proves the bytes are the ones written, so a
+// hostile or mismatched state must be refused here, before Restore
+// writes anything.
+func (st *CacheState) check(ways int) error {
+	if st.Ways != ways {
+		return fmt.Errorf("mem: restore has %d ways, cache has %d", st.Ways, ways)
 	}
-	copy(c.tags, st.Tags)
-	copy(c.used, st.Used)
-	copy(c.written, st.Written)
-	copy(c.state, st.LineStates)
+	n := len(st.Index)
+	if len(st.Tags) != n || len(st.Used) != n || len(st.Written) != n || len(st.LineStates) != n {
+		return fmt.Errorf("mem: restore column lengths differ (index %d, tags %d, used %d, written %d, states %d)",
+			n, len(st.Tags), len(st.Used), len(st.Written), len(st.LineStates))
+	}
+	for k, w := range st.Index {
+		if int64(w) >= int64(ways) {
+			return fmt.Errorf("mem: restore way index %d out of range (%d ways)", w, ways)
+		}
+		if k > 0 && w <= st.Index[k-1] {
+			return fmt.Errorf("mem: restore way indices not strictly ascending at %d", k)
+		}
+	}
+	return nil
+}
+
+// Restore repositions an array of identical geometry to a captured
+// state: the columns are zeroed, then the listed ways scattered back.
+// Since a freshly built array is all-zero, the result is bit-identical
+// to the snapshotted array whatever this one held before. An invalid
+// state is refused with an error and leaves the array untouched.
+func (c *Cache) Restore(st CacheState) error {
+	if err := st.check(len(c.tags)); err != nil {
+		return err
+	}
+	clear(c.tags)
+	clear(c.used)
+	clear(c.written)
+	clear(c.state)
+	for k, w := range st.Index {
+		c.tags[w] = st.Tags[k]
+		c.used[w] = st.Used[k]
+		c.written[w] = st.Written[k]
+		c.state[w] = st.LineStates[k]
+	}
 	c.tick = st.Tick
 	c.now = st.Now
 	c.rotation = st.Rotation

@@ -2,14 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
 	"testing"
 	"time"
 
 	v1 "respin/internal/api/v1"
+	"respin/internal/checkpoint"
 	"respin/internal/experiments"
 	"respin/internal/sim"
+	"respin/internal/telemetry"
 )
 
 // TestJournalServesCommittedAcrossRestart: a completed run's response
@@ -99,6 +104,102 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("recovered result differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	if started := r.RunsStarted(); started != 1 {
+		t.Fatalf("recovery started %d runs, want 1", started)
+	}
+}
+
+// TestJournalOldLayoutCheckpointRestartsFresh: a checkpoint left by an
+// older snapshot layout (version 1, dense cache arrays) at a pending
+// request's .ckpt path is refused with ErrVersion, and both
+// sim.RunOrResume and the journal recovery fall back to a fresh run
+// that converges to the uninterrupted bytes.
+func TestJournalOldLayoutCheckpointRestartsFresh(t *testing.T) {
+	dir := t.TempDir()
+	req := v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	want := cliBytes(t, req)
+
+	j, _, err := openJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := req.Key()
+	if err := j.logRequest(key, req); err != nil {
+		t.Fatal(err)
+	}
+	path := j.ckptPath(key)
+	writeOld := func() {
+		t.Helper()
+		old := struct {
+			Bench string
+			Now   uint64
+			Tags  []uint64
+		}{Bench: req.Bench, Now: 2_000, Tags: make([]uint64, 64)}
+		if err := checkpoint.Save(path, 1, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeOld()
+	var ev *checkpoint.ErrVersion
+	if _, err := sim.CheckpointInfo(path); !errors.As(err, &ev) || ev.Got != 1 {
+		t.Fatalf("old-layout checkpoint: got %v, want ErrVersion for version 1", err)
+	}
+
+	cfg, opts, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Telemetry = telemetry.New()
+	full, err := sim.Run(cfg, req.Bench, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Telemetry = telemetry.New()
+	spec := sim.CheckpointSpec{Path: path, EveryCycles: j.every}
+	res, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rj, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fj, rj) {
+		t.Fatal("RunOrResume over an old-layout checkpoint diverged from an uninterrupted run")
+	}
+
+	// The run above re-armed checkpointing at the same path; put the
+	// old file back and let a restarted server recover the request.
+	writeOld()
+	r := &experiments.Runner{Quota: 2_000, Seed: 1}
+	s, err := New(Options{Runner: r, Journal: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if _, ok := s.journal.lookup(key); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("interrupted run was not recovered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	got, err := os.ReadFile(j.resultPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("committed result.json differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
 	if started := r.RunsStarted(); started != 1 {
 		t.Fatalf("recovery started %d runs, want 1", started)
