@@ -409,6 +409,15 @@ func NewResult(req RunRequest, res sim.Result, runErr error) (RunResult, error) 
 	return out, nil
 }
 
+// Recorded reports whether the document is a final, deterministic
+// outcome worth keeping: StatusComplete or StatusWearOut. It is the
+// document form of flight.Recorded, which judges a run by its error;
+// NewResult maps exactly the errors flight.Recorded accepts to these two
+// statuses.
+func (r RunResult) Recorded() bool {
+	return r.Status == StatusComplete || r.Status == StatusWearOut
+}
+
 // ErrorResult builds the envelope for a sweep point that failed to run.
 func ErrorResult(req RunRequest, runErr error) RunResult {
 	return RunResult{
@@ -514,6 +523,22 @@ func EncodeBytes(v any) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
+}
+
+// EncodeSweep renders a SweepResult whose results arrive already in the
+// canonical encoding (each as EncodeBytes returns it): the output is
+// byte-identical to EncodeBytes of the SweepResult holding the decoded
+// results, without decoding them. Marshal compacts each raw result and
+// the indent pass lays it out at its depth, exactly as for a struct.
+func EncodeSweep(results [][]byte) ([]byte, error) {
+	raw := make([]json.RawMessage, len(results))
+	for i, r := range results {
+		raw[i] = r
+	}
+	return EncodeBytes(struct {
+		SchemaVersion string            `json:"schema_version"`
+		Results       []json.RawMessage `json:"results"`
+	}{SchemaVersion, raw})
 }
 
 // Encode writes the canonical encoding to w.

@@ -3,11 +3,15 @@ package v1
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"respin/internal/endurance"
+	"respin/internal/flight"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
 )
@@ -273,5 +277,61 @@ func TestWearOutRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatal("round-tripped wear-out envelope is not byte-identical")
+	}
+}
+
+// TestEncodeSweepMatchesStructEncoding: a sweep built from encoded
+// results is byte-identical to encoding the SweepResult of the decoded
+// documents — complete, partial and error entries, including characters
+// the encoder escapes.
+func TestEncodeSweepMatchesStructEncoding(t *testing.T) {
+	t.Parallel()
+	req := goldenReq(t)
+	partial, err := NewResult(req, sim.Result{}, context.Canceled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := []RunResult{
+		execute(t, req),
+		partial,
+		ErrorResult(req, errors.New(`bad <point> & "quote" é`)),
+	}
+	bodies := make([][]byte, len(results))
+	for i, doc := range results {
+		if bodies[i], err = EncodeBytes(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := EncodeBytes(SweepResult{SchemaVersion: SchemaVersion, Results: results})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeSweep(bodies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeSweep differs from the struct encoding:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRecordedMatchesFlight: the document form of the recorded-outcome
+// rule agrees with the error form for every kind of run outcome.
+func TestRecordedMatchesFlight(t *testing.T) {
+	t.Parallel()
+	wear := &endurance.WearOutError{Array: "l3", Set: 1, Cycle: 2}
+	for _, runErr := range []error{
+		nil,
+		wear,
+		fmt.Errorf("run: %w", wear),
+		context.Canceled,
+		context.DeadlineExceeded,
+		errors.New("simulator failure"),
+	} {
+		doc, err := NewResult(goldenReq(t), sim.Result{}, runErr)
+		recorded := err == nil && doc.Recorded()
+		if want := flight.Recorded(runErr); recorded != want {
+			t.Errorf("%v: document recorded = %v, flight.Recorded = %v", runErr, recorded, want)
+		}
 	}
 }

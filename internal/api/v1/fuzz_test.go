@@ -1,0 +1,165 @@
+package v1
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"respin/internal/sim"
+	"respin/internal/telemetry"
+)
+
+// FuzzDecodeRunRequest: the strict request decoder never panics, and a
+// request it accepts re-decodes from its canonical encoding to the same
+// identity.
+func FuzzDecodeRunRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":2000}`,
+		`{"schema_version":"respin/v1","config":"sh-stt-cc","bench":"radix","scale":"LARGE","cluster":8,"workers":1,
+		  "faults":{"stt_write_fail":0.001,"ecc":"dected","kill_cores":2},"endurance":{"budget":4,"sigma":0.1}}`,
+		`{"schema_version":"respin/v1","config":"PR-SRAM-NT","bench":"ocean","faults":{"sram_bitflip":-1},"timeout_ms":30}`,
+		`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","faults":{"seed":7,"ecc":"none"},"endurance":{}}`,
+		`{"config":"SH-STT","bench":"fft"}`,
+		`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft"} {}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeRunRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc, err := EncodeBytes(req)
+		if err != nil {
+			t.Fatalf("encode a decoded request: %v", err)
+		}
+		again, err := DecodeRunRequest(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", enc, err)
+		}
+		if again.Key() != req.Key() {
+			t.Fatalf("key changed across encode/decode:\n%s\n%s", req.Key(), again.Key())
+		}
+	})
+}
+
+// FuzzDecodeRunResult: the strict result decoder — the only gate before
+// replayed journal bytes are served verbatim — never panics, and a
+// result it accepts re-decodes from its canonical encoding to an equal
+// document.
+func FuzzDecodeRunResult(f *testing.F) {
+	// Small seeds in the golden document's shape: a seed the size of a
+	// real body (40+ KB) slows the fuzzer's minimization to a crawl.
+	f.Add([]byte(`{
+  "schema_version": "respin/v1",
+  "request": {"schema_version": "respin/v1", "config": "SH-STT", "bench": "fft", "scale": "medium", "cluster": 16, "quota": 2000, "seed": 1},
+  "status": "complete",
+  "result": {"config": {"kind": "SH-STT", "cluster_size": 16}, "cycles": 12345, "energy_pj": 1.5e6,
+    "metrics": {"metrics": [{"name": "sim.ff.jumps", "kind": "counter", "value": 3}]}}
+}
+`))
+	f.Add([]byte(`{"schema_version":"respin/v1","request":{"schema_version":"respin/v1","config":"SH-STT","bench":"fft",
+		"faults":{"seed":2,"stt_write_fail":0.001,"ecc":"SECDED"},"endurance":{"budget":4,"sigma":0.1}},
+		"status":"wear-out","detail":"endurance: l3 set 7 end of life at cycle 900","result":{"cycles":900}}`))
+	f.Add([]byte(`{"schema_version":"respin/v1","request":{"schema_version":"respin/v1","config":"SH-STT","bench":"fft"},
+		"status":"partial","detail":"context canceled","result":{"cycles":1,"bench":"<fft>"}}`))
+	f.Add([]byte(`{"schema_version":"respin/v1","request":{"faults":{}},"status":"error","error":"boom","result":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := DecodeRunResult(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc, err := EncodeBytes(doc)
+		if err != nil {
+			t.Fatalf("encode a decoded result: %v", err)
+		}
+		again, err := DecodeRunResult(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !sameResult(t, doc, again) {
+			t.Fatalf("result changed across encode/decode:\n%+v\n%+v", doc, again)
+		}
+	})
+}
+
+// sameResult compares two decoded results: every envelope field equal,
+// and the raw Result payloads equal as JSON values (encoding compacts
+// and HTML-escapes the payload, so its bytes may differ).
+func sameResult(t *testing.T, a, b RunResult) bool {
+	t.Helper()
+	pa, pb := jsonValue(t, a.Result), jsonValue(t, b.Result)
+	a.Result, b.Result = nil, nil
+	return reflect.DeepEqual(a, b) && reflect.DeepEqual(pa, pb)
+}
+
+func jsonValue(t *testing.T, raw json.RawMessage) any {
+	t.Helper()
+	if raw == nil {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("decode result payload: %v", err)
+	}
+	return v
+}
+
+// goldenBody returns the checked-in canonical RunResult encoding.
+func goldenBody(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "run_result.golden.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// BenchmarkEncodeResult times what serving a miss costs on top of the
+// simulation: NewResult plus the canonical encoding of the golden
+// request's result.
+func BenchmarkEncodeResult(b *testing.B) {
+	req := RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
+	if err := req.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	cfg, opts, err := req.Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts.Telemetry = telemetry.New()
+	res, runErr := sim.RunContext(context.Background(), cfg, req.Bench, opts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, err := NewResult(req, res, runErr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := EncodeBytes(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
+	}
+}
+
+// BenchmarkDecodeRunResult times the strict decode of the golden
+// RunResult, the check journal replay runs on each result file.
+func BenchmarkDecodeRunResult(b *testing.B) {
+	data := goldenBody(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeRunResult(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

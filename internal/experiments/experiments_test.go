@@ -219,7 +219,7 @@ func TestRunnerCaches(t *testing.T) {
 	if a.Cycles != b.Cycles || a.EnergyPJ != b.EnergyPJ {
 		t.Error("cache returned different results")
 	}
-	if len(r.cache) == 0 {
+	if r.flights.Len() == 0 {
 		t.Error("cache not populated")
 	}
 }

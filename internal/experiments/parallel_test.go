@@ -92,10 +92,7 @@ func TestCancelledRunNotCached(t *testing.T) {
 	if !r.Aborted() {
 		t.Error("runner not marked aborted after cancelled run")
 	}
-	r.mu.Lock()
-	n := len(r.cache)
-	r.mu.Unlock()
-	if n != 0 {
+	if n := r.flights.Len(); n != 0 {
 		t.Errorf("cache holds %d entries after cancellation, want 0 (partial results must not be cached)", n)
 	}
 	// The partial result is still handed back (All uses it to truncate

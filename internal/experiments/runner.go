@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -25,6 +24,7 @@ import (
 
 	"respin/internal/config"
 	"respin/internal/endurance"
+	"respin/internal/flight"
 	"respin/internal/sim"
 	"respin/internal/stats"
 	"respin/internal/telemetry"
@@ -89,25 +89,16 @@ type Runner struct {
 	// never collide on metric names.
 	Telemetry *telemetry.Collector
 
-	mu      sync.Mutex
-	cache   map[string]*flight
-	sem     chan struct{}
-	aborted bool
+	flights flight.Group[sim.Result] // the result cache, by run key
+
+	mu        sync.Mutex
+	sem       chan struct{}
+	aborted   bool
+	frontHits func() uint64 // hit counter of a cache kept in front (CountHitsOf)
 
 	telOnce   sync.Once
 	started   atomic.Uint64
 	completed atomic.Uint64
-	cacheHits atomic.Uint64
-}
-
-// flight is one singleflight cache entry. The first requester of a key
-// (the leader) runs the simulation on a worker-pool slot; requesters
-// arriving while it is in flight block on done and share the result
-// (and its error, for the error-returning Do path).
-type flight struct {
-	done chan struct{}
-	res  sim.Result
-	err  error
 }
 
 // Point identifies one simulation of the evaluation's run set: the cache
@@ -163,7 +154,6 @@ func NewRunner() *Runner {
 		TraceQuota: 400_000,
 		Seed:       1,
 		Benches:    trace.Names(),
-		cache:      make(map[string]*flight),
 	}
 }
 
@@ -175,7 +165,6 @@ func QuickRunner() *Runner {
 		TraceQuota: 120_000,
 		Seed:       1,
 		Benches:    []string{"fft", "ocean", "radix", "raytrace"},
-		cache:      make(map[string]*flight),
 	}
 }
 
@@ -227,11 +216,6 @@ func (r *Runner) Normalize() error {
 			return err
 		}
 	}
-	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*flight)
-	}
-	r.mu.Unlock()
 	r.registerTelemetry()
 	return nil
 }
@@ -246,7 +230,7 @@ func (r *Runner) registerTelemetry() {
 		c := r.Telemetry
 		c.RegisterCounter("runner.runs_started", r.started.Load)
 		c.RegisterCounter("runner.runs_completed", r.completed.Load)
-		c.RegisterCounter("runner.cache_hits", r.cacheHits.Load)
+		c.RegisterCounter("runner.cache_hits", r.CacheHits)
 	})
 }
 
@@ -263,130 +247,60 @@ func (r *Runner) semLocked() chan struct{} {
 	return r.sem
 }
 
-// shared executes fn for key exactly once across concurrent requesters,
-// ignoring the flight's error: the experiment drivers' fns return a
-// non-nil error only for Ctx cancellation, which Aborted (set inside
-// do) already records, and the partial result is still the right thing
-// to hand the report renderers.
+// shared executes fn for key exactly once across concurrent requesters
+// (see flight.Group), ignoring the flight's error: the experiment
+// drivers' fns return a non-nil error only for Ctx cancellation, which
+// Aborted (set inside execute) already records, and the partial result
+// is still the right thing to hand the report renderers.
 func (r *Runner) shared(key string, fn func() (sim.Result, error)) sim.Result {
-	res, _ := r.do(context.Background(), key, fn)
+	r.registerTelemetry()
+	res, _ := r.flights.Do(context.Background(), key, func() (sim.Result, error) {
+		return r.execute(key, fn)
+	})
 	return res
 }
 
-// do executes fn for key exactly once across concurrent requesters.
-// The leader takes a worker-pool slot and publishes its result to every
-// requester that arrived in the meantime. Completed results are cached;
-// a run that returned an error — cancellation, a per-request deadline,
-// or a recovered failure from the Do path — is handed to its current
-// waiters but never cached, so a partial or failed result can never
-// masquerade as a complete one. Joiners stop waiting when their own
-// ctx is done (the flight keeps running for everyone else).
-func (r *Runner) do(ctx context.Context, key string, fn func() (sim.Result, error)) (sim.Result, error) {
-	r.registerTelemetry()
+// execute runs fn on a worker-pool slot, uncached. It counts the run as
+// started and, on a recorded outcome, completed; a run that was not
+// recorded marks the evaluation aborted only when the runner's own Ctx
+// was cancelled — a single request's deadline or failure does not.
+func (r *Runner) execute(key string, fn func() (sim.Result, error)) (sim.Result, error) {
 	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*flight)
-	}
-	if f, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		r.cacheHits.Add(1)
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return sim.Result{}, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	r.cache[key] = f
 	sem := r.semLocked()
 	r.mu.Unlock()
-
 	sem <- struct{}{}
+	defer func() { <-sem }()
 	r.started.Add(1)
-	res, err := func() (sim.Result, error) {
-		defer func() { <-sem }()
-		defer func() {
-			if p := recover(); p != nil {
-				// The process is about to die with the attributed
-				// panic; drop the entry and unblock waiters so shutdown
-				// isn't wedged behind the flight.
-				r.mu.Lock()
-				delete(r.cache, key)
-				r.mu.Unlock()
-				close(f.done)
-				panic(p)
-			}
-		}()
-		return fn()
-	}()
-	// A wear-out is a deterministic recorded outcome (the lifetime
-	// report), so it caches like a completed run; cancellations,
-	// deadlines and recovered failures never do.
-	var wear *endurance.WearOutError
-	recorded := err == nil || errors.As(err, &wear)
-	r.mu.Lock()
-	if !recorded {
-		// The result (partial or absent) reaches current waiters via
-		// the flight, but the cache entry is removed so nothing later
-		// can read it back as complete. Only runner-level cancellation
-		// marks the whole evaluation aborted — a single request's
-		// deadline or failure does not.
-		delete(r.cache, key)
+	res, err := fn()
+	if !flight.Recorded(err) {
 		if r.ctx().Err() != nil {
-			r.aborted = true
+			r.setAborted()
 		}
+		return res, err
 	}
-	r.mu.Unlock()
-	if recorded {
-		r.completed.Add(1)
-		if r.Telemetry.Enabled() {
-			r.Telemetry.Emit("run.progress", 0, map[string]any{
-				"key":        key,
-				"started":    r.started.Load(),
-				"completed":  r.completed.Load(),
-				"cache_hits": r.cacheHits.Load(),
-			})
-		}
+	r.completed.Add(1)
+	if r.Telemetry.Enabled() {
+		r.Telemetry.Emit("run.progress", 0, map[string]any{
+			"key":        key,
+			"started":    r.started.Load(),
+			"completed":  r.completed.Load(),
+			"cache_hits": r.CacheHits(),
+		})
 	}
-	f.res, f.err = res, err
-	close(f.done)
 	return res, err
 }
 
-// Do executes (or recalls, or joins) one fully-specified simulation on
-// the runner's worker pool. It is the service entry point: unlike the
-// experiment drivers, which die with an attributed panic on simulator
-// failure, Do recovers panics into errors so one poisoned request can
-// never take down the process — and, because do never caches errors,
-// cannot poison the cache either. The leader runs under ctx (typically
-// the server's lifetime plus the request deadline), not the HTTP
-// request context, so a client disconnect does not kill a flight other
-// requesters share. opts must already be normalized; key must be a
-// canonical encoding of everything that affects the result.
-func (r *Runner) Do(ctx context.Context, key, label string, cfg config.Config, bench string, opts sim.Options) (sim.Result, error) {
-	return r.do(ctx, key, func() (res sim.Result, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("experiments: panic during %v/%v cl%d %s (seed %d, fault seed %d, quota %d): %v",
-					cfg.Kind, cfg.Scale, cfg.ClusterSize, bench, opts.Seed, opts.Faults.Seed, opts.QuotaInstr, p)
-			}
-		}()
-		res, err = sim.RunContext(ctx, cfg, bench, opts)
-		if err == nil {
-			r.progressf("ran %-40s: %8d kcycles, %s\n", label, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
-		}
-		return res, err
-	})
-}
-
-// DoFunc is Do for executions the caller supplies itself — the serve
-// journal uses it to resume a simulation from a checkpoint instead of
-// starting fresh. It shares Do's contract exactly: singleflight on key,
-// a worker-pool slot for the leader, panics recovered into attributed
-// errors, and no caching of non-recorded outcomes. fn runs under ctx.
-func (r *Runner) DoFunc(ctx context.Context, key, label string, fn func(context.Context) (sim.Result, error)) (sim.Result, error) {
-	return r.do(ctx, key, func() (res sim.Result, err error) {
+// Exec runs one simulation on the runner's worker pool without the
+// runner's cache: it is the service entry point, and the service keeps
+// (and deduplicates) the encoded outcomes itself. Like the cached runs
+// it counts toward RunsStarted and RunsCompleted. Unlike the experiment
+// drivers, which die with an attributed panic on simulator failure, Exec
+// recovers a panic into an error naming label, so one poisoned request
+// can never take down the process. fn runs under ctx (typically the
+// server's lifetime plus the request deadline).
+func (r *Runner) Exec(ctx context.Context, label string, fn func(context.Context) (sim.Result, error)) (sim.Result, error) {
+	r.registerTelemetry()
+	return r.execute(label, func() (res sim.Result, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("experiments: panic during %s: %v", label, p)
@@ -401,8 +315,29 @@ func (r *Runner) DoFunc(ctx context.Context, key, label string, fn func(context.
 }
 
 // CacheHits reports how many requests were served by joining or
-// recalling an existing flight instead of starting a simulation.
-func (r *Runner) CacheHits() uint64 { return r.cacheHits.Load() }
+// recalling an existing flight instead of starting a simulation,
+// counting those answered by a cache registered with CountHitsOf.
+func (r *Runner) CacheHits() uint64 {
+	r.mu.Lock()
+	front := r.frontHits
+	r.mu.Unlock()
+	n := r.flights.Hits()
+	if front != nil {
+		n += front()
+	}
+	return n
+}
+
+// CountHitsOf makes CacheHits include hits, the hit counter of a cache
+// kept in front of the runner: the service's body store answers
+// repeated requests without reaching the runner, and the runner's hit
+// count should not depend on which layer answered. hits is only read
+// when CacheHits is; a later call replaces an earlier one.
+func (r *Runner) CountHitsOf(hits func() uint64) {
+	r.mu.Lock()
+	r.frontHits = hits
+	r.mu.Unlock()
+}
 
 // RunsStarted reports how many simulations have been started.
 func (r *Runner) RunsStarted() uint64 { return r.started.Load() }
@@ -508,8 +443,7 @@ func (r *Runner) runLabeled(label string, cfg config.Config, bench string, opts 
 			res, err := sim.RunOrResume(r.ctx(), cfg, bench, opts, spec)
 			// Recorded outcomes retire their checkpoint: the result is
 			// final, so a later invocation must not resume from it.
-			var wear *endurance.WearOutError
-			if err == nil || errors.As(err, &wear) {
+			if flight.Recorded(err) {
 				os.Remove(spec.Path)
 			}
 			return res, err

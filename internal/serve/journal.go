@@ -1,29 +1,29 @@
 package serve
 
-// The crash-safe run journal. The server's singleflight cache and SSE
-// logs live in memory, so a SIGKILL or OOM forgets every completed run
-// and throws away every in-flight one. With Options.Journal set, the
-// server keeps a write-ahead journal on disk instead:
+// The crash-safe run journal. The server's body store and SSE logs live
+// in memory, so a SIGKILL or OOM forgets every completed run and throws
+// away every in-flight one. With Options.Journal set, the server keeps a
+// write-ahead journal on disk instead:
 //
 //	<sha256(key)>.req.json     the accepted request, written (atomic
 //	                           temp+fsync+rename) BEFORE execution starts
 //	<sha256(key)>.ckpt         periodic simulation checkpoint, rewritten
 //	                           at epoch boundaries while the run executes
-//	<sha256(key)>.result.json  the canonical RunResult document, written
-//	                           on completion; req+ckpt are then removed
+//	<sha256(key)>.result.json  the canonical RunResult body, written on
+//	                           completion; req+ckpt are then removed
 //
-// On restart the journal is replayed: result files rehydrate the
-// completed-run cache (served byte-identically, no re-execution), and
+// On restart the journal is replayed: each result file that passes the
+// strict v1 decode seeds the server's body store with its bytes as they
+// are (served byte-identically, no re-execution, no re-encode), and
 // request files without results are the interrupted runs — each is
 // re-executed in the background, resuming from its checkpoint when one
 // survived. A client that re-POSTs an interrupted request joins the
-// recovery flight through the runner's singleflight, so convergence to
+// recovery flight through the store's singleflight, so convergence to
 // the uninterrupted bytes costs one partial re-run at most.
 //
 // Only recorded outcomes are committed — StatusComplete and
-// StatusWearOut, mirroring the runner's cache rule — so a partial or
-// failed result can never masquerade as a complete one after a
-// restart.
+// StatusWearOut, the store's own rule — so a partial or failed result
+// can never masquerade as a complete one after a restart.
 
 import (
 	"bytes"
@@ -33,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	v1 "respin/internal/api/v1"
 )
@@ -42,28 +41,26 @@ import (
 // for journaled runs when Options.JournalCheckpointCycles is zero.
 const defaultJournalEvery = 20_000
 
-// journal is the on-disk write-ahead journal plus its in-memory view of
-// committed results.
+// journal is the on-disk write-ahead journal. In memory, committed
+// results live only in the server's body store.
 type journal struct {
 	dir   string
 	every uint64
-
-	mu      sync.Mutex
-	results map[string]v1.RunResult // request key -> committed envelope
 }
 
-// openJournal creates/opens the journal directory, replays it, and
-// returns the interrupted requests that need recovery. Unreadable or
-// corrupt entries are skipped (and counted by the caller's metrics),
-// never fatal: a damaged journal costs re-execution, not availability.
-func openJournal(dir string, every uint64) (*journal, []v1.RunRequest, error) {
+// openJournal creates/opens the journal directory and replays it: each
+// committed result goes to seed as its request key and file bytes, and
+// the interrupted requests that need recovery are returned. Unreadable
+// or corrupt entries are skipped, never fatal: a damaged journal costs
+// re-execution, not availability.
+func openJournal(dir string, every uint64, seed func(key string, body []byte)) (*journal, []v1.RunRequest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: journal: %w", err)
 	}
 	if every == 0 {
 		every = defaultJournalEvery
 	}
-	j := &journal{dir: dir, every: every, results: make(map[string]v1.RunResult)}
+	j := &journal{dir: dir, every: every}
 
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -79,11 +76,13 @@ func openJournal(dir string, every uint64) (*journal, []v1.RunRequest, error) {
 		if err != nil {
 			continue
 		}
+		// The strict decode is the only gate before these bytes are
+		// served verbatim.
 		doc, err := v1.DecodeRunResult(bytes.NewReader(data))
-		if err != nil {
+		if err != nil || !doc.Recorded() {
 			continue
 		}
-		j.results[doc.Request.Key()] = doc
+		seed(doc.Request.Key(), data)
 		done[strings.TrimSuffix(name, ".result.json")] = true
 	}
 	var pending []v1.RunRequest
@@ -133,21 +132,6 @@ func (j *journal) resultPath(key string) string {
 	return filepath.Join(j.dir, j.hash(key)+".result.json")
 }
 
-// lookup returns the committed result for key, if any.
-func (j *journal) lookup(key string) (v1.RunResult, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	doc, ok := j.results[key]
-	return doc, ok
-}
-
-// completed reports how many committed results the journal holds.
-func (j *journal) completed() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.results)
-}
-
 // logRequest journals an accepted request before its execution starts —
 // the write-ahead step that makes an in-flight run recoverable.
 // Idempotent: a recovery re-execution overwrites the same bytes.
@@ -159,21 +143,14 @@ func (j *journal) logRequest(key string, req v1.RunRequest) error {
 	return j.writeAtomic(j.reqPath(key), data)
 }
 
-// commit records a run's final envelope and retires its WAL entry and
-// checkpoint. After the result file is durably in place the request
-// and checkpoint files are dead weight; removing them keeps replay
-// linear in the number of incomplete runs.
-func (j *journal) commit(key string, doc v1.RunResult) error {
-	data, err := v1.EncodeBytes(doc)
-	if err != nil {
-		return fmt.Errorf("serve: journal: %w", err)
-	}
-	if err := j.writeAtomic(j.resultPath(key), data); err != nil {
+// commit durably records a run's final body and retires its WAL entry
+// and checkpoint. After the result file is in place the request and
+// checkpoint files are dead weight; removing them keeps replay linear in
+// the number of incomplete runs.
+func (j *journal) commit(key string, body []byte) error {
+	if err := j.writeAtomic(j.resultPath(key), body); err != nil {
 		return err
 	}
-	j.mu.Lock()
-	j.results[key] = doc
-	j.mu.Unlock()
 	os.Remove(j.ckptPath(key))
 	os.Remove(j.reqPath(key))
 	return nil

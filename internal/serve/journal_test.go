@@ -60,7 +60,7 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 
 	// Fabricate the interrupted state: WAL entry + a checkpoint from a
 	// run cut off after cycle 2000.
-	j, pending, err := openJournal(dir, 0)
+	j, pending, err := openJournal(dir, 0, noSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,30 +83,96 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 	// A server opened over this journal recovers the run in the
 	// background (resuming from the checkpoint, not from cycle 0).
 	r := &experiments.Runner{Quota: 2_000, Seed: 1}
-	s, err := New(Options{Runner: r, Journal: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, ok := s.journal.lookup(key); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("interrupted run was not recovered")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	doc, _ := s.journal.lookup(key)
-	got, err := v1.EncodeBytes(doc)
+	s, ts := testServer(t, Options{Runner: r, Journal: dir})
+	awaitRecovery(t, s)
+	got, err := os.ReadFile(j.resultPath(key))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("recovered result differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
+	// The recovered body is now a hit, served without another run.
+	resp, served := postRun(t, ts, `{"schema_version":"respin/v1","config":"SH-STT","bench":"radix","quota":12000}`, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(served, want) {
+		t.Fatalf("re-POST of the recovered run: status %d, %d bytes (want %d identical)", resp.StatusCode, len(served), len(want))
+	}
 	if started := r.RunsStarted(); started != 1 {
 		t.Fatalf("recovery started %d runs, want 1", started)
+	}
+}
+
+// noSeed discards replayed results, for tests that open a journal only
+// to fabricate its files.
+func noSeed(string, []byte) {}
+
+// awaitRecovery waits until the server's body store holds a recorded
+// outcome: a background recovery finished and committed.
+func awaitRecovery(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.bodies.Len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("interrupted run was not recovered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestJournalSkipsDamagedResults: a result.json that fails the strict
+// decode, or holds an outcome that is not recorded, is skipped on
+// replay rather than served. A re-POST simulates once and returns the
+// CLI bytes, which replace the damaged file.
+func TestJournalSkipsDamagedResults(t *testing.T) {
+	req := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
+	want := cliBytes(t, req)
+	key := mustKey(t, req)
+	const body = `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":2000}`
+	cases := []struct {
+		name   string
+		damage func(b []byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"trailing data", func(b []byte) []byte { return append(b, "{}\n"...) }},
+		{"wrong schema_version", func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"respin/v1"`), []byte(`"respin/v0"`), 1)
+		}},
+		{"unknown field", func(b []byte) []byte {
+			return bytes.Replace(b, []byte("{"), []byte(`{"bogus": 1,`), 1)
+		}},
+		{"partial status", func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"status": "complete"`), []byte(`"status": "partial"`), 1)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _, err := openJournal(dir, 0, noSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := c.damage(bytes.Clone(want))
+			if err := os.WriteFile(j.resultPath(key), damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, ts := testServer(t, Options{Journal: dir})
+			if n := s.bodies.Len(); n != 0 {
+				t.Fatalf("damaged result.json replayed into the store (%d entries)", n)
+			}
+			resp, got := postRun(t, ts, body, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("re-POST: status %d: %s", resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("re-POST body differs from CLI output (%d vs %d bytes)", len(got), len(want))
+			}
+			if started := metricsSnapshot(t, ts).Value("run.runs_started"); started != 1 {
+				t.Fatalf("run.runs_started = %v, want 1", started)
+			}
+			if file, err := os.ReadFile(j.resultPath(key)); err != nil || !bytes.Equal(file, want) {
+				t.Fatalf("result.json not replaced by the fresh result (err %v)", err)
+			}
+		})
 	}
 }
 
@@ -123,7 +189,7 @@ func TestJournalOldLayoutCheckpointRestartsFresh(t *testing.T) {
 	}
 	want := cliBytes(t, req)
 
-	j, _, err := openJournal(dir, 0)
+	j, _, err := openJournal(dir, 0, noSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +250,7 @@ func TestJournalOldLayoutCheckpointRestartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, ok := s.journal.lookup(key); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("interrupted run was not recovered")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitRecovery(t, s)
 	got, err := os.ReadFile(j.resultPath(key))
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,13 @@ func (l *runLog) finish() {
 	l.broadcastLocked()
 }
 
+// finished reports whether finish was called.
+func (l *runLog) finished() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.done
+}
+
 // broadcastLocked wakes every waiter by closing and replacing the
 // notification channel. Callers hold mu.
 func (l *runLog) broadcastLocked() {
@@ -78,8 +85,11 @@ func (l *runLog) after(offset int) (lines []string, done bool, changed <-chan st
 }
 
 // logRegistry tracks recent run logs by id, evicting the oldest
-// completed entries past cap so a long-lived server's memory stays
-// bounded.
+// finished entries past cap so a long-lived server's memory stays
+// bounded. Logs of runs still in flight are never evicted: the
+// admission queue already bounds how many there are, and a follower of
+// a long run must still find its log however many short runs finish
+// meanwhile.
 type logRegistry struct {
 	mu    sync.Mutex
 	logs  map[string]*runLog
@@ -97,24 +107,39 @@ func newLogRegistry(capacity int) *logRegistry {
 
 // create registers a fresh log under id (a client-chosen id that
 // collides with a live entry gets a server-assigned one instead, so
-// ids stay unambiguous). Empty or oversized ids are server-assigned.
+// ids stay unambiguous). Empty or oversized ids are server-assigned,
+// skipping any a client already chose, so every id is registered once
+// and order never repeats one.
 func (g *logRegistry) create(id string) *runLog {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !validRunID(id) {
 		id = ""
 	}
-	if _, taken := g.logs[id]; id == "" || taken {
+	for _, taken := g.logs[id]; id == "" || taken; _, taken = g.logs[id] {
 		g.seq++
 		id = fmt.Sprintf("r%06d", g.seq)
 	}
 	l := newRunLog(id)
 	g.logs[id] = l
 	g.order = append(g.order, id)
-	for len(g.order) > g.cap {
-		evict := g.order[0]
-		g.order = g.order[1:]
-		delete(g.logs, evict)
+	if excess := len(g.order) - g.cap; excess > 0 {
+		kept := g.order[:0]
+		for _, old := range g.order {
+			ol := g.logs[old]
+			if ol == nil {
+				// Not registered (ids are unique, so this cannot happen);
+				// drop it rather than fail every later create.
+				continue
+			}
+			if excess > 0 && ol.finished() {
+				delete(g.logs, old)
+				excess--
+				continue
+			}
+			kept = append(kept, old)
+		}
+		g.order = kept
 	}
 	return l
 }

@@ -1,8 +1,9 @@
 // Package serve is the long-running evaluation service behind
 // cmd/respin-serve: an HTTP/JSON API (versioned under /v1) over a
-// persistent experiments.Runner, so the singleflight cache, the jobs
-// pool, and the intra-simulation workers are amortized across requests
-// instead of dying with a one-shot CLI process.
+// persistent experiments.Runner, so the jobs pool and the
+// intra-simulation workers are amortized across requests, and a body
+// store answers repeated requests, instead of dying with a one-shot CLI
+// process.
 //
 // Endpoints:
 //
@@ -19,6 +20,11 @@
 //	GET  /v1/healthz       v1.Health (queue depth, drain state)
 //	GET  /v1/metrics       v1.MetricsDoc snapshot of the server registry
 //
+// The body store keeps one copy of each recorded result, in wire form:
+// request key → the canonical v1.RunResult bytes. A miss encodes its
+// result once, and that slice is the response, the journal's
+// result.json and the store entry; a hit is a lookup and one Write.
+//
 // Concurrency and robustness: admission is a bounded token queue —
 // when full, the server answers 429 with Retry-After instead of
 // queueing unboundedly. Each admitted request runs under the server's
@@ -26,12 +32,13 @@
 // disconnect never kills a simulation another requester shares.
 // Simulator panics are recovered into attributed errors by the runner
 // (HTTP 500, process keeps serving), and identical concurrent requests
-// collapse into one singleflight run whose result every caller shares
+// collapse into one singleflight run whose body every caller shares
 // byte-for-byte.
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -43,6 +50,7 @@ import (
 
 	v1 "respin/internal/api/v1"
 	"respin/internal/experiments"
+	"respin/internal/flight"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
 )
@@ -60,11 +68,11 @@ type Options struct {
 	// drain lets in-flight runs finish.
 	BaseContext context.Context
 	// Telemetry is the server's metric registry, exposed at /v1/metrics;
-	// nil builds a private one. The runner's singleflight counters are
-	// registered into it as run.cache_hits / run.runs_started /
-	// run.runs_completed.
+	// nil builds a private one. The body store's hits and the runner's
+	// run counters are registered into it as run.cache_hits /
+	// run.runs_started / run.runs_completed.
 	Telemetry *telemetry.Collector
-	// LogCapacity bounds how many run event logs are kept for
+	// LogCapacity bounds how many finished run event logs are kept for
 	// /v1/runs/{id}/events replay; 0 selects 128.
 	LogCapacity int
 	// Journal, when non-empty, is the directory of the crash-safe run
@@ -88,6 +96,11 @@ type Server struct {
 	mux     *http.ServeMux
 	journal *journal
 
+	// bodies maps a request key to the canonical RunResult body of its
+	// recorded outcome (complete or wear-out), and deduplicates runs in
+	// flight.
+	bodies flight.Group[[]byte]
+
 	tokens   chan struct{}
 	draining atomic.Bool
 
@@ -96,7 +109,6 @@ type Server struct {
 	httpPanics   atomic.Uint64
 	sseStreams   atomic.Uint64
 
-	journalHits      atomic.Uint64
 	journalRecovered atomic.Uint64
 }
 
@@ -133,7 +145,10 @@ func New(opts Options) (*Server, error) {
 		mux:    http.NewServeMux(),
 		tokens: make(chan struct{}, queue),
 	}
-	tele.RegisterCounter("run.cache_hits", r.CacheHits)
+	// The runner only executes for the service; its cache_hits are the
+	// store's.
+	r.CountHitsOf(s.bodies.Hits)
+	tele.RegisterCounter("run.cache_hits", s.bodies.Hits)
 	tele.RegisterCounter("run.runs_started", r.RunsStarted)
 	tele.RegisterCounter("run.runs_completed", r.RunsCompleted)
 	tele.RegisterCounter("http.requests", s.httpRequests.Load)
@@ -150,14 +165,16 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 
 	if opts.Journal != "" {
-		jr, pending, err := openJournal(opts.Journal, opts.JournalCheckpointCycles)
+		jr, pending, err := openJournal(opts.Journal, opts.JournalCheckpointCycles, s.bodies.Seed)
 		if err != nil {
 			return nil, err
 		}
 		s.journal = jr
-		tele.RegisterCounter("journal.hits", s.journalHits.Load)
+		// With the journal on, every recorded body is committed to disk,
+		// so a recall is a journal hit and the store size its count.
+		tele.RegisterCounter("journal.hits", s.bodies.Recalls)
 		tele.RegisterCounter("journal.recovered", s.journalRecovered.Load)
-		tele.RegisterGauge("journal.completed", func() float64 { return float64(jr.completed()) })
+		tele.RegisterGauge("journal.completed", func() float64 { return float64(s.bodies.Len()) })
 		for _, req := range pending {
 			go s.recoverRun(req)
 		}
@@ -168,8 +185,8 @@ func New(opts Options) (*Server, error) {
 // recoverRun re-executes one journaled request that a previous process
 // left unfinished. It runs through the same execute path a re-POSTed
 // request would take — resuming from the journal checkpoint and
-// joining the runner's singleflight — so a client retrying the request
-// shares the recovery flight instead of racing it.
+// joining the body store's singleflight — so a client retrying the
+// request shares the recovery flight instead of racing it.
 func (s *Server) recoverRun(req v1.RunRequest) {
 	ctx, cancel := s.runCtx(req)
 	defer cancel()
@@ -263,52 +280,77 @@ func (s *Server) runCtx(req v1.RunRequest) (context.Context, context.CancelFunc)
 	return s.base, func() {}
 }
 
-// execute runs one resolved request through the shared runner. The
-// telemetry collector mirrors what respin-sim attaches for -metrics —
-// same registry, so the result document is byte-identical — with the
-// run's event stream teed into log (nil for sweep points, which are
-// not individually followable).
-func (s *Server) execute(ctx context.Context, req v1.RunRequest, log *runLog) (v1.RunResult, error) {
+// execute answers one resolved request with the canonical bytes of its
+// v1.RunResult: recalled from the body store when the key has a
+// recorded outcome, shared when the key is in flight, and otherwise run
+// once (log receives the run's event stream; nil for sweep points and
+// recoveries, which are not individually followable).
+func (s *Server) execute(ctx context.Context, req v1.RunRequest, log *runLog) ([]byte, error) {
+	key := req.Key()
+	body, err := s.bodies.Do(ctx, key, func() ([]byte, error) { return s.run(ctx, key, req, log) })
+	switch {
+	case body != nil:
+		return body, nil
+	case err != nil && err == ctx.Err():
+		// This request's own deadline passed while it waited on
+		// another requester's flight: a partial result with nothing
+		// executed.
+		return encodeResult(req, sim.Result{}, err)
+	}
+	return nil, err
+}
+
+// run executes one request on the runner's pool and encodes its outcome
+// once. The telemetry collector mirrors what respin-sim attaches for
+// -metrics — same registry, so the body is byte-identical. The error
+// returned beside a body is the simulation's own (nil, a wear-out, or a
+// deadline), which decides whether the store keeps the body; a failure
+// returns no body.
+func (s *Server) run(ctx context.Context, key string, req v1.RunRequest, log *runLog) ([]byte, error) {
 	cfg, opts, err := req.Resolve()
 	if err != nil {
-		return v1.RunResult{}, err
+		return nil, err
 	}
 	if log != nil {
 		opts.Telemetry = telemetry.New(telemetry.WithEvents(log), telemetry.WithScope(req.Label()))
 	} else {
 		opts.Telemetry = telemetry.New()
 	}
-	if s.journal == nil {
-		res, runErr := s.runner.Do(ctx, req.Key(), req.Label(), cfg, req.Bench, opts)
-		return v1.NewResult(req, res, runErr)
+	simulate := func(ctx context.Context) (sim.Result, error) {
+		return sim.RunContext(ctx, cfg, req.Bench, opts)
 	}
-
-	// Journaled path: committed results are served from disk (byte-
-	// identical — the envelope round-trips verbatim), everything else
-	// is journaled write-ahead, checkpointed while it runs, and
-	// committed only on a recorded outcome.
-	key := req.Key()
-	if doc, ok := s.journal.lookup(key); ok {
-		s.journalHits.Add(1)
-		return doc, nil
-	}
-	if err := s.journal.logRequest(key, req); err != nil {
-		return v1.RunResult{}, err
-	}
-	spec := sim.CheckpointSpec{Path: s.journal.ckptPath(key), EveryCycles: s.journal.every}
-	res, runErr := s.runner.DoFunc(ctx, key, req.Label(), func(ctx context.Context) (sim.Result, error) {
-		return sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
-	})
-	doc, err := v1.NewResult(req, res, runErr)
-	if err != nil {
-		return v1.RunResult{}, err
-	}
-	if doc.Status == v1.StatusComplete || doc.Status == v1.StatusWearOut {
-		if err := s.journal.commit(key, doc); err != nil {
-			return v1.RunResult{}, err
+	if s.journal != nil {
+		// Journal the request write-ahead and checkpoint while running,
+		// so a crash resumes the run instead of restarting it.
+		if err := s.journal.logRequest(key, req); err != nil {
+			return nil, err
+		}
+		spec := sim.CheckpointSpec{Path: s.journal.ckptPath(key), EveryCycles: s.journal.every}
+		simulate = func(ctx context.Context) (sim.Result, error) {
+			return sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
 		}
 	}
-	return doc, nil
+	res, runErr := s.runner.Exec(ctx, req.Label(), simulate)
+	body, err := encodeResult(req, res, runErr)
+	if err != nil {
+		return nil, err
+	}
+	if s.journal != nil && flight.Recorded(runErr) {
+		if err := s.journal.commit(key, body); err != nil {
+			return nil, err
+		}
+	}
+	return body, runErr
+}
+
+// encodeResult renders one executed request exactly as respin-sim
+// -metrics does.
+func encodeResult(req v1.RunRequest, res sim.Result, runErr error) ([]byte, error) {
+	doc, err := v1.NewResult(req, res, runErr)
+	if err != nil {
+		return nil, err
+	}
+	return v1.EncodeBytes(doc)
 }
 
 // handleRun: POST /v1/run.
@@ -333,17 +375,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer log.finish()
 	ctx, cancel := s.runCtx(req)
 	defer cancel()
-	doc, err := s.execute(ctx, req, log)
+	body, err := s.execute(ctx, req, log)
+	w.Header().Set("Respin-Run-Id", log.id)
 	if err != nil {
 		// Normalize/Resolve passed, so this is an execution failure — a
 		// recovered simulator panic (attributed by the runner) or a
 		// cancelled base context.
-		w.Header().Set("Respin-Run-Id", log.id)
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	w.Header().Set("Respin-Run-Id", log.id)
-	s.writeDoc(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleSweep: POST /v1/sweep. Every point fans out into the runner's
@@ -368,7 +409,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(s.base)
 	defer cancel()
-	results := make([]v1.RunResult, len(points))
+	bodies := make([][]byte, len(points))
+	errs := make([]error, len(points))
 	var wg sync.WaitGroup
 	for i, p := range points {
 		wg.Add(1)
@@ -379,15 +421,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				pctx, pcancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 			}
 			defer pcancel()
-			doc, err := s.execute(pctx, p, nil)
-			if err != nil {
-				doc = v1.ErrorResult(p, err)
-			}
-			results[i] = doc
+			bodies[i], errs[i] = s.sweepBody(pctx, p)
 		}(i, p)
 	}
 	wg.Wait()
-	s.writeDoc(w, http.StatusOK, v1.SweepResult{SchemaVersion: v1.SchemaVersion, Results: results})
+	if err := errors.Join(errs...); err != nil {
+		s.writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	data, err := v1.EncodeSweep(bodies)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, data)
+}
+
+// sweepBody runs one sweep point and returns its stored body, or the
+// encoding of a status:"error" entry.
+func (s *Server) sweepBody(ctx context.Context, p v1.RunRequest) ([]byte, error) {
+	body, err := s.execute(ctx, p, nil)
+	if err != nil {
+		return v1.EncodeBytes(v1.ErrorResult(p, err))
+	}
+	return body, nil
 }
 
 // sweepPoints expands a sweep request into its normalized point list.
@@ -488,9 +545,7 @@ func (s *Server) writeDoc(w http.ResponseWriter, code int, doc any) {
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(data)
+	writeJSON(w, code, data)
 }
 
 // writeError writes the versioned error envelope.
@@ -500,6 +555,11 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 		http.Error(w, msg, code)
 		return
 	}
+	writeJSON(w, code, data)
+}
+
+// writeJSON writes an already-encoded JSON body.
+func writeJSON(w http.ResponseWriter, code int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(data)
