@@ -103,29 +103,14 @@ func BenchmarkFigure8(b *testing.B) {
 	b.ReportMetric(e, "SH-STT-large-norm-energy")
 }
 
-// BenchmarkFigure9 regenerates the per-benchmark energy comparison,
-// serially and with 4 cluster-stepping workers inside each simulation.
-// Both variants pin jobs-1 so they isolate the intra-simulation
-// speedup (run-level parallelism is BenchmarkTable4's axis); on a
-// multi-core machine workers-4 should be substantially faster, and the
-// reported metric must be identical either way (the equivalence test
-// enforces bit-identical results).
+// BenchmarkFigure9 regenerates the per-benchmark energy comparison.
 func BenchmarkFigure9(b *testing.B) {
 	b.ReportAllocs()
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(map[int]string{1: "workers-1", 4: "workers-4"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			var e float64
-			for i := 0; i < b.N; i++ {
-				r := benchRunner()
-				r.Jobs = 1
-				r.Workers = workers
-				e = r.Figure9().Mean(config.SHSTT)
-			}
-			b.ReportMetric(e, "SH-STT-norm-energy")
-		})
+	var e float64
+	for i := 0; i < b.N; i++ {
+		e = benchRunner().Figure9().Mean(config.SHSTT)
 	}
+	b.ReportMetric(e, "SH-STT-norm-energy")
 }
 
 // BenchmarkClusterSweep regenerates the Section V.D cluster-size sweep.

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	respin-serve [-addr 127.0.0.1:8080] [-queue N] [-grace 60s]
-//	             [-jobs N] [-workers N] [-q]
+//	             [-jobs N] [-q]
 //	             [-cpuprofile f] [-memprofile f] [-metrics f] [-events f]
 //
 // A served /v1/run response is byte-identical to `respin-sim -metrics`
@@ -67,7 +67,6 @@ func run() int {
 		r = experiments.QuickRunner()
 	}
 	r.Jobs = app.Jobs
-	r.Workers = app.Workers
 	if !*quiet {
 		r.Progress = os.Stderr
 	}

@@ -139,7 +139,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "respin-sim: resuming %v/%s from cycle %d\n", cfg.Kind, info.Bench, info.Cycle)
 		s, err := sim.Resume(app.Resume,
 			sim.WithTelemetry(app.Collector()),
-			sim.WithWorkers(app.Workers),
 			sim.WithCheckpoint(app.CheckpointSpec()))
 		if err != nil {
 			return app.Fail(err)

@@ -12,13 +12,17 @@
 // Sweep points are independent simulations, so they run on a worker
 // pool (-jobs wide, default all cores) and are rendered in sweep order.
 // With -metrics/-events each point's telemetry lands under a distinct
-// "point.<index>.<description>" prefix.
+// "point.<index>.<description>" prefix. A failed point does not stop
+// the others: every point runs, the failures are reported in sweep
+// order, no table is printed and the exit status is 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,10 +37,17 @@ import (
 
 // main delegates to run so deferred cleanup (profile flushing, telemetry
 // outputs) survives the explicit exit code.
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(flag.CommandLine, os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+// run parses args into fs, runs the selected sweep, writes its table to
+// stdout and returns the exit status.
+func run(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "respin-sweep: %v\n", err)
+		return 1
+	}
 	c := cli.New("respin-sweep",
+		cli.WithFlagSet(fs),
 		cli.WithTarget(cli.Target{BenchName: "fft"}, cli.TBench),
 		cli.WithRunFlags(cli.Defaults{Quota: 100_000, Seed: 1}),
 		cli.WithParallelFlags(),
@@ -46,8 +57,10 @@ func run() int {
 		cli.WithEnduranceFlags(),
 		cli.WithCheckpointFlags(),
 	)
-	sweep := flag.String("sweep", "cluster", "sweep to run: cluster, epoch, scale")
-	flag.Parse()
+	sweep := fs.String("sweep", "cluster", "sweep to run: cluster, epoch, scale")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	t := c.Target
 
 	// Sweeps span cluster sizes, so resolve kills against the smallest
@@ -63,7 +76,7 @@ func run() int {
 	}
 	defer func() {
 		if err := cleanup(); err != nil {
-			fmt.Fprintf(os.Stderr, "respin-sweep: %v\n", err)
+			fail(err)
 		}
 	}()
 
@@ -80,17 +93,22 @@ func run() int {
 			return fail(err)
 		}
 	}
+	var tab *report.Table
 	switch *sweep {
 	case "cluster":
-		s.cluster(t.BenchName)
+		tab, err = s.cluster(t.BenchName)
 	case "epoch":
-		s.epoch(t.BenchName)
+		tab, err = s.epoch(t.BenchName)
 	case "scale":
-		s.scale(t.BenchName)
+		tab, err = s.scale(t.BenchName)
 	default:
-		fmt.Fprintf(os.Stderr, "respin-sweep: unknown sweep %q (valid: cluster, epoch, scale)\n", *sweep)
+		fmt.Fprintf(stderr, "respin-sweep: unknown sweep %q (valid: cluster, epoch, scale)\n", *sweep)
 		return 2
 	}
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprint(stdout, tab.String())
 	return 0
 }
 
@@ -106,38 +124,58 @@ type sweeper struct {
 	every   uint64
 }
 
-// runAll executes fn(0..n-1) with at most jobs concurrent workers and
-// returns once every call finished. Callers fill an indexed slice from
-// fn, so sweep output stays in sweep order regardless of completion
-// order.
-func (s *sweeper) runAll(n int, fn func(i int)) {
+// runAll runs one simulation per sweep point, at most jobs at a time,
+// and returns the results in sweep order regardless of completion
+// order. A failed point does not stop the others; the error names every
+// failed point, in sweep order.
+func (s *sweeper) runAll(labels []string, cfgs []config.Config, bench string) ([]sim.Result, error) {
 	jobs := s.jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
+	results := make([]sim.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
 	sem := make(chan struct{}, jobs)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range cfgs {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			fn(i)
+			results[i], errs[i] = s.runPoint(i, labels[i], cfgs[i], bench)
 		}(i)
 	}
 	wg.Wait()
+	var failed []error
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, fmt.Errorf("point %d (%s): %w", i, labels[i], err))
+		}
+	}
+	if len(failed) > 0 {
+		return nil, fmt.Errorf("%d of %d sweep points failed:\n%w", len(failed), len(cfgs), errors.Join(failed...))
+	}
+	return results, nil
 }
 
-// mustRun executes one sweep point. Each point registers into its own
-// child collector (prefix "point.<i>.<label>"), so concurrent points
-// never collide on metric names.
-func (s *sweeper) mustRun(i int, label string, cfg config.Config, bench string) sim.Result {
+// runPoint executes one sweep point. Each point registers into a
+// collector of its own (prefix "point.<i>.<label>", sharing the sweep's
+// event stream), and its final snapshot is absorbed into the sweep's
+// collector: a snapshot of a shared registry would read the metrics of
+// points still running on other goroutines. A point that fails keeps
+// its checkpoint file, so a re-invoked sweep resumes it.
+func (s *sweeper) runPoint(i int, label string, cfg config.Config, bench string) (sim.Result, error) {
 	opts := s.opts
-	opts.Telemetry = s.tele.Child(fmt.Sprintf("point.%d.%s", i, label))
+	if s.tele.Enabled() {
+		opts.Telemetry = telemetry.New(telemetry.WithEmitter(s.tele.Emitter())).
+			Child(fmt.Sprintf("point.%d.%s", i, label))
+	}
 	var res sim.Result
 	var err error
-	if s.ckptDir != "" {
+	if s.ckptDir == "" {
+		res, err = sim.Run(cfg, bench, opts)
+	} else {
 		spec := sim.CheckpointSpec{
 			Path:        filepath.Join(s.ckptDir, label+".ckpt"),
 			EveryCycles: s.every,
@@ -146,19 +184,14 @@ func (s *sweeper) mustRun(i int, label string, cfg config.Config, bench string) 
 		if err == nil {
 			os.Remove(spec.Path) // point complete; nothing left to resume
 		}
-	} else {
-		res, err = sim.Run(cfg, bench, opts)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "respin-sweep: %v\n", err)
-		os.Exit(1)
-	}
-	return res
+	s.tele.Absorb("", res.Metrics)
+	return res, err
 }
 
 // cluster reproduces the Section V.D cluster-size study for one
 // benchmark.
-func (s *sweeper) cluster(bench string) {
+func (s *sweeper) cluster(bench string) (*report.Table, error) {
 	sizes := []int{4, 8, 16, 32}
 	cfgs := []config.Config{config.New(config.PRSRAMNT, config.Medium)}
 	labels := []string{"PR-SRAM-NT"}
@@ -166,8 +199,10 @@ func (s *sweeper) cluster(bench string) {
 		cfgs = append(cfgs, config.NewWithCluster(config.SHSTT, config.Medium, cs))
 		labels = append(labels, fmt.Sprintf("SH-STT.cl%d", cs))
 	}
-	results := make([]sim.Result, len(cfgs))
-	s.runAll(len(cfgs), func(i int) { results[i] = s.mustRun(i, labels[i], cfgs[i], bench) })
+	results, err := s.runAll(labels, cfgs, bench)
+	if err != nil {
+		return nil, err
+	}
 
 	base := results[0]
 	t := report.NewTable(fmt.Sprintf("cluster-size sweep, %s", bench),
@@ -179,12 +214,12 @@ func (s *sweeper) cluster(bench string) {
 			report.PctU(res.HalfMissRate),
 			report.PctU(res.ReadCoreCycles.Fraction(1)))
 	}
-	fmt.Print(t.String())
+	return t, nil
 }
 
 // epoch varies the consolidation epoch around the paper's 160K
 // instructions.
-func (s *sweeper) epoch(bench string) {
+func (s *sweeper) epoch(bench string) (*report.Table, error) {
 	epochs := []uint64{40_000, 80_000, 160_000, 320_000, 640_000}
 	cfgs := []config.Config{config.New(config.SHSTT, config.Medium)}
 	labels := []string{"SH-STT"}
@@ -194,8 +229,10 @@ func (s *sweeper) epoch(bench string) {
 		cfgs = append(cfgs, cfg)
 		labels = append(labels, fmt.Sprintf("SH-STT-CC.ep%d", epoch))
 	}
-	results := make([]sim.Result, len(cfgs))
-	s.runAll(len(cfgs), func(i int) { results[i] = s.mustRun(i, labels[i], cfgs[i], bench) })
+	results, err := s.runAll(labels, cfgs, bench)
+	if err != nil {
+		return nil, err
+	}
 
 	base := results[0]
 	t := report.NewTable(fmt.Sprintf("consolidation epoch sweep, %s (energy vs SH-STT)", bench),
@@ -208,11 +245,11 @@ func (s *sweeper) epoch(bench string) {
 			fmt.Sprintf("%.1f", res.ActiveCores.Mean()),
 			fmt.Sprintf("%d", res.Stats.Migrations))
 	}
-	fmt.Print(t.String())
+	return t, nil
 }
 
 // scale compares the three Table I cache scales for one benchmark.
-func (s *sweeper) scale(bench string) {
+func (s *sweeper) scale(bench string) (*report.Table, error) {
 	var cfgs []config.Config
 	var labels []string
 	for _, scale := range []config.CacheScale{config.Small, config.Medium, config.Large} {
@@ -221,8 +258,10 @@ func (s *sweeper) scale(bench string) {
 			labels = append(labels, fmt.Sprintf("%v.%v", kind, scale))
 		}
 	}
-	results := make([]sim.Result, len(cfgs))
-	s.runAll(len(cfgs), func(i int) { results[i] = s.mustRun(i, labels[i], cfgs[i], bench) })
+	results, err := s.runAll(labels, cfgs, bench)
+	if err != nil {
+		return nil, err
+	}
 
 	t := report.NewTable(fmt.Sprintf("cache-scale sweep, %s", bench),
 		"scale", "config", "time", "power", "energy")
@@ -232,10 +271,5 @@ func (s *sweeper) scale(bench string) {
 			report.Millis(res.TimePS), report.Watts(res.AvgPowerW),
 			report.Joules(res.EnergyPJ))
 	}
-	fmt.Print(t.String())
-}
-
-func fail(err error) int {
-	fmt.Fprintf(os.Stderr, "respin-sweep: %v\n", err)
-	return 1
+	return t, nil
 }

@@ -71,7 +71,6 @@ func run() int {
 		// below comes out identical to an uninterrupted run's.
 		s, err := sim.Resume(c.Resume,
 			sim.WithTelemetry(c.Collector()),
-			sim.WithWorkers(c.Workers),
 			sim.WithCheckpoint(c.CheckpointSpec()))
 		if err != nil {
 			return fail(err)

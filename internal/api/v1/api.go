@@ -83,8 +83,10 @@ type RunRequest struct {
 	Quota uint64 `json:"quota,omitempty"`
 	// Seed drives workload/arbitration randomness; 0 selects 1.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers is the intra-simulation parallelism (bit-identical at any
-	// value); 0 lets the executor choose.
+	// Workers is accepted so that clients which send it get no error,
+	// and ignored: a simulation runs on one goroutine. Normalize rejects
+	// a negative value and then clears the field, so it never reaches a
+	// key, the simulator or a result.
 	Workers int `json:"workers,omitempty"`
 	// EpochTrace records the consolidation trace (Figures 12-14).
 	EpochTrace bool `json:"epoch_trace,omitempty"`
@@ -207,13 +209,7 @@ func (r *RunRequest) Normalize() error {
 	if r.Workers < 0 {
 		return fmt.Errorf("api: negative worker count %d", r.Workers)
 	}
-	if r.Workers == 1 {
-		// One worker is the serial default the executor picks anyway;
-		// canonicalizing it to the omitted form keeps `-workers 1` CLI
-		// requests byte-identical to served requests that leave the
-		// field out (results are bit-identical at any worker count).
-		r.Workers = 0
-	}
+	r.Workers = 0
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("api: negative timeout_ms %d", r.TimeoutMS)
 	}
@@ -265,10 +261,6 @@ func (r *RunRequest) Normalize() error {
 // identical keys, which is what the server's singleflight cache keys
 // runs by.
 func (r RunRequest) Key() string {
-	// Workers is an execution hint, not part of the request's identity:
-	// results are proven bit-identical at any worker count, so requests
-	// differing only in workers share one cache entry.
-	r.Workers = 0
 	data, err := json.Marshal(r)
 	if err != nil {
 		// Every field is a plain scalar or struct of scalars; Marshal
@@ -307,7 +299,6 @@ func (r RunRequest) Resolve() (config.Config, sim.Options, error) {
 	opts := sim.Options{
 		QuotaInstr:         r.Quota,
 		Seed:               r.Seed,
-		Workers:            r.Workers,
 		EpochTrace:         r.EpochTrace,
 		DisableFastForward: r.DisableFastForward,
 		EpochCycles:        r.EpochCycles,
@@ -385,9 +376,6 @@ type RunResult struct {
 // yields StatusWearOut; any other runErr is a real failure and is
 // returned instead of wrapped.
 func NewResult(req RunRequest, res sim.Result, runErr error) (RunResult, error) {
-	// The echoed request drops the workers execution hint so every
-	// result surface stays byte-identical across worker counts.
-	req.Workers = 0
 	out := RunResult{SchemaVersion: SchemaVersion, Request: req, Status: StatusComplete}
 	var wear *endurance.WearOutError
 	switch {

@@ -3,13 +3,16 @@ package v1
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"respin/internal/config"
 	"respin/internal/endurance"
 	"respin/internal/flight"
 	"respin/internal/sim"
@@ -116,6 +119,57 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 	}
 	if a.Key() != b.Key() {
 		t.Fatalf("equivalent requests have different keys:\n%s\n%s", a.Key(), b.Key())
+	}
+}
+
+// TestWorkersHintIgnored: workers is accepted and ignored. Every
+// non-negative value normalizes to the same key, the same resolved
+// configuration and options, and the same echoed request; a negative
+// value is still rejected.
+func TestWorkersHintIgnored(t *testing.T) {
+	t.Parallel()
+	type outcome struct {
+		key  string
+		cfg  config.Config
+		opts sim.Options
+		echo []byte
+	}
+	resolve := func(workers int) outcome {
+		t.Helper()
+		req := RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2000, Workers: workers}
+		if err := req.Normalize(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		cfg, opts, err := req.Resolve()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		doc, err := NewResult(req, sim.Result{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		echo, err := json.Marshal(doc.Request)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{req.Key(), cfg, opts, echo}
+	}
+	want := resolve(0)
+	for _, workers := range []int{1, 4} {
+		got := resolve(workers)
+		if got.key != want.key {
+			t.Errorf("workers=%d key %s, want %s", workers, got.key, want.key)
+		}
+		if !reflect.DeepEqual(got.cfg, want.cfg) || !reflect.DeepEqual(got.opts, want.opts) {
+			t.Errorf("workers=%d resolved to %+v / %+v, want %+v / %+v", workers, got.cfg, got.opts, want.cfg, want.opts)
+		}
+		if !bytes.Equal(got.echo, want.echo) {
+			t.Errorf("workers=%d echoed %s, want %s", workers, got.echo, want.echo)
+		}
+	}
+	bad := RunRequest{Config: "SH-STT", Bench: "fft", Workers: -1}
+	if err := bad.Normalize(); err == nil || !strings.Contains(err.Error(), "negative worker count") {
+		t.Errorf("workers=-1: err = %v, want a negative worker count error", err)
 	}
 }
 
@@ -228,7 +282,7 @@ func TestResolveMatchesCLISemantics(t *testing.T) {
 	if cfg.ClusterSize != 16 || cfg.Kind.String() != "SH-STT" {
 		t.Fatalf("resolved config = %+v", cfg)
 	}
-	if opts.QuotaInstr != sim.DefaultQuota || opts.Seed != 1 || opts.Workers != 1 {
+	if opts.QuotaInstr != sim.DefaultQuota || opts.Seed != 1 {
 		t.Fatalf("resolved options = %+v", opts)
 	}
 	if opts.Endurance.Enabled() {

@@ -47,6 +47,59 @@ func FuzzDecodeRunRequest(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSweepRequest: the strict sweep decoder never panics, and
+// every point of a sweep it accepts round-trips through its canonical
+// encoding to the same identity — both as a point of the re-decoded
+// sweep and on its own as a /v1/run request.
+func FuzzDecodeSweepRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"schema_version":"respin/v1","preset":"fig9"}`,
+		`{"schema_version":"respin/v1","preset":"eval"}`,
+		`{"schema_version":"respin/v1","points":[{"config":"SH-STT","bench":"fft","quota":2000},
+		  {"schema_version":"respin/v1","config":"pr-sram-nt","bench":"ocean","cluster":4,"workers":4,
+		   "faults":{"sram_bitflip":-1,"ecc":"parity","halt_uncorrectable":true}}]}`,
+		`{"schema_version":"respin/v1","points":[{"config":"SH-STT-CC","bench":"radix","endurance":{"budget":4}}]}`,
+		`{"schema_version":"respin/v1","preset":"fig9","points":[{"config":"SH-STT","bench":"fft"}]}`,
+		`{"schema_version":"respin/v1","points":[{"config":"SH-STT","bench":"fft","workers":-1}]}`,
+		`{"schema_version":"respin/v1","points":[]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sreq, err := DecodeSweepRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc, err := EncodeBytes(sreq)
+		if err != nil {
+			t.Fatalf("encode a decoded sweep: %v", err)
+		}
+		again, err := DecodeSweepRequest(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", enc, err)
+		}
+		if again.Preset != sreq.Preset || len(again.Points) != len(sreq.Points) {
+			t.Fatalf("sweep changed across encode/decode:\n%+v\n%+v", sreq, again)
+		}
+		for i, p := range sreq.Points {
+			if again.Points[i].Key() != p.Key() {
+				t.Fatalf("point %d key changed across sweep encode/decode:\n%s\n%s", i, p.Key(), again.Points[i].Key())
+			}
+			penc, err := EncodeBytes(p)
+			if err != nil {
+				t.Fatalf("encode point %d: %v", i, err)
+			}
+			single, err := DecodeRunRequest(bytes.NewReader(penc))
+			if err != nil {
+				t.Fatalf("point %d does not decode as a run request: %v\n%s", i, err, penc)
+			}
+			if single.Key() != p.Key() {
+				t.Fatalf("point %d key changed as a run request:\n%s\n%s", i, p.Key(), single.Key())
+			}
+		}
+	})
+}
+
 // FuzzDecodeRunResult: the strict result decoder — the only gate before
 // replayed journal bytes are served verbatim — never panics, and a
 // result it accepts re-decodes from its canonical encoding to an equal

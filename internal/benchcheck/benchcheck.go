@@ -66,7 +66,7 @@ func LoadBaseline(path string) (*Baseline, error) {
 //
 // Names keep any trailing "-N" GOMAXPROCS marker go test appended:
 // it cannot be stripped here because legitimate sub-benchmark names
-// also end in "-<digits>" ("workers-1") and go test omits the marker
+// also end in "-<digits>" ("jobs-1") and go test omits the marker
 // entirely when GOMAXPROCS is 1. Compare resolves the ambiguity at
 // lookup time instead.
 func ParseBench(r io.Reader) (map[string]Entry, error) {

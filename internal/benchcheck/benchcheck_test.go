@@ -142,9 +142,9 @@ func TestRepoBaselineLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := b.Benchmarks["BenchmarkFigure9/workers-1"]
+	e, ok := b.Benchmarks["BenchmarkFigure9"]
 	if !ok {
-		t.Fatal("BenchmarkFigure9/workers-1 missing from BENCH_baseline.json")
+		t.Fatal("BenchmarkFigure9 missing from BENCH_baseline.json")
 	}
 	if e.Metrics["SH-STT-norm-energy"] == 0 {
 		t.Error("SH-STT-norm-energy anchor missing")

@@ -57,7 +57,6 @@ type Defaults struct {
 type Common struct {
 	Seed       int64
 	Jobs       int
-	Workers    int
 	Quota      uint64
 	Quiet      bool
 	CPUProfile string
@@ -126,7 +125,7 @@ func WithRunFlags(d Defaults) Option {
 	return func(a *App) { a.groups |= groupRun; a.defaults = d }
 }
 
-// WithParallelFlags registers -jobs and -workers.
+// WithParallelFlags registers -jobs.
 func WithParallelFlags() Option {
 	return func(a *App) { a.groups |= groupParallel }
 }
@@ -195,7 +194,6 @@ func (a *App) register() {
 	}
 	if a.groups&groupParallel != 0 {
 		fs.IntVar(&a.Jobs, "jobs", 0, "cap parallelism across simulations (0 = all cores)")
-		fs.IntVar(&a.Workers, "workers", 1, "parallel cluster workers inside each simulation (results are bit-identical at any value)")
 	}
 	if a.groups&groupProfile != 0 {
 		fs.StringVar(&a.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -233,7 +231,6 @@ func (a *App) Request() (v1.RunRequest, error) {
 		Cluster: a.Target.Cluster,
 		Quota:   a.Quota,
 		Seed:    a.Seed,
-		Workers: a.Workers,
 	}
 	if f := a.Faults; f != nil {
 		req.Faults = &v1.FaultSpec{
@@ -342,7 +339,6 @@ func (c *Common) Apply(opts *sim.Options, r *experiments.Runner) error {
 	if opts != nil {
 		opts.QuotaInstr = c.Quota
 		opts.Seed = c.Seed
-		opts.Workers = c.Workers
 		opts.Telemetry = c.collector
 		opts.Endurance = c.Endurance.Params(c.faultSeed())
 		c.LimitJobs()
@@ -360,7 +356,6 @@ func (c *Common) Apply(opts *sim.Options, r *experiments.Runner) error {
 		r.FaultSeed = c.faultSeed()
 		r.Endurance = c.Endurance.Params(c.faultSeed())
 		r.Jobs = c.Jobs
-		r.Workers = c.Workers
 		r.CheckpointDir = c.CheckpointDir()
 		r.CheckpointEvery = c.CheckpointEvery
 		if !c.Quiet {

@@ -52,7 +52,7 @@ func TestNewDefaults(t *testing.T) {
 
 func TestNewRegistersOnlyRequestedGroups(t *testing.T) {
 	a, fs := newApp(WithRunFlags(Defaults{Quota: 9}))
-	for _, name := range []string{"jobs", "workers", "cpuprofile", "metrics", "fault-seed", "endurance-budget", "config"} {
+	for _, name := range []string{"jobs", "cpuprofile", "metrics", "fault-seed", "endurance-budget", "config"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("unrequested flag -%s registered", name)
 		}

@@ -304,8 +304,8 @@ type Params struct {
 	// done when every virtual core has retired it.
 	QuotaInstr uint64
 	// Faults is this cluster's fault-injector stream (conventionally a
-	// Derive child of the chip-wide injector, so clusters stepping on
-	// separate workers draw independently); nil injects nothing.
+	// Derive child of the chip-wide injector, so each cluster draws
+	// independently of the others' stepping); nil injects nothing.
 	Faults *faults.Injector
 	// Telemetry, when enabled, receives this cluster's metric
 	// registrations and events (conventionally the run collector's

@@ -33,7 +33,7 @@
 // (seed, array identity) and independent of cluster stepping
 // interleave. Nothing on the access path draws randomness: wear,
 // retention and rotation are deterministic counters, preserving the
-// workers=1 ≡ workers=N bit-identity of the epoch scheduler.
+// epoch-length invariance of the epoch scheduler.
 package endurance
 
 import (

@@ -60,15 +60,8 @@ type Runner struct {
 	// discarding completed sections.
 	Ctx context.Context
 	// Jobs bounds how many simulations run concurrently. Zero selects
-	// GOMAXPROCS (divided by Workers when intra-run parallelism is on);
-	// one reproduces the serial runner.
+	// GOMAXPROCS; one reproduces the serial runner.
 	Jobs int
-	// Workers is the intra-simulation worker count handed to every run
-	// (sim.Options.Workers). Zero selects 1. Results are bit-identical
-	// at any value; the knob trades run-level for cluster-level
-	// parallelism — useful when the run set is narrow (few jobs to fill
-	// the machine) but each simulation is wide.
-	Workers int
 	// CheckpointDir, when non-empty, gives every simulation the runner
 	// executes a crash-recovery checkpoint file under this directory,
 	// keyed by run label: an interrupted evaluation re-invoked over the
@@ -175,21 +168,6 @@ func QuickRunner() *Runner {
 func (r *Runner) Normalize() error {
 	if r.Jobs < 0 {
 		return fmt.Errorf("experiments: negative job count %d", r.Jobs)
-	}
-	if r.Workers < 0 {
-		return fmt.Errorf("experiments: negative worker count %d", r.Workers)
-	}
-	if r.Workers == 0 {
-		r.Workers = 1
-	}
-	if r.Jobs == 0 && r.Workers > 1 {
-		// Core budget: the pool runs Jobs simulations of Workers
-		// goroutines each, so auto-sized Jobs targets Jobs x Workers ~
-		// GOMAXPROCS instead of oversubscribing by the worker factor.
-		// An explicit Jobs is honoured as given — deliberate
-		// oversubscription is sometimes right (workers idle at drain
-		// barriers), but it is the user's call, not the default.
-		r.Jobs = max(1, runtime.GOMAXPROCS(0)/r.Workers)
 	}
 	if r.Quota == 0 {
 		r.Quota = 150_000
@@ -427,7 +405,6 @@ func runLabel(cfg config.Config, bench string, quota uint64, epochTrace bool) st
 // its final snapshot is absorbed into the runner's collector under
 // "run.<label>." once the run completes.
 func (r *Runner) runLabeled(label string, cfg config.Config, bench string, opts sim.Options) (sim.Result, error) {
-	opts.Workers = r.Workers
 	if !opts.Endurance.Enabled() {
 		opts.Endurance = r.Endurance
 	}

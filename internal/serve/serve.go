@@ -1,9 +1,8 @@
 // Package serve is the long-running evaluation service behind
 // cmd/respin-serve: an HTTP/JSON API (versioned under /v1) over a
-// persistent experiments.Runner, so the jobs pool and the
-// intra-simulation workers are amortized across requests, and a body
-// store answers repeated requests, instead of dying with a one-shot CLI
-// process.
+// persistent experiments.Runner, so the jobs pool is amortized across
+// requests, and a body store answers repeated requests, instead of
+// dying with a one-shot CLI process.
 //
 // Endpoints:
 //

@@ -141,6 +141,32 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 	}
 }
 
+// TestWorkersHintIsHit: workers is an accepted, ignored hint, so a
+// request that differs from a stored one only in workers is a hit with
+// a byte-identical body.
+func TestWorkersHintIsHit(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	const body = `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":2000`
+	resp, first := postRun(t, ts, body+`}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, first)
+	}
+	resp, second := postRun(t, ts, body+`,"workers":4}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("workers=4: status %d: %s", resp.StatusCode, second)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("workers=4 body differs from the stored body")
+	}
+	snap := metricsSnapshot(t, ts)
+	if started := snap.Value("run.runs_started"); started != 1 {
+		t.Fatalf("run.runs_started = %v, want 1", started)
+	}
+	if hits := snap.Value("run.cache_hits"); hits != 1 {
+		t.Fatalf("run.cache_hits = %v, want 1", hits)
+	}
+}
+
 func metricsSnapshot(t *testing.T, ts *httptest.Server) *telemetry.Snapshot {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/metrics")
@@ -377,6 +403,7 @@ func TestRequestValidation(t *testing.T) {
 		{`{"schema_version":"respin/v1","config":"SH-STT","bench":"nope"}`, "raytrace"},
 		{`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","scale":"nope"}`, "small, medium, large"},
 		{`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","faults":{"kill_cores":99}}`, "kill"},
+		{`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","workers":-1}`, "negative worker count"},
 	}
 	for _, c := range cases {
 		resp, data := postRun(t, ts, c.body, nil)

@@ -9,8 +9,7 @@ package sim
 // (power model, cache geometry, energy scalars, telemetry
 // registrations) is rebuilt by New from the same config, bench and
 // options, which ride along in the file. Resume is therefore
-// bit-identical to an uninterrupted run at any worker count: workers
-// only change which goroutine steps a cluster, never the state.
+// bit-identical to an uninterrupted run.
 
 import (
 	"context"
@@ -67,9 +66,9 @@ func (c CheckpointSpec) Enabled() bool { return c.Path != "" }
 const DefaultCheckpointEvery uint64 = 100_000
 
 // optionsWire is the subset of Options that defines the run and rides
-// in the checkpoint. Wall-clock knobs (Workers) and attachments
-// (Telemetry, Checkpoint) are deliberately absent: they are re-chosen
-// at resume time and must not affect results.
+// in the checkpoint. Attachments (Telemetry, Checkpoint) are
+// deliberately absent: they are re-chosen at resume time and must not
+// affect results.
 type optionsWire struct {
 	QuotaInstr         uint64
 	Seed               int64
@@ -103,8 +102,8 @@ type runnerState struct {
 	LastCyc  uint64
 	LastOS   uint64
 	EpochIdx int
-	// Barrier log cursors: the worker's change detector and the
-	// coordinator's replay cursor, equal at a drain boundary.
+	// Barrier log cursors: the step's change detector and the drain's
+	// replay cursor, equal at a drain boundary.
 	LogW, LogU int
 	RepW, RepU int
 	// Mgr is the greedy consolidation search position; nil for the
@@ -296,9 +295,8 @@ func (s *Sim) WriteCheckpoint(path string, now uint64) error {
 type ResumeOption func(*resumeConfig)
 
 type resumeConfig struct {
-	tel     *telemetry.Collector
-	workers int
-	ckpt    CheckpointSpec
+	tel  *telemetry.Collector
+	ckpt CheckpointSpec
 }
 
 // WithTelemetry attaches a telemetry collector to the resumed run. The
@@ -307,13 +305,6 @@ type resumeConfig struct {
 // the resumed run's events reproduces the uninterrupted stream.
 func WithTelemetry(t *telemetry.Collector) ResumeOption {
 	return func(rc *resumeConfig) { rc.tel = t }
-}
-
-// WithWorkers sets the resumed run's worker count (default 1). Results
-// are bit-identical for every worker count, including one differing
-// from the interrupted run's.
-func WithWorkers(n int) ResumeOption {
-	return func(rc *resumeConfig) { rc.workers = n }
 }
 
 // WithCheckpoint re-arms checkpointing on the resumed run, typically at
@@ -346,13 +337,12 @@ func loadSnapshot(path string) (*chipSnapshot, error) {
 // resumeFrom rebuilds a simulation from a decoded snapshot, so a caller
 // that already inspected the snapshot does not decode the file twice.
 func resumeFrom(st *chipSnapshot, ropts ...ResumeOption) (*Sim, error) {
-	rc := resumeConfig{workers: 1}
+	var rc resumeConfig
 	for _, o := range ropts {
 		o(&rc)
 	}
 	opts := st.Opts.options()
 	opts.Telemetry = rc.tel
-	opts.Workers = rc.workers
 	opts.Checkpoint = rc.ckpt
 	s, err := New(st.Cfg, st.Bench, opts)
 	if err != nil {
@@ -381,10 +371,7 @@ func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Opti
 			st.Cfg.Kind == cfg.Kind && st.Cfg.Scale == cfg.Scale &&
 			st.Cfg.ClusterSize == cfg.ClusterSize &&
 			st.Opts.Seed == opts.Seed && st.Opts.QuotaInstr == opts.QuotaInstr {
-			s, err := resumeFrom(st,
-				WithTelemetry(opts.Telemetry),
-				WithWorkers(opts.Workers),
-				WithCheckpoint(spec))
+			s, err := resumeFrom(st, WithTelemetry(opts.Telemetry), WithCheckpoint(spec))
 			if err == nil {
 				return s.RunContext(ctx)
 			}

@@ -16,29 +16,26 @@ import (
 // telRun executes one run with an events-attached collector, optionally
 // arming a single checkpoint at ckptAt, and returns the Result with the
 // raw JSONL event stream.
-func telRun(t *testing.T, cfg config.Config, bench string, optsFn func() Options, workers int, ckptPath string, ckptAt uint64) (Result, []byte) {
+func telRun(t *testing.T, cfg config.Config, bench string, optsFn func() Options, ckptPath string, ckptAt uint64) (Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	opts := optsFn()
-	opts.Workers = workers
 	opts.Telemetry = telemetry.New(telemetry.WithEvents(&buf))
 	if ckptPath != "" {
 		opts.Checkpoint = CheckpointSpec{Path: ckptPath, AtCycle: ckptAt}
 	}
 	r, err := Run(cfg, bench, opts)
 	if err != nil {
-		t.Fatalf("run %v/%s workers=%d: %v", cfg.Kind, bench, workers, err)
+		t.Fatalf("run %v/%s: %v", cfg.Kind, bench, err)
 	}
 	return r, buf.Bytes()
 }
 
 // resumeRun resumes from a checkpoint with a fresh event collector.
-func resumeRun(t *testing.T, path string, workers int) (Result, []byte) {
+func resumeRun(t *testing.T, path string) (Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	s, err := Resume(path,
-		WithTelemetry(telemetry.New(telemetry.WithEvents(&buf))),
-		WithWorkers(workers))
+	s, err := Resume(path, WithTelemetry(telemetry.New(telemetry.WithEvents(&buf))))
 	if err != nil {
 		t.Fatalf("resume %s: %v", path, err)
 	}
@@ -83,12 +80,12 @@ func mustJSON(t *testing.T, r Result) []byte {
 //  3. the resumed event stream byte-equals the uninterrupted stream's
 //     suffix from the checkpoint's sequence number, so the journal
 //     prefix plus the resumed stream reproduce the whole run.
-func checkResumeIdentity(t *testing.T, cfg config.Config, bench string, optsFn func() Options, runWorkers, resumeWorkers int, ckptAt uint64) {
+func checkResumeIdentity(t *testing.T, cfg config.Config, bench string, optsFn func() Options, ckptAt uint64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
-	full, fullEvs := telRun(t, cfg, bench, optsFn, runWorkers, "", 0)
-	ckpt, ckptEvs := telRun(t, cfg, bench, optsFn, runWorkers, path, ckptAt)
+	full, fullEvs := telRun(t, cfg, bench, optsFn, "", 0)
+	ckpt, ckptEvs := telRun(t, cfg, bench, optsFn, path, ckptAt)
 	if !reflect.DeepEqual(full, ckpt) || !bytes.Equal(fullEvs, ckptEvs) {
 		t.Fatal("arming a checkpoint perturbed the run")
 	}
@@ -104,7 +101,7 @@ func checkResumeIdentity(t *testing.T, cfg config.Config, bench string, optsFn f
 		t.Fatalf("checkpoint identity %s/%v, want %s/%v", info.Bench, info.Config.Kind, bench, cfg.Kind)
 	}
 
-	res, resEvs := resumeRun(t, path, resumeWorkers)
+	res, resEvs := resumeRun(t, path)
 	if fj, rj := mustJSON(t, full), mustJSON(t, res); !bytes.Equal(fj, rj) {
 		t.Fatalf("resumed Result JSON diverged from uninterrupted run\nfull:    %s\nresumed: %s", fj, rj)
 	}
@@ -121,8 +118,8 @@ func checkResumeIdentity(t *testing.T, cfg config.Config, bench string, optsFn f
 // TestCheckpointResumeIdentity is the contract behind Options.Checkpoint
 // and Resume: checkpointing mid-run and resuming must be bit-identical
 // to the uninterrupted run — same Result JSON, same telemetry event
-// stream — on every Table IV configuration, and across worker counts
-// (checkpoint under one, resume under another).
+// stream — on every Table IV configuration and on the paths with extra
+// state to carry across the checkpoint.
 func TestCheckpointResumeIdentity(t *testing.T) {
 	t.Parallel()
 	for _, kind := range config.AllArchKinds {
@@ -133,58 +130,48 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 			mk := func() Options {
 				return Options{QuotaInstr: 12_000, Seed: 1, EpochTrace: true}
 			}
-			checkResumeIdentity(t, cfg, "fft", mk, 1, 1, 2_000)
+			checkResumeIdentity(t, cfg, "fft", mk, 2_000)
 		})
 	}
 
 	cases := []struct {
-		name          string
-		kind          config.ArchKind
-		bench         string
-		runWorkers    int
-		resumeWorkers int
-		ckptAt        uint64
-		optsFn        func() Options
+		name   string
+		kind   config.ArchKind
+		bench  string
+		ckptAt uint64
+		optsFn func() Options
 	}{
-		// Checkpoint under 4 workers, resume under 1, and vice versa:
-		// worker count is a pure wall-clock knob on both sides.
-		{"workers-4-to-1", config.SHSTT, "radix", 4, 1, 2_000, func() Options {
-			return Options{QuotaInstr: 12_000, Seed: 1, EpochTrace: true}
-		}},
-		{"workers-1-to-4", config.SHSTT, "radix", 1, 4, 2_000, func() Options {
-			return Options{QuotaInstr: 12_000, Seed: 1, EpochTrace: true}
-		}},
 		// The injector's RNG streams and retry counters cross the
 		// checkpoint.
-		{"stt-write-fail", config.SHSTT, "radix", 4, 4, 2_000, func() Options {
+		{"stt-write-fail", config.SHSTT, "radix", 2_000, func() Options {
 			return Options{QuotaInstr: 12_000, Seed: 1,
 				Faults: faults.Params{Seed: 1, STTWriteFailProb: 1e-3}}
 		}},
 		// Checkpoint before the scheduled kills: the undelivered kill
 		// schedule must survive the round trip.
-		{"core-kills-before", config.SHSTTCC, "radix", 4, 1, 2_000, func() Options {
+		{"core-kills-before", config.SHSTTCC, "radix", 2_000, func() Options {
 			return Options{QuotaInstr: 12_000, Seed: 1, EpochTrace: true,
 				Faults: faults.Params{Seed: 1, Kills: faults.KillFirstN(4, 2, 5_000)}}
 		}},
 		// Checkpoint after the kills: dead cores and kill counters must
 		// survive it.
-		{"core-kills-after", config.SHSTTCC, "radix", 1, 4, 8_000, func() Options {
+		{"core-kills-after", config.SHSTTCC, "radix", 8_000, func() Options {
 			return Options{QuotaInstr: 12_000, Seed: 1, EpochTrace: true,
 				Faults: faults.Params{Seed: 1, Kills: faults.KillFirstN(4, 2, 5_000)}}
 		}},
 		// SRAM read upsets draw per-access randomness on a private-L1
 		// config with a coherence directory.
-		{"sram-flips-ecc", config.PRSRAMNT, "fft", 4, 4, 2_000, func() Options {
+		{"sram-flips-ecc", config.PRSRAMNT, "fft", 2_000, func() Options {
 			return Options{QuotaInstr: 12_000, Seed: 1,
 				Faults: faults.Params{Seed: 3, SRAMBitFlipPerCell: 1e-4}}
 		}},
 		// The cycle-exact slow path: one-cycle epochs, no skips.
-		{"no-fast-forward", config.SHSTTCC, "radix", 4, 1, 2_000, func() Options {
+		{"no-fast-forward", config.SHSTTCC, "radix", 2_000, func() Options {
 			return Options{QuotaInstr: 12_000, Seed: 1, DisableFastForward: true}
 		}},
 		// Wear, retirement, scrub deadlines and wear-leveling rotation
 		// state all cross the checkpoint.
-		{"endurance", config.SHSTT, "radix", 1, 3, 2_000, func() Options {
+		{"endurance", config.SHSTT, "radix", 2_000, func() Options {
 			return Options{QuotaInstr: 12_000, Seed: 1, Endurance: endurance.Params{
 				Seed: 9, BudgetMean: 50_000, BudgetSigma: 0.4,
 				RetentionCycles: 50_000, WearLevel: true,
@@ -196,7 +183,7 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := config.New(tc.kind, config.Medium)
-			checkResumeIdentity(t, cfg, tc.bench, tc.optsFn, tc.runWorkers, tc.resumeWorkers, tc.ckptAt)
+			checkResumeIdentity(t, cfg, tc.bench, tc.optsFn, tc.ckptAt)
 		})
 	}
 }
@@ -211,7 +198,7 @@ func TestCheckpointPeriodic(t *testing.T) {
 	mk := func() Options {
 		return Options{QuotaInstr: 12_000, Seed: 1, EpochTrace: true}
 	}
-	full, fullEvs := telRun(t, cfg, "fft", mk, 1, "", 0)
+	full, fullEvs := telRun(t, cfg, "fft", mk, "", 0)
 
 	var buf bytes.Buffer
 	opts := mk()
@@ -228,7 +215,7 @@ func TestCheckpointPeriodic(t *testing.T) {
 	if info.Cycle < 3_000 {
 		t.Fatalf("last periodic checkpoint at %d, want >= 3000", info.Cycle)
 	}
-	res, resEvs := resumeRun(t, path, 2)
+	res, resEvs := resumeRun(t, path)
 	if !reflect.DeepEqual(full, res) {
 		t.Fatalf("periodic resume diverged:\nfull:    %+v\nresumed: %+v", full, res)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"respin/internal/config"
@@ -66,27 +65,6 @@ func TestEnduranceIgnoredOnSRAM(t *testing.T) {
 	res := run(t, config.PRSRAMNT, "fft", Options{Seed: 1, Endurance: hugeBudget})
 	if res.Endurance != nil {
 		t.Fatalf("SRAM config produced an endurance report: %+v", res.Endurance)
-	}
-}
-
-func TestEnduranceDeterministicAcrossWorkers(t *testing.T) {
-	opts := func(workers int) Options {
-		return Options{Seed: 1, Workers: workers, Endurance: endurance.Params{
-			Seed: 9, BudgetMean: 50_000, BudgetSigma: 0.4,
-			RetentionCycles: 50_000, WearLevel: true,
-		}}
-	}
-	a := run(t, config.SHSTT, "radix", opts(1))
-	b := run(t, config.SHSTT, "radix", opts(3))
-	if keyOf(a) != keyOf(b) {
-		t.Errorf("workers=1 vs 3 diverged:\n a %+v\n b %+v", keyOf(a), keyOf(b))
-	}
-	if a.Endurance == nil || b.Endurance == nil {
-		t.Fatal("missing endurance reports")
-	}
-	if !reflect.DeepEqual(a.Endurance, b.Endurance) {
-		t.Errorf("endurance reports diverged across workers:\n a %+v\n b %+v",
-			a.Endurance, b.Endurance)
 	}
 }
 

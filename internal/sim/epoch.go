@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"runtime/debug"
 	"sort"
 
 	"respin/internal/cluster"
@@ -12,12 +10,12 @@ import (
 	"respin/internal/telemetry"
 )
 
-// The chip loop is a conservative-lookahead parallel scheduler. Each
-// cluster free-runs on a worker goroutine for an epoch of K cycles,
-// where K never exceeds the minimum L3 round trip (L2 read latency +
-// L3 read latency) nor the barrier release propagation delay — so no
-// cross-cluster effect issued inside an epoch can land inside the same
-// epoch. At each epoch boundary the coordinator serially:
+// The chip loop is a conservative-lookahead epoch scheduler. Each
+// cluster in turn free-runs for an epoch of K cycles, where K never
+// exceeds the minimum L3 round trip (L2 read latency + L3 read latency)
+// nor the barrier release propagation delay — so no cross-cluster
+// effect issued inside an epoch can land inside the same epoch. At each
+// epoch boundary the loop:
 //
 //  1. drains the buffered L2-miss traffic against the shared L3/DRAM
 //     port timeline in (cycle, cluster-index, issue-order) order —
@@ -32,16 +30,18 @@ import (
 //  4. delivers core-kill faults, checks completion/watchdog/machine
 //     checks, and takes chip-level idle fast-forward jumps.
 //
-// Results are bit-identical for any worker count and any epoch length:
-// workers only change which goroutine steps a cluster, and every
-// boundary between cluster-local and shared state is either buffered
-// (L3, telemetry, consolidation records) or replayed (barriers) in a
-// deterministic global order.
+// Results are bit-identical for any epoch length: every boundary
+// between cluster-local and shared state is either buffered (L3,
+// telemetry, consolidation records) or replayed (barriers) in a
+// deterministic global order. The epochs are not there for speed: they
+// give the L3 its asynchronous request/completion interface and give
+// checkpoints a drain boundary at which every cross-cluster buffer is
+// empty.
 
 // barSample records a cluster's barrier counts after the tick of
 // `cycle` changed either of them.
 type barSample struct {
-	cycle              uint64
+	cycle               uint64
 	waiters, unfinished int
 }
 
@@ -55,23 +55,23 @@ type epochRec struct {
 }
 
 // clusterRunner is the per-cluster scheduling state. Everything here is
-// touched only by the worker goroutine that owns the cluster during an
-// epoch, and only by the coordinator between epochs.
+// touched only by the cluster's own epoch step during an epoch, and only
+// by the drain between epochs.
 type clusterRunner struct {
 	cl  *cluster.Cluster
 	mgr consolidation.Manager
 
-	// Consolidation bookkeeping (moved here from the Sim so epoch
-	// boundaries can be decided in-worker at the exact cycle).
-	lastMtr power.Meter
-	lastCyc uint64
-	lastOS  uint64
-	epochIdx int
+	// Consolidation bookkeeping (kept per cluster so epoch boundaries
+	// can be decided inside the cluster's step at the exact cycle).
+	lastMtr   power.Meter
+	lastCyc   uint64
+	lastOS    uint64
+	epochIdx  int
 	epochRecs []epochRec
 	recPtr    int
 
-	// Barrier transition log: logW/logU detect changes in the worker,
-	// repW/repU track the coordinator's replay cursor.
+	// Barrier transition log: logW/logU detect changes while stepping,
+	// repW/repU track the drain's replay cursor.
 	barLog     []barSample
 	barPtr     int
 	logW, logU int
@@ -155,8 +155,8 @@ func (s *Sim) runClusterEpoch(cr *clusterRunner, end uint64) {
 }
 
 // endEpochLocal closes cluster cr's consolidation epoch at cycle now.
-// It runs in-worker: the policy decision and reconfiguration touch only
-// cluster-local state; the shared bookkeeping (trace, summary,
+// It runs inside the cluster's step: the policy decision and
+// reconfiguration touch only cluster-local state; the shared bookkeeping (trace, summary,
 // telemetry) is buffered as an epochRec and applied at the next drain.
 func (s *Sim) endEpochLocal(cr *clusterRunner, now uint64) {
 	cl := cr.cl
@@ -363,54 +363,6 @@ func (s *Sim) applyEpochRecs(flush *[]flushEvent) {
 	for _, cr := range s.crs {
 		cr.epochRecs = cr.epochRecs[:0]
 		cr.recPtr = 0
-	}
-}
-
-// runEpoch advances every cluster to cycle `end`, sharded over the
-// worker pool (cluster i belongs to worker i mod W). With one worker
-// the epoch runs inline on the coordinator.
-func (s *Sim) runEpoch(end uint64, startChs []chan uint64, doneCh chan any) {
-	if len(startChs) == 0 {
-		for _, cr := range s.crs {
-			s.runClusterEpoch(cr, end)
-		}
-		return
-	}
-	for _, ch := range startChs {
-		ch <- end
-	}
-	var pan any
-	for range startChs {
-		if r := <-doneCh; r != nil && pan == nil {
-			pan = r
-		}
-	}
-	if pan != nil {
-		// Re-panic on the coordinator so the caller's recovery (the
-		// experiments runner attributes panics to config/bench/seed)
-		// sees it; the worker's stack is folded into the value.
-		panic(pan)
-	}
-}
-
-// clusterWorker is one epoch-stepping goroutine. It exits when the
-// start channel closes; a panic inside an epoch is captured (with its
-// stack) and handed to the coordinator rather than killing the process
-// from a goroutine nobody can recover.
-func (s *Sim) clusterWorker(w, workers int, start <-chan uint64, done chan<- any) {
-	for end := range start {
-		var pan any
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					pan = fmt.Sprintf("sim worker %d: %v\n%s", w, r, debug.Stack())
-				}
-			}()
-			for i := w; i < len(s.crs); i += workers {
-				s.runClusterEpoch(s.crs[i], end)
-			}
-		}()
-		done <- pan
 	}
 }
 

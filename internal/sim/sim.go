@@ -69,18 +69,12 @@ type Options struct {
 	// observes, it never draws randomness or alters timing (the
 	// determinism test enforces this).
 	Telemetry *telemetry.Collector
-	// Workers is the number of goroutines stepping clusters inside this
-	// one simulation. Zero selects 1 (serial). Results are bit-identical
-	// for every worker count — the equivalence test enforces it — so
-	// this is purely a wall-clock knob; it composes with the experiment
-	// runner's job-level parallelism (Jobs x Workers is budgeted against
-	// GOMAXPROCS by experiments.Runner.Normalize).
-	Workers int
-	// EpochCycles caps the lookahead epoch length (cycles per parallel
-	// step). Zero selects the maximum sound value: the minimum L3 round
-	// trip, itself capped by the barrier release propagation delay.
-	// Values above that cap are clamped down; the knob exists for the
-	// epoch-length invariance tests and for debugging.
+	// EpochCycles caps the lookahead epoch length (cycles each cluster
+	// steps between drains). Zero selects the maximum sound value: the
+	// minimum L3 round trip, itself capped by the barrier release
+	// propagation delay. Values above that cap are clamped down; the
+	// knob exists for the epoch-length invariance tests and for
+	// debugging.
 	EpochCycles uint64
 	// Checkpoint configures periodic checkpoint writes (see
 	// CheckpointSpec); the zero value disables them. Snapshotting never
@@ -122,12 +116,6 @@ func (o *Options) Normalize() error {
 	}
 	if err := o.Endurance.Normalize(); err != nil {
 		return err
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d", o.Workers)
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
 	}
 	if o.Checkpoint.Path != "" && o.Checkpoint.EveryCycles == 0 && o.Checkpoint.AtCycle == 0 {
 		return fmt.Errorf("sim: checkpoint path %q set without a trigger (EveryCycles or AtCycle)", o.Checkpoint.Path)
@@ -340,8 +328,9 @@ func New(cfg config.Config, benchName string, opts Options) (*Sim, error) {
 			Seed:       opts.Seed,
 			QuotaInstr: opts.QuotaInstr,
 			// Each cluster draws write-retry faults from its own derived
-			// stream so clusters can step on concurrent workers; the root
-			// injector keeps the kill schedule and the L3's draws.
+			// stream, so its draws do not depend on the order clusters
+			// step in within an epoch; the root injector keeps the kill
+			// schedule and the L3's draws.
 			Faults:    s.faults.Derive(int64(i)),
 			Telemetry: s.tel.Child(fmt.Sprintf("cluster.%d", i)),
 			Endurance: s.endur,
@@ -431,8 +420,8 @@ func (s *Sim) Run() (Result, error) {
 // interrupted experiment still reports what it measured.
 //
 // The loop advances in conservative-lookahead epochs (see epoch.go):
-// clusters free-run [now, end) on the worker pool, then the coordinator
-// drains cross-cluster effects serially and handles the cycle-exact
+// each cluster in turn free-runs [now, end), then the loop drains
+// cross-cluster effects in global order and handles the cycle-exact
 // chip-level obligations — kills, completion, the watchdog, the machine
 // check, and chip-wide idle jumps — all of which land exactly on epoch
 // boundaries (kills and the watchdog clamp the epoch so they do).
@@ -449,23 +438,6 @@ func (s *Sim) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	nextKill, killPending := s.faults.NextKill()
-
-	workers := min(s.opts.Workers, len(s.crs))
-	var startChs []chan uint64
-	var doneCh chan any
-	if workers > 1 {
-		startChs = make([]chan uint64, workers)
-		doneCh = make(chan any, workers)
-		for w := range startChs {
-			startChs[w] = make(chan uint64, 1)
-			go s.clusterWorker(w, workers, startChs[w], doneCh)
-		}
-		defer func() {
-			for _, ch := range startChs {
-				close(ch)
-			}
-		}()
-	}
 
 	// Endgame: once every unfinished thread is within an epoch's worth
 	// of retirement of its quota, drop to one-cycle epochs so the
@@ -541,7 +513,9 @@ func (s *Sim) RunContext(ctx context.Context) (Result, error) {
 			end = min(end, nextKill.Cycle)
 		}
 
-		s.runEpoch(end, startChs, doneCh)
+		for _, cr := range s.crs {
+			s.runClusterEpoch(cr, end)
+		}
 		s.drain()
 		now = end
 
