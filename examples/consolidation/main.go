@@ -10,20 +10,17 @@ import (
 	"log"
 
 	"respin/internal/config"
-	"respin/internal/core"
 	"respin/internal/report"
+	"respin/internal/sim"
 )
 
 func main() {
 	const bench = "radix"
 	const quota = 200_000
 
-	run := func(kind config.ArchKind) core.Result {
-		sys, err := core.NewSystem(kind, core.WithQuota(quota), core.WithEpochTrace())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sys.Run(bench)
+	run := func(kind config.ArchKind) sim.Result {
+		res, err := sim.Run(config.New(kind, config.Medium), bench,
+			sim.Options{QuotaInstr: quota, EpochTrace: true})
 		if err != nil {
 			log.Fatal(err)
 		}

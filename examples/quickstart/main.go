@@ -7,29 +7,24 @@ import (
 	"fmt"
 	"log"
 
-	"respin/internal/core"
+	"respin/internal/config"
 	"respin/internal/report"
+	"respin/internal/sim"
+	"respin/internal/trace"
 )
 
 func main() {
 	const bench = "fft"
 	const quota = 60_000
 
-	baseline, err := core.NewSystem(core.Baseline(), core.WithQuota(quota))
-	if err != nil {
-		log.Fatal(err)
-	}
-	proposed, err := core.NewSystem(core.Proposed(), core.WithQuota(quota))
-	if err != nil {
-		log.Fatal(err)
-	}
+	opts := sim.Options{QuotaInstr: quota}
 
 	fmt.Printf("running %s on the PR-SRAM-NT baseline and the proposed SH-STT-CC...\n\n", bench)
-	b, err := baseline.Run(bench)
+	b, err := sim.Run(config.New(config.PRSRAMNT, config.Medium), bench, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := proposed.Run(bench)
+	p, err := sim.Run(config.New(config.SHSTTCC, config.Medium), bench, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,5 +39,5 @@ func main() {
 	fmt.Print(t.String())
 
 	fmt.Printf("\nmean active cores per cluster under consolidation: %.1f of 16\n", p.ActiveCores.Mean())
-	fmt.Printf("available benchmarks: %v\n", core.Benchmarks())
+	fmt.Printf("available benchmarks: %v\n", trace.Names())
 }

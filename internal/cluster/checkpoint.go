@@ -200,7 +200,10 @@ func (cl *Cluster) Snapshot() (State, error) {
 // Restore repositions a freshly built cluster (same Params) to a
 // captured state. Pointers registered with telemetry (the load-latency
 // histogram, the controllers' stats) keep their identity: contents are
-// copied in place.
+// copied in place. A state with a missing part or an index outside the
+// cluster is an error here rather than a nil dereference or an
+// out-of-range index on a later tick: a valid checksum proves only that
+// the bytes are the ones written.
 func (cl *Cluster) Restore(st State) error {
 	if len(st.PCores) != len(cl.pcores) || len(st.VCores) != len(cl.vcores) {
 		return fmt.Errorf("cluster %d: restore geometry mismatch (%d/%d pcores, %d/%d vcores)",
@@ -209,8 +212,29 @@ func (cl *Cluster) Restore(st State) error {
 	if len(st.EdgeNext) != len(cl.edges) {
 		return fmt.Errorf("cluster %d: restore has %d edge groups, cluster has %d", cl.id, len(st.EdgeNext), len(cl.edges))
 	}
-	if (st.CtrlI != nil) != (cl.ctrlI != nil) || (st.Dir != nil) != (cl.dir != nil) {
+	shared := cl.ctrlI != nil
+	if (st.CtrlI != nil) != shared || (st.CtrlD != nil) != shared ||
+		(st.SharedL1I != nil) != shared || (st.SharedL1D != nil) != shared ||
+		(st.Dir != nil) != (cl.dir != nil) {
 		return fmt.Errorf("cluster %d: restore L1 organisation mismatch", cl.id)
+	}
+	if st.Stats.LoadLatency == nil {
+		return fmt.Errorf("cluster %d: restore has no load-latency histogram", cl.id)
+	}
+	for i, ps := range st.PCores {
+		for _, v := range ps.Residents {
+			if v < 0 || v >= len(cl.vcores) {
+				return fmt.Errorf("cluster %d: restore pcore %d hosts vcore %d of %d", cl.id, i, v, len(cl.vcores))
+			}
+		}
+		if ps.RRIndex < 0 || ps.RRIndex >= max(len(ps.Residents), 1) {
+			return fmt.Errorf("cluster %d: restore pcore %d round-robin index %d over %d residents", cl.id, i, ps.RRIndex, len(ps.Residents))
+		}
+	}
+	for i, vs := range st.VCores {
+		if vs.PCore < 0 || vs.PCore >= len(cl.pcores) {
+			return fmt.Errorf("cluster %d: restore vcore %d on pcore %d of %d", cl.id, i, vs.PCore, len(cl.pcores))
+		}
 	}
 	cl.now = st.Now
 	for i := range cl.pcores {

@@ -386,10 +386,17 @@ func (d *Directory) State() DirectoryState {
 }
 
 // Restore repositions a freshly built directory (same geometry) to a
-// captured state.
+// captured state. An entry naming a cache the directory does not have
+// is an error, not a later out-of-range index.
 func (d *Directory) Restore(st DirectoryState) error {
 	if len(st.Caches) != len(d.caches) {
 		return fmt.Errorf("coherence: restore has %d caches, directory has %d", len(st.Caches), len(d.caches))
+	}
+	for _, e := range st.Entries {
+		if int(e.Owner) < -1 || int(e.Owner) >= len(d.caches) || e.Sharers>>uint(len(d.caches)) != 0 {
+			return fmt.Errorf("coherence: restore entry %#x has owner %d, sharers %#x over %d caches",
+				e.Block, e.Owner, e.Sharers, len(d.caches))
+		}
 	}
 	for i, c := range d.caches {
 		if err := c.Restore(st.Caches[i]); err != nil {

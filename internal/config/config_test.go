@@ -113,8 +113,15 @@ func TestTableIVPresets(t *testing.T) {
 		{PRSTTCC, STTRAM, PrivateL1, NominalVdd, CoreNTVdd, GreedyConsolidation, false},
 		{SHSTTCCOS, STTRAM, SharedL1, NominalVdd, CoreNTVdd, OSConsolidation, false},
 	}
+	if len(cases) != len(AllArchKinds) {
+		t.Fatalf("AllArchKinds has %d configurations, Table IV has %d", len(AllArchKinds), len(cases))
+	}
 	for _, c := range cases {
 		cfg := New(c.kind, Medium)
+		if cfg.Kind != c.kind || cfg.Scale != Medium || cfg.ClusterSize != 16 {
+			t.Errorf("%v: New(kind, Medium) = %v/%v cl%d, want the 16-core medium default",
+				c.kind, cfg.Kind, cfg.Scale, cfg.ClusterSize)
+		}
 		if cfg.Tech != c.tech || cfg.L1 != c.org || cfg.CacheVdd != c.cVdd ||
 			cfg.CoreVdd != c.coVdd || cfg.Consolidation != c.mode || cfg.NominalCores != c.nom {
 			t.Errorf("%v: got %+v", c.kind, cfg)

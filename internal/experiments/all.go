@@ -30,7 +30,7 @@ func (r *Runner) All() *Suite {
 	// Enqueue the whole evaluation's run set up front: the worker pool
 	// stays saturated across figure boundaries while the sections below
 	// consume results in deterministic order.
-	r.Prefetch(r.EvalPoints()...)
+	r.Prefetch(r.EvalRuns()...)
 	s := &Suite{}
 	add := func(sec string) { s.Sections = append(s.Sections, sec) }
 	// interrupted truncates the evaluation after Ctx cancellation:

@@ -21,10 +21,10 @@ type TraceResult struct {
 // ConsolidationTrace runs SH-STT-CC and SH-STT-CC-Oracle on one
 // benchmark with epoch tracing (Figure 12 uses radix, Figure 13 lu).
 func (r *Runner) ConsolidationTrace(bench string) TraceResult {
-	r.Prefetch(r.tracePoints(bench)...)
-	base := r.run(config.PRSRAMNT, config.Medium, 16, bench, r.TraceQuota, false)
-	cc := r.run(config.SHSTTCC, config.Medium, 16, bench, r.TraceQuota, true)
-	oracle := r.run(config.SHSTTCCOracle, config.Medium, 16, bench, r.TraceQuota, true)
+	r.Prefetch(r.traceRuns(bench)...)
+	base := r.result(r.point(config.PRSRAMNT, config.Medium, 16, bench, r.TraceQuota, false))
+	cc := r.result(r.point(config.SHSTTCC, config.Medium, 16, bench, r.TraceQuota, true))
+	oracle := r.result(r.point(config.SHSTTCCOracle, config.Medium, 16, bench, r.TraceQuota, true))
 	return TraceResult{
 		Bench:        bench,
 		Greedy:       cc.Trace,
@@ -57,10 +57,10 @@ type Figure14Result struct{ Rows []Figure14Row }
 // Figure14 measures the average (and range of) active cores per cluster
 // under SH-STT-CC for every benchmark, startup excluded.
 func (r *Runner) Figure14() Figure14Result {
-	r.Prefetch(r.figure14Points()...)
+	r.Prefetch(r.figure14Runs()...)
 	var out Figure14Result
 	for _, bench := range r.Benches {
-		res := r.run(config.SHSTTCC, config.Medium, 16, bench, r.TraceQuota, false)
+		res := r.result(r.point(config.SHSTTCC, config.Medium, 16, bench, r.TraceQuota, false))
 		s := res.ActiveCores
 		out.Rows = append(out.Rows, Figure14Row{
 			Bench: bench, Mean: s.Mean(), Min: s.Min(), Max: s.Max(),

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"respin/internal/config"
@@ -72,28 +71,28 @@ func (r *Runner) EnduranceSweep() *EnduranceStudy {
 	st := &EnduranceStudy{Bench: bench}
 	sizes := []int{8, 16, 32}
 
-	// Enqueue every point up front so the pool stays saturated while
-	// the rows below consume results in order.
+	// The whole sweep is one batch: per cluster size, the clean
+	// baseline, then wear without and with leveling.
+	var runs []Run
 	for _, cs := range sizes {
-		cs := cs
-		r.prefetch(
-			func() { r.runEndurance("clean", cs, bench, endurance.Params{}) },
-			func() { r.runEndurance("wear", cs, bench, r.endurancePoint(false)) },
-			func() { r.runEndurance("wear+wl", cs, bench, r.endurancePoint(true)) },
-		)
-	}
-
-	for _, cs := range sizes {
-		clean := r.runEndurance("clean", cs, bench, endurance.Params{})
-		st.addRow(fmt.Sprintf("SH-STT cl%d clean", cs), cs, true, clean, clean)
-		for _, wl := range []bool{false, true} {
-			tag, name := "wear", "endurance"
-			if wl {
-				tag, name = "wear+wl", "endurance+wear-level"
-			}
-			res := r.runEndurance(tag, cs, bench, r.endurancePoint(wl))
-			st.addRow(fmt.Sprintf("SH-STT cl%d %s", cs, name), cs, false, res, clean)
+		for _, v := range []struct {
+			tag string
+			ep  endurance.Params
+		}{{"clean", endurance.Params{}}, {"wear", r.endurancePoint(false)}, {"wear+wl", r.endurancePoint(true)}} {
+			runs = append(runs, Run{
+				Label:  fmt.Sprintf("endur.%s.cl%d.%s", v.tag, cs, bench),
+				Config: config.NewWithCluster(config.SHSTT, config.Medium, cs),
+				Bench:  bench,
+				Opts:   sim.Options{QuotaInstr: r.Quota, Seed: r.Seed, Endurance: v.ep},
+			})
 		}
+	}
+	res := r.must(runs...)
+	for i, cs := range sizes {
+		clean := res[3*i]
+		st.addRow(fmt.Sprintf("SH-STT cl%d clean", cs), cs, true, clean, clean)
+		st.addRow(fmt.Sprintf("SH-STT cl%d endurance", cs), cs, false, res[3*i+1], clean)
+		st.addRow(fmt.Sprintf("SH-STT cl%d endurance+wear-level", cs), cs, false, res[3*i+2], clean)
 	}
 	return st
 }
@@ -111,39 +110,6 @@ func (r *Runner) endurancePoint(wearLevel bool) endurance.Params {
 		p.WearLevelPeriod = endurWearPeriod
 	}
 	return p
-}
-
-// runEndurance executes (or recalls, or joins) one endurance-modeled
-// simulation through the same singleflight pool as the plain runs. A
-// WearOutError is a recorded outcome, not a failure: the partial
-// result carries the end-of-life report and is cached like any other.
-func (r *Runner) runEndurance(tag string, clusterSize int, bench string, ep endurance.Params) sim.Result {
-	key := fmt.Sprintf("endur|%s|cl%d|%s|%d", tag, clusterSize, bench, r.Quota)
-	return r.shared(key, func() (sim.Result, error) {
-		cfg := config.NewWithCluster(config.SHSTT, config.Medium, clusterSize)
-		label := fmt.Sprintf("endur.%s.cl%d.%s", tag, clusterSize, bench)
-		res, err := r.runLabeled(label, cfg, bench, sim.Options{
-			QuotaInstr: r.Quota,
-			Seed:       r.Seed,
-			Endurance:  ep,
-		})
-		var wear *endurance.WearOutError
-		if errors.As(err, &wear) {
-			r.progressf("ran endur:%-10s cl%-2d %-14s: wore out at %d kcycles (%s set %d)\n",
-				tag, clusterSize, bench, wear.Cycle/1000, wear.Array, wear.Set)
-			return res, nil
-		}
-		if err != nil {
-			if r.ctx().Err() != nil {
-				return res, err
-			}
-			panic(fmt.Sprintf("experiments: endurance sweep %s cl%d %s (seed %d, endurance seed %d): %v",
-				tag, clusterSize, bench, r.Seed, ep.Seed, err))
-		}
-		r.progressf("ran endur:%-10s cl%-2d %-14s: %8d kcycles, %s\n",
-			tag, clusterSize, bench, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
-		return res, nil
-	})
 }
 
 func (st *EnduranceStudy) addRow(label string, cs int, clean bool, res, base sim.Result) {

@@ -51,64 +51,59 @@ func (r *Runner) FaultSweep() *FaultStudy {
 		bench = "radix"
 	}
 	st := &FaultStudy{Bench: bench}
+	run := func(tag string, kind config.ArchKind, fp faults.Params) Run {
+		return Run{
+			Label:  fmt.Sprintf("fault.%s.%v.%s", tag, kind, bench),
+			Config: config.New(kind, config.Medium),
+			Bench:  bench,
+			Opts:   sim.Options{QuotaInstr: r.Quota, Seed: r.Seed, Faults: fp},
+		}
+	}
+	probs := []float64{1e-4, 1e-3, 1e-2}
+	kills := []int{2, 4, 6}
 
-	// Enqueue every sweep point up front so the pool stays saturated
-	// while the rows below consume results in order.
-	r.prefetch(
-		func() { r.runFault("clean", config.SHSTT, bench, faults.Params{}) },
-		func() { r.runFault("clean", config.PRSRAMNT, bench, faults.Params{}) },
-		func() { r.runFault("clean", config.SHSTTCC, bench, faults.Params{}) },
-	)
-	for _, p := range []float64{1e-4, 1e-3, 1e-2} {
-		p := p
-		r.prefetch(func() {
-			r.runFault(fmt.Sprintf("stt-%g", p), config.SHSTT, bench,
-				faults.Params{Seed: r.faultSeed(), STTWriteFailProb: p})
-		})
+	// The whole sweep is one batch, in table order: SH-STT clean and
+	// per write-fail rate, PR-SRAM-NT clean and with rail upsets, then
+	// SH-STT-CC clean and per kill count.
+	runs := []Run{run("clean", config.SHSTT, faults.Params{})}
+	for _, p := range probs {
+		runs = append(runs, run(fmt.Sprintf("stt-%g", p), config.SHSTT,
+			faults.Params{Seed: r.faultSeed(), STTWriteFailProb: p}))
 	}
-	r.prefetch(func() {
-		r.runFault("sram-rail", config.PRSRAMNT, bench,
-			faults.Params{Seed: r.faultSeed(), SRAMBitFlipPerCell: -1, ECC: reliability.SECDED})
-	})
-	for _, n := range []int{2, 4, 6} {
-		n := n
-		r.prefetch(func() {
-			r.runFault(fmt.Sprintf("kill-%d", n), config.SHSTTCC, bench, faults.Params{
-				Seed:  r.faultSeed(),
-				Kills: faults.KillFirstN(config.New(config.SHSTTCC, config.Medium).NumClusters(), n, 20_000),
-			})
-		})
+	sramAt := len(runs)
+	runs = append(runs,
+		run("clean", config.PRSRAMNT, faults.Params{}),
+		run("sram-rail", config.PRSRAMNT,
+			faults.Params{Seed: r.faultSeed(), SRAMBitFlipPerCell: -1, ECC: reliability.SECDED}))
+	killAt := len(runs)
+	runs = append(runs, run("clean", config.SHSTTCC, faults.Params{}))
+	for _, n := range kills {
+		runs = append(runs, run(fmt.Sprintf("kill-%d", n), config.SHSTTCC, faults.Params{
+			Seed:  r.faultSeed(),
+			Kills: faults.KillFirstN(config.New(config.SHSTTCC, config.Medium).NumClusters(), n, 20_000),
+		}))
 	}
+	res := r.must(runs...)
 
 	// STT write failures (SH-STT, no consolidation: isolates the
 	// retry cost).
-	clean := r.runFault("clean", config.SHSTT, bench, faults.Params{})
+	clean := res[0]
 	st.addRow("SH-STT clean", clean, clean, 0, 0, false)
-	for _, p := range []float64{1e-4, 1e-3, 1e-2} {
-		fp := faults.Params{Seed: r.faultSeed(), STTWriteFailProb: p}
-		res := r.runFault(fmt.Sprintf("stt-%g", p), config.SHSTT, bench, fp)
-		st.addRow(fmt.Sprintf("SH-STT write-fail %g", p), res, clean, p, 0, false)
+	for i, p := range probs {
+		st.addRow(fmt.Sprintf("SH-STT write-fail %g", p), res[1+i], clean, p, 0, false)
 	}
 
 	// Near-threshold SRAM read upsets, SECDED-corrected (PR-SRAM-NT is
 	// the paper's unreliable-at-NT baseline; its rail-derived cell
 	// upset rate is what motivates the dual-rail design).
-	sramClean := r.runFault("clean", config.PRSRAMNT, bench, faults.Params{})
-	fp := faults.Params{Seed: r.faultSeed(), SRAMBitFlipPerCell: -1, ECC: reliability.SECDED}
-	sram := r.runFault("sram-rail", config.PRSRAMNT, bench, fp)
-	st.addRow("PR-SRAM-NT rail upsets+SECDED", sram, sramClean, 0, 0, true)
+	st.addRow("PR-SRAM-NT rail upsets+SECDED", res[sramAt+1], res[sramAt], 0, 0, true)
 
 	// Core kills (SH-STT-CC: the consolidation remapper doubles as the
 	// graceful-degradation mechanism).
-	killClean := r.runFault("clean", config.SHSTTCC, bench, faults.Params{})
+	killClean := res[killAt]
 	st.addRow("SH-STT-CC clean", killClean, killClean, 0, 0, false)
-	for _, n := range []int{2, 4, 6} {
-		fp := faults.Params{
-			Seed:  r.faultSeed(),
-			Kills: faults.KillFirstN(config.New(config.SHSTTCC, config.Medium).NumClusters(), n, 20_000),
-		}
-		res := r.runFault(fmt.Sprintf("kill-%d", n), config.SHSTTCC, bench, fp)
-		st.addRow(fmt.Sprintf("SH-STT-CC kill %d/16 cores", n), res, killClean, 0, n, false)
+	for i, n := range kills {
+		st.addRow(fmt.Sprintf("SH-STT-CC kill %d/16 cores", n), res[killAt+1+i], killClean, 0, n, false)
 	}
 	return st
 }
@@ -118,31 +113,6 @@ func (r *Runner) faultSeed() int64 {
 		return r.FaultSeed
 	}
 	return 1
-}
-
-// runFault executes (or recalls, or joins) one fault-injected
-// simulation through the same singleflight pool as the plain runs.
-func (r *Runner) runFault(tag string, kind config.ArchKind, bench string, fp faults.Params) sim.Result {
-	key := fmt.Sprintf("fault|%s|%v|%s|%d", tag, kind, bench, r.Quota)
-	return r.shared(key, func() (sim.Result, error) {
-		cfg := config.New(kind, config.Medium)
-		label := fmt.Sprintf("fault.%s.%v.%s", tag, kind, bench)
-		res, err := r.runLabeled(label, cfg, bench, sim.Options{
-			QuotaInstr: r.Quota,
-			Seed:       r.Seed,
-			Faults:     fp,
-		})
-		if err != nil {
-			if r.ctx().Err() != nil {
-				return res, err
-			}
-			panic(fmt.Sprintf("experiments: fault sweep %s %v %s (seed %d, fault seed %d): %v",
-				tag, kind, bench, r.Seed, fp.Seed, err))
-		}
-		r.progressf("ran %-16v fault:%-10s %-14s: %8d kcycles, %s\n",
-			kind, tag, bench, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
-		return res, nil
-	})
 }
 
 func (st *FaultStudy) addRow(label string, res, clean sim.Result, p float64, kills int, fromRail bool) {

@@ -56,15 +56,14 @@ func TestSingleflightDedupes(t *testing.T) {
 	var buf bytes.Buffer
 	r.Progress = &buf
 
-	p := Point{Kind: config.SHSTT, Scale: config.Medium, ClusterSize: 16,
-		Bench: "fft", Quota: r.Quota}
+	run := r.mediumPoint(config.SHSTT, "fft")
 	var wg sync.WaitGroup
 	results := make([]uint64, 16)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = r.runPoint(p).Cycles
+			results[i] = r.result(run).Cycles
 		}(i)
 	}
 	wg.Wait()
@@ -113,12 +112,12 @@ func TestPrefetchWarmsCache(t *testing.T) {
 	var buf bytes.Buffer
 	r.Progress = &buf
 
-	r.Prefetch(r.figure7Points()...)
+	r.Prefetch(r.figure7Runs()...)
 	f7 := r.Figure7() // joins the in-flight runs
 	if len(f7.Normalized[config.SHSTT]) != len(r.Benches) {
 		t.Fatal("figure incomplete after prefetch")
 	}
-	want := len(dedupePoints(r.figure7Points()))
+	want := len(dedupe(r.figure7Runs()))
 	if n := strings.Count(buf.String(), "ran "); n != want {
 		t.Errorf("progress shows %d runs, want %d (prefetch + consume must share flights)", n, want)
 	}

@@ -6,7 +6,6 @@ import (
 	"respin/internal/config"
 	"respin/internal/power"
 	"respin/internal/report"
-	"respin/internal/stats"
 )
 
 // Figure6Row is one (scale, configuration) power point.
@@ -26,7 +25,7 @@ type Figure6Result struct{ Rows []Figure6Row }
 // SH-SRAM-Nom at the three cache scales (benchmark arithmetic mean, as
 // in the paper's figure).
 func (r *Runner) Figure6() Figure6Result {
-	r.Prefetch(r.figure6Points()...)
+	r.Prefetch(r.figure6Runs()...)
 	kinds := []config.ArchKind{config.PRSRAMNT, config.SHSTT, config.SHSRAMNom}
 	var out Figure6Result
 	for _, scale := range []config.CacheScale{config.Small, config.Medium, config.Large} {
@@ -34,7 +33,7 @@ func (r *Runner) Figure6() Figure6Result {
 		for _, kind := range kinds {
 			var leak, dyn, total float64
 			for _, bench := range r.Benches {
-				res := r.run(kind, scale, 16, bench, r.Quota, false)
+				res := r.result(r.point(kind, scale, 16, bench, r.Quota, false))
 				ps := float64(res.TimePS)
 				leak += res.Energy.LeakagePJ() / ps
 				dyn += res.Energy.DynamicPJ() / ps
@@ -86,7 +85,7 @@ var figure7Kinds = []config.ArchKind{config.SHSTT, config.SHSRAMNom, config.HPSR
 
 // Figure7 measures execution time normalised to PR-SRAM-NT.
 func (r *Runner) Figure7() Figure7Result {
-	r.Prefetch(r.figure7Points()...)
+	r.Prefetch(r.figure7Runs()...)
 	out := Figure7Result{Benches: r.Benches, Normalized: map[config.ArchKind][]float64{}}
 	for _, bench := range r.Benches {
 		base := r.medium(config.PRSRAMNT, bench)
@@ -139,7 +138,7 @@ type Figure8Result struct {
 
 // Figure8 measures energy by cache scale for SH-STT and SH-SRAM-Nom.
 func (r *Runner) Figure8() Figure8Result {
-	r.Prefetch(r.figure6Points()...) // Figure 8 reuses Figure 6's run set
+	r.Prefetch(r.figure6Runs()...) // Figure 8 reuses Figure 6's run set
 	kinds := []config.ArchKind{config.SHSTT, config.SHSRAMNom}
 	out := Figure8Result{Normalized: map[config.CacheScale]map[config.ArchKind]float64{}}
 	for _, scale := range []config.CacheScale{config.Small, config.Medium, config.Large} {
@@ -147,8 +146,8 @@ func (r *Runner) Figure8() Figure8Result {
 		for _, kind := range kinds {
 			var vals []float64
 			for _, bench := range r.Benches {
-				base := r.run(config.PRSRAMNT, scale, 16, bench, r.Quota, false)
-				res := r.run(kind, scale, 16, bench, r.Quota, false)
+				base := r.result(r.point(config.PRSRAMNT, scale, 16, bench, r.Quota, false))
+				res := r.result(r.point(kind, scale, 16, bench, r.Quota, false))
 				vals = append(vals, res.EnergyPJ/base.EnergyPJ)
 			}
 			out.Normalized[scale][kind] = meanNormalized(vals)
@@ -185,7 +184,7 @@ type Figure9Result struct {
 // Figure9 measures energy normalised to PR-SRAM-NT for every Table IV
 // configuration.
 func (r *Runner) Figure9() Figure9Result {
-	r.Prefetch(r.figure9Points()...)
+	r.Prefetch(r.figure9Runs()...)
 	out := Figure9Result{Benches: r.Benches, Normalized: map[config.ArchKind][]float64{}}
 	for _, bench := range r.Benches {
 		base := r.medium(config.PRSRAMNT, bench)
@@ -238,14 +237,14 @@ type ClusterSweepResult struct{ Rows []ClusterSweepRow }
 // ClusterSweep measures the optimal cluster size: SH-STT at 4, 8, 16 and
 // 32 cores per cluster versus the fixed PR-SRAM-NT baseline.
 func (r *Runner) ClusterSweep() ClusterSweepResult {
-	r.Prefetch(r.clusterSweepPoints()...)
+	r.Prefetch(r.clusterSweepRuns()...)
 	var out ClusterSweepResult
 	for _, cs := range []int{4, 8, 16, 32} {
 		var vals []float64
 		var hm, hmN float64
 		for _, bench := range r.Benches {
 			base := r.medium(config.PRSRAMNT, bench)
-			res := r.run(config.SHSTT, config.Medium, cs, bench, r.Quota, false)
+			res := r.result(r.point(config.SHSTT, config.Medium, cs, bench, r.Quota, false))
 			vals = append(vals, float64(res.Cycles)/float64(base.Cycles))
 			hm += res.HalfMissRate
 			hmN++
@@ -287,5 +286,3 @@ func (f ClusterSweepResult) Best() int {
 func powerOf(res power.Meter, ps int64) (leakW, dynW float64) {
 	return res.LeakagePJ() / float64(ps), res.DynamicPJ() / float64(ps)
 }
-
-var _ = stats.Mean // keep stats imported for helpers used across files

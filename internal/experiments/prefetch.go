@@ -2,145 +2,139 @@ package experiments
 
 import "respin/internal/config"
 
-// This file enumerates each figure driver's run set as Points. Drivers
+// This file enumerates each figure driver's run set. Drivers
 // prefetch their set before consuming results, and All prefetches the
 // union up front, so the worker pool stays saturated across figure
 // boundaries while the report is still assembled in deterministic order.
 
-// mediumPoint is the default configuration point (medium scale, 16-core
-// clusters, main quota).
-func (r *Runner) mediumPoint(kind config.ArchKind, bench string) Point {
-	return Point{Kind: kind, Scale: config.Medium, ClusterSize: 16, Bench: bench, Quota: r.Quota}
-}
-
-// figure6Points covers Figures 6 and 8: three scales x three
+// figure6Runs covers Figures 6 and 8: three scales x three
 // configurations x every benchmark.
-func (r *Runner) figure6Points() []Point {
-	var pts []Point
+func (r *Runner) figure6Runs() []Run {
+	var runs []Run
 	for _, scale := range []config.CacheScale{config.Small, config.Medium, config.Large} {
 		for _, kind := range []config.ArchKind{config.PRSRAMNT, config.SHSTT, config.SHSRAMNom} {
 			for _, bench := range r.Benches {
-				pts = append(pts, Point{Kind: kind, Scale: scale, ClusterSize: 16, Bench: bench, Quota: r.Quota})
+				runs = append(runs, r.point(kind, scale, 16, bench, r.Quota, false))
 			}
 		}
 	}
-	return pts
+	return runs
 }
 
-// figure7Points covers Figure 7: the baseline plus figure7Kinds at the
+// figure7Runs covers Figure 7: the baseline plus figure7Kinds at the
 // default point.
-func (r *Runner) figure7Points() []Point {
-	var pts []Point
+func (r *Runner) figure7Runs() []Run {
+	var runs []Run
 	for _, bench := range r.Benches {
-		pts = append(pts, r.mediumPoint(config.PRSRAMNT, bench))
+		runs = append(runs, r.mediumPoint(config.PRSRAMNT, bench))
 		for _, kind := range figure7Kinds {
-			pts = append(pts, r.mediumPoint(kind, bench))
+			runs = append(runs, r.mediumPoint(kind, bench))
 		}
 	}
-	return pts
+	return runs
 }
 
-// figure9Points covers Figure 9: the baseline plus every Table IV
+// figure9Runs covers Figure 9: the baseline plus every Table IV
 // configuration at the default point.
-func (r *Runner) figure9Points() []Point {
-	var pts []Point
+func (r *Runner) figure9Runs() []Run {
+	var runs []Run
 	for _, bench := range r.Benches {
-		pts = append(pts, r.mediumPoint(config.PRSRAMNT, bench))
+		runs = append(runs, r.mediumPoint(config.PRSRAMNT, bench))
 		for _, kind := range figure9Kinds {
-			pts = append(pts, r.mediumPoint(kind, bench))
+			runs = append(runs, r.mediumPoint(kind, bench))
 		}
 	}
-	return pts
+	return runs
 }
 
-// Figure9Points exposes the Figure 9 run set (the baseline plus every
+// Figure9Runs exposes the Figure 9 run set (the baseline plus every
 // Table IV configuration at the default point, deduplicated) so the
 // evaluation service's "fig9" sweep preset fans out exactly the runs
 // the figure driver would.
-func (r *Runner) Figure9Points() []Point {
-	return dedupePoints(r.figure9Points())
+func (r *Runner) Figure9Runs() []Run {
+	return dedupe(r.figure9Runs())
 }
 
-// clusterSweepPoints covers the Section V.D sweep.
-func (r *Runner) clusterSweepPoints() []Point {
-	var pts []Point
+// clusterSweepRuns covers the Section V.D sweep.
+func (r *Runner) clusterSweepRuns() []Run {
+	var runs []Run
 	for _, bench := range r.Benches {
-		pts = append(pts, r.mediumPoint(config.PRSRAMNT, bench))
+		runs = append(runs, r.mediumPoint(config.PRSRAMNT, bench))
 		for _, cs := range []int{4, 8, 16, 32} {
-			pts = append(pts, Point{Kind: config.SHSTT, Scale: config.Medium, ClusterSize: cs, Bench: bench, Quota: r.Quota})
+			runs = append(runs, r.point(config.SHSTT, config.Medium, cs, bench, r.Quota, false))
 		}
 	}
-	return pts
+	return runs
 }
 
-// sharedStatsPoints covers Figures 10 and 11 (both reuse the SH-STT
+// sharedStatsRuns covers Figures 10 and 11 (both reuse the SH-STT
 // default runs).
-func (r *Runner) sharedStatsPoints() []Point {
-	var pts []Point
+func (r *Runner) sharedStatsRuns() []Run {
+	var runs []Run
 	for _, bench := range r.Benches {
-		pts = append(pts, r.mediumPoint(config.SHSTT, bench))
+		runs = append(runs, r.mediumPoint(config.SHSTT, bench))
 	}
-	return pts
+	return runs
 }
 
-// tracePoints covers one consolidation trace (Figures 12/13).
-func (r *Runner) tracePoints(bench string) []Point {
-	return []Point{
-		{Kind: config.PRSRAMNT, Scale: config.Medium, ClusterSize: 16, Bench: bench, Quota: r.TraceQuota},
-		{Kind: config.SHSTTCC, Scale: config.Medium, ClusterSize: 16, Bench: bench, Quota: r.TraceQuota, EpochTrace: true},
-		{Kind: config.SHSTTCCOracle, Scale: config.Medium, ClusterSize: 16, Bench: bench, Quota: r.TraceQuota, EpochTrace: true},
+// traceRuns covers one consolidation trace (Figures 12/13).
+func (r *Runner) traceRuns(bench string) []Run {
+	return []Run{
+		r.point(config.PRSRAMNT, config.Medium, 16, bench, r.TraceQuota, false),
+		r.point(config.SHSTTCC, config.Medium, 16, bench, r.TraceQuota, true),
+		r.point(config.SHSTTCCOracle, config.Medium, 16, bench, r.TraceQuota, true),
 	}
 }
 
-// figure14Points covers the active-core study.
-func (r *Runner) figure14Points() []Point {
-	var pts []Point
+// figure14Runs covers the active-core study.
+func (r *Runner) figure14Runs() []Run {
+	var runs []Run
 	for _, bench := range r.Benches {
-		pts = append(pts, Point{Kind: config.SHSTTCC, Scale: config.Medium, ClusterSize: 16, Bench: bench, Quota: r.TraceQuota})
+		runs = append(runs, r.point(config.SHSTTCC, config.Medium, 16, bench, r.TraceQuota, false))
 	}
-	return pts
+	return runs
 }
 
-// workloadPoints covers the workload characterisation table.
-func (r *Runner) workloadPoints() []Point {
-	var pts []Point
+// workloadRuns covers the workload characterisation table.
+func (r *Runner) workloadRuns() []Run {
+	var runs []Run
 	for _, bench := range r.Benches {
-		pts = append(pts, r.mediumPoint(config.PRSRAMNT, bench))
+		runs = append(runs, r.mediumPoint(config.PRSRAMNT, bench))
 	}
-	return pts
+	return runs
 }
 
-// EvalPoints returns the full evaluation's deduplicated run set in the
+// EvalRuns returns the full evaluation's deduplicated run set in the
 // order All consumes it. All prefetches this so the pool never drains
 // between figures.
-func (r *Runner) EvalPoints() []Point {
-	var pts []Point
-	pts = append(pts, r.workloadPoints()...)
-	pts = append(pts, r.figure6Points()...)
-	pts = append(pts, r.figure7Points()...)
-	pts = append(pts, r.figure9Points()...)
-	pts = append(pts, r.clusterSweepPoints()...)
-	pts = append(pts, r.sharedStatsPoints()...)
+func (r *Runner) EvalRuns() []Run {
+	var runs []Run
+	runs = append(runs, r.workloadRuns()...)
+	runs = append(runs, r.figure6Runs()...)
+	runs = append(runs, r.figure7Runs()...)
+	runs = append(runs, r.figure9Runs()...)
+	runs = append(runs, r.clusterSweepRuns()...)
+	runs = append(runs, r.sharedStatsRuns()...)
 	for _, bench := range []string{"radix", "lu"} {
 		if contains(r.Benches, bench) {
-			pts = append(pts, r.tracePoints(bench)...)
+			runs = append(runs, r.traceRuns(bench)...)
 		}
 	}
-	pts = append(pts, r.figure14Points()...)
-	return dedupePoints(pts)
+	runs = append(runs, r.figure14Runs()...)
+	return dedupe(runs)
 }
 
-// dedupePoints removes duplicate points, preserving first-seen order.
-func dedupePoints(pts []Point) []Point {
-	seen := make(map[string]bool, len(pts))
-	out := make([]Point, 0, len(pts))
-	for _, p := range pts {
-		k := p.key()
-		if seen[k] {
+// dedupe removes runs whose label was already seen, preserving
+// first-seen order.
+func dedupe(runs []Run) []Run {
+	seen := make(map[string]bool, len(runs))
+	out := make([]Run, 0, len(runs))
+	for _, run := range runs {
+		if seen[run.Label] {
 			continue
 		}
-		seen[k] = true
-		out = append(out, p)
+		seen[run.Label] = true
+		out = append(out, run)
 	}
 	return out
 }

@@ -4,15 +4,19 @@
 // configurations (results are cached and shared between figures) and a
 // renderer that prints rows/series comparable with the paper's.
 //
-// Simulations dispatch onto a worker pool (Jobs wide) with singleflight
-// deduplication: two figures requesting the same configuration point
-// share one in-flight run instead of racing. Drivers consume results by
-// key, never by completion order, so report output is byte-identical at
-// any parallelism.
+// Runner is the one batch executor: every batch of simulations — the
+// figure drivers, the fault and endurance sweeps, cmd/respin-sweep —
+// is a list of Run values passed to Runner.Do. Runs dispatch onto a
+// worker pool (Jobs wide) with singleflight deduplication by label: two
+// figures requesting the same configuration point share one in-flight
+// run instead of racing. Callers consume results by label or position,
+// never by completion order, so output is byte-identical at any
+// parallelism.
 package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -67,8 +71,9 @@ type Runner struct {
 	// keyed by run label: an interrupted evaluation re-invoked over the
 	// same directory resumes each unfinished run from its last
 	// epoch-boundary checkpoint (bit-identical to an uninterrupted run)
-	// instead of starting it over. Completed runs remove their file, so
-	// a finished evaluation leaves the directory empty.
+	// instead of starting it over. Runs with a recorded outcome remove
+	// their file, so a finished evaluation leaves the directory empty;
+	// a failed run keeps its file for the next invocation.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in cycles; zero selects
 	// sim.DefaultCheckpointEvery.
@@ -94,20 +99,15 @@ type Runner struct {
 	completed atomic.Uint64
 }
 
-// Point identifies one simulation of the evaluation's run set: the cache
-// key fields of Runner.run, made addressable so drivers can enqueue
-// batches ahead of consumption (Prefetch).
-type Point struct {
-	Kind        config.ArchKind
-	Scale       config.CacheScale
-	ClusterSize int
-	Bench       string
-	Quota       uint64
-	EpochTrace  bool
-}
-
-func (p Point) key() string {
-	return fmt.Sprintf("%v|%v|%d|%s|%d|%v", p.Kind, p.Scale, p.ClusterSize, p.Bench, p.Quota, p.EpochTrace)
+// Run is one simulation of a batch. Its Label is the run's single
+// identity: the singleflight key, the "run.<label>." metric prefix, the
+// event scope and the checkpoint file name — so two runs with equal
+// labels must describe the same simulation.
+type Run struct {
+	Label  string
+	Config config.Config
+	Bench  string
+	Opts   sim.Options
 }
 
 // ctx returns the cancellation context (Background when unset).
@@ -199,7 +199,7 @@ func (r *Runner) Normalize() error {
 }
 
 // registerTelemetry publishes the runner's own progress counters; the
-// per-run metric snapshots arrive separately via Absorb in runLabeled.
+// per-run metric snapshots arrive separately via Absorb in simulate.
 func (r *Runner) registerTelemetry() {
 	if !r.Telemetry.Enabled() {
 		return
@@ -225,31 +225,75 @@ func (r *Runner) semLocked() chan struct{} {
 	return r.sem
 }
 
-// shared executes fn for key exactly once across concurrent requesters
-// (see flight.Group), ignoring the flight's error: the experiment
-// drivers' fns return a non-nil error only for Ctx cancellation, which
-// Aborted (set inside execute) already records, and the partial result
-// is still the right thing to hand the report renderers.
-func (r *Runner) shared(key string, fn func() (sim.Result, error)) sim.Result {
-	r.registerTelemetry()
-	res, _ := r.flights.Do(context.Background(), key, func() (sim.Result, error) {
-		return r.execute(key, fn)
-	})
-	return res
+// Do executes (or recalls, or joins) each run on the worker pool and
+// returns their results and errors in run order, whatever the
+// completion order. A failed run does not stop the others. A run whose
+// label is already cached or in flight is answered by that flight (see
+// flight.Group), and a panic inside a simulation comes back as that
+// run's error.
+func (r *Runner) Do(runs ...Run) ([]sim.Result, []error) {
+	results := make([]sim.Result, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = r.do(run)
+		}()
+	}
+	wg.Wait()
+	return results, errs
 }
 
-// execute runs fn on a worker-pool slot, uncached. It counts the run as
-// started and, on a recorded outcome, completed; a run that was not
-// recorded marks the evaluation aborted only when the runner's own Ctx
-// was cancelled — a single request's deadline or failure does not.
-func (r *Runner) execute(key string, fn func() (sim.Result, error)) (sim.Result, error) {
+// Prefetch enqueues runs without waiting for their results: each starts
+// (or joins) its flight on the worker pool, so a driver can queue a
+// whole figure's — or the whole evaluation's — run set up front and keep
+// the pool saturated while it consumes results in deterministic order.
+func (r *Runner) Prefetch(runs ...Run) {
+	for _, run := range runs {
+		go r.do(run)
+	}
+}
+
+// do executes (or recalls, or joins) one run.
+func (r *Runner) do(run Run) (sim.Result, error) {
+	r.registerTelemetry()
+	return r.flights.Do(context.Background(), run.Label, func() (sim.Result, error) {
+		return r.execute(run.Label, func() (sim.Result, error) { return r.simulate(run) })
+	})
+}
+
+// must returns the runs' results for the experiment drivers, which die
+// with a panic naming the run on a simulator failure. Recorded outcomes
+// (including wear-out) and the partial results of a cancelled runner
+// (which Aborted reports) are returned as they are.
+func (r *Runner) must(runs ...Run) []sim.Result {
+	results, errs := r.Do(runs...)
+	for i, err := range errs {
+		if !flight.Recorded(err) && r.ctx().Err() == nil {
+			panic(fmt.Sprintf("experiments: run %s (seed %d, fault seed %d): %v",
+				runs[i].Label, runs[i].Opts.Seed, r.faultSeed(), err))
+		}
+	}
+	return results
+}
+
+// execute runs fn on a worker-pool slot, uncached, recovering a panic
+// into an error naming label. It counts the run as started and, on a
+// recorded outcome, completed, with one progress line and one
+// run.progress event; a run that was not recorded marks the evaluation
+// aborted only when the runner's own Ctx was cancelled — a single
+// request's deadline or failure does not.
+func (r *Runner) execute(label string, fn func() (sim.Result, error)) (sim.Result, error) {
+	r.registerTelemetry()
 	r.mu.Lock()
 	sem := r.semLocked()
 	r.mu.Unlock()
 	sem <- struct{}{}
 	defer func() { <-sem }()
 	r.started.Add(1)
-	res, err := fn()
+	res, err := guard(label, fn)
 	if !flight.Recorded(err) {
 		if r.ctx().Err() != nil {
 			r.setAborted()
@@ -257,9 +301,15 @@ func (r *Runner) execute(key string, fn func() (sim.Result, error)) (sim.Result,
 		return res, err
 	}
 	r.completed.Add(1)
+	var wear *endurance.WearOutError
+	if errors.As(err, &wear) {
+		r.progressf("ran %-40s: wore out at %d kcycles (%s set %d)\n", label, wear.Cycle/1000, wear.Array, wear.Set)
+	} else {
+		r.progressf("ran %-40s: %8d kcycles, %s\n", label, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
+	}
 	if r.Telemetry.Enabled() {
 		r.Telemetry.Emit("run.progress", 0, map[string]any{
-			"key":        key,
+			"key":        label,
 			"started":    r.started.Load(),
 			"completed":  r.completed.Load(),
 			"cache_hits": r.CacheHits(),
@@ -268,28 +318,25 @@ func (r *Runner) execute(key string, fn func() (sim.Result, error)) (sim.Result,
 	return res, err
 }
 
+// guard calls fn, turning a panic into an error naming label.
+func guard(label string, fn func() (sim.Result, error)) (res sim.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("experiments: panic during %s: %v", label, p)
+		}
+	}()
+	return fn()
+}
+
 // Exec runs one simulation on the runner's worker pool without the
 // runner's cache: it is the service entry point, and the service keeps
-// (and deduplicates) the encoded outcomes itself. Like the cached runs
-// it counts toward RunsStarted and RunsCompleted. Unlike the experiment
-// drivers, which die with an attributed panic on simulator failure, Exec
-// recovers a panic into an error naming label, so one poisoned request
-// can never take down the process. fn runs under ctx (typically the
-// server's lifetime plus the request deadline).
+// (and deduplicates) the encoded outcomes and their checkpoints itself.
+// Like Do it counts toward RunsStarted and RunsCompleted and turns a
+// panic into an error naming label, so one poisoned request can never
+// take down the process. fn runs under ctx (typically the server's
+// lifetime plus the request deadline).
 func (r *Runner) Exec(ctx context.Context, label string, fn func(context.Context) (sim.Result, error)) (sim.Result, error) {
-	r.registerTelemetry()
-	return r.execute(label, func() (res sim.Result, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("experiments: panic during %s: %v", label, p)
-			}
-		}()
-		res, err = fn(ctx)
-		if err == nil {
-			r.progressf("ran %-40s: %8d kcycles, %s\n", label, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
-		}
-		return res, err
-	})
+	return r.execute(label, func() (sim.Result, error) { return fn(ctx) })
 }
 
 // CacheHits reports how many requests were served by joining or
@@ -323,113 +370,66 @@ func (r *Runner) RunsStarted() uint64 { return r.started.Load() }
 // RunsCompleted reports how many simulations ran to a recorded outcome.
 func (r *Runner) RunsCompleted() uint64 { return r.completed.Load() }
 
-// Prefetch enqueues simulations without waiting for their results: each
-// point starts (or joins) its singleflight run on the worker pool, so a
-// driver can queue a whole figure's — or the whole evaluation's — run
-// set up front and keep the pool saturated while it consumes results in
-// deterministic order.
-func (r *Runner) Prefetch(points ...Point) {
-	for _, p := range points {
-		p := p
-		go r.runPoint(p)
-	}
-}
-
-// prefetch enqueues cached runs that Point cannot express (the fault
-// sweep's injection parameters).
-func (r *Runner) prefetch(fns ...func()) {
-	for _, fn := range fns {
-		go fn()
-	}
-}
-
-// run executes (or recalls) one simulation.
-func (r *Runner) run(kind config.ArchKind, scale config.CacheScale, clusterSize int, bench string, quota uint64, epochTrace bool) sim.Result {
-	return r.runPoint(Point{
-		Kind: kind, Scale: scale, ClusterSize: clusterSize,
-		Bench: bench, Quota: quota, EpochTrace: epochTrace,
-	})
-}
-
-// runPoint executes (or recalls, or joins) the simulation for one point.
-func (r *Runner) runPoint(p Point) sim.Result {
-	return r.shared(p.key(), func() (sim.Result, error) {
-		cfg := config.NewWithCluster(p.Kind, p.Scale, p.ClusterSize)
-		res, err := r.runSim(cfg, p.Bench, p.Quota, p.EpochTrace)
-		if err != nil {
-			if r.ctx().Err() != nil {
-				return res, err
-			}
-			panic(fmt.Sprintf("experiments: %v %v cl%d %s (seed %d, quota %d): %v",
-				p.Kind, p.Scale, p.ClusterSize, p.Bench, r.Seed, p.Quota, err))
-		}
-		r.progressf("ran %-16v %-6v cl%-2d %-14s: %8d kcycles, %s\n",
-			p.Kind, p.Scale, p.ClusterSize, p.Bench, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
-		return res, nil
-	})
-}
-
-// runSim executes one simulation with panic attribution: a panic inside
-// the simulator is recovered, stamped with the run's full identity
-// (configuration, benchmark, seeds), and re-raised, so a crash in a
-// hundreds-of-runs evaluation names the one run that caused it.
-func (r *Runner) runSim(cfg config.Config, bench string, quota uint64, epochTrace bool) (res sim.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			panic(fmt.Sprintf("experiments: panic during %v/%v cl%d %s (seed %d, fault seed %d, quota %d): %v",
-				cfg.Kind, cfg.Scale, cfg.ClusterSize, bench, r.Seed, r.faultSeed(), quota, p))
-		}
-	}()
-	return r.runLabeled(runLabel(cfg, bench, quota, epochTrace), cfg, bench, sim.Options{
-		QuotaInstr: quota,
-		Seed:       r.Seed,
-		EpochTrace: epochTrace,
-	})
-}
-
-// runLabel is the stable dotted identity a run's absorbed metrics and
-// scoped events appear under ("run.<label>.…" metrics, scope
-// "<root>/<label>" events).
-func runLabel(cfg config.Config, bench string, quota uint64, epochTrace bool) string {
-	label := fmt.Sprintf("%v.%v.cl%d.%s.q%d", cfg.Kind, cfg.Scale, cfg.ClusterSize, bench, quota)
+// point is the run of one evaluation configuration point; its label
+// names every field that tells it apart from the others.
+func (r *Runner) point(kind config.ArchKind, scale config.CacheScale, clusterSize int, bench string, quota uint64, epochTrace bool) Run {
+	label := fmt.Sprintf("%v.%v.cl%d.%s.q%d", kind, scale, clusterSize, bench, quota)
 	if epochTrace {
 		label += ".trace"
 	}
-	return label
+	return Run{
+		Label:  label,
+		Config: config.NewWithCluster(kind, scale, clusterSize),
+		Bench:  bench,
+		Opts:   sim.Options{QuotaInstr: quota, Seed: r.Seed, EpochTrace: epochTrace},
+	}
 }
 
-// runLabeled executes one simulation, attaching a detached per-run
-// collector when the runner has telemetry enabled. The per-run
-// collector shares the runner's event emitter (scoped by label) but has
-// its own metric namespace, so concurrent simulations never collide;
-// its final snapshot is absorbed into the runner's collector under
-// "run.<label>." once the run completes.
-func (r *Runner) runLabeled(label string, cfg config.Config, bench string, opts sim.Options) (sim.Result, error) {
+// mediumPoint is the default configuration point (medium scale, 16-core
+// clusters, main quota).
+func (r *Runner) mediumPoint(kind config.ArchKind, bench string) Run {
+	return r.point(kind, config.Medium, 16, bench, r.Quota, false)
+}
+
+// result returns one run's result (see must).
+func (r *Runner) result(run Run) sim.Result { return r.must(run)[0] }
+
+// medium is shorthand for the result at the default configuration point.
+func (r *Runner) medium(kind config.ArchKind, bench string) sim.Result {
+	return r.result(r.mediumPoint(kind, bench))
+}
+
+// simulate executes one run, attaching a detached per-run collector
+// when the runner has telemetry enabled. The per-run collector shares
+// the runner's event emitter (scoped by label) but has its own metric
+// namespace, so concurrent simulations never collide; its final
+// snapshot is absorbed into the runner's collector under "run.<label>."
+// once the run returns. With a checkpoint directory the run resumes
+// from, and keeps current, the checkpoint file named after its label;
+// a recorded outcome retires the file, so a later invocation must not
+// resume from it, while a failed run keeps it.
+func (r *Runner) simulate(run Run) (sim.Result, error) {
+	opts := run.Opts
 	if !opts.Endurance.Enabled() {
 		opts.Endurance = r.Endurance
 	}
 	if r.Telemetry.Enabled() {
 		opts.Telemetry = telemetry.New(
 			telemetry.WithEmitter(r.Telemetry.Emitter()),
-			telemetry.WithScope(label),
+			telemetry.WithScope(run.Label),
 		)
 	}
-	run := func() (sim.Result, error) { return sim.RunContext(r.ctx(), cfg, bench, opts) }
-	if spec := r.checkpointSpec(label); spec.Enabled() {
-		run = func() (sim.Result, error) {
-			res, err := sim.RunOrResume(r.ctx(), cfg, bench, opts, spec)
-			// Recorded outcomes retire their checkpoint: the result is
-			// final, so a later invocation must not resume from it.
-			if flight.Recorded(err) {
-				os.Remove(spec.Path)
-			}
-			return res, err
+	var res sim.Result
+	var err error
+	if spec := r.checkpointSpec(run.Label); spec.Enabled() {
+		res, err = sim.RunOrResume(r.ctx(), run.Config, run.Bench, opts, spec)
+		if flight.Recorded(err) {
+			os.Remove(spec.Path)
 		}
+	} else {
+		res, err = sim.RunContext(r.ctx(), run.Config, run.Bench, opts)
 	}
-	res, err := run()
-	if err == nil && r.Telemetry.Enabled() {
-		r.Telemetry.Absorb("run."+label, res.Metrics)
-	}
+	r.Telemetry.Absorb("run."+run.Label, res.Metrics)
 	return res, err
 }
 
@@ -462,11 +462,6 @@ func ckptName(label string) string {
 		return '_'
 	}, label)
 	return safe + ".ckpt"
-}
-
-// medium is shorthand for the default configuration point.
-func (r *Runner) medium(kind config.ArchKind, bench string) sim.Result {
-	return r.run(kind, config.Medium, 16, bench, r.Quota, false)
 }
 
 func fmtEnergy(pj float64) string {

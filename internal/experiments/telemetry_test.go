@@ -25,7 +25,7 @@ func TestRunnerTelemetryAbsorbsFigure12(t *testing.T) {
 		t.Fatal("no greedy trace; raise TraceQuota")
 	}
 
-	label := runLabel(config.New(config.SHSTTCC, config.Medium), "radix", r.TraceQuota, true)
+	label := r.point(config.SHSTTCC, config.Medium, 16, "radix", r.TraceQuota, true).Label
 	snap := r.Telemetry.Snapshot()
 	m, ok := snap.Get("run." + label + ".sim.epoch_trace")
 	if !ok {

@@ -28,7 +28,7 @@ type WorkloadTableResult struct{ Rows []WorkloadRow }
 // WorkloadTable characterises every benchmark (profile parameters plus
 // baseline-measured IPC and L1D miss rate).
 func (r *Runner) WorkloadTable() WorkloadTableResult {
-	r.Prefetch(r.workloadPoints()...)
+	r.Prefetch(r.workloadRuns()...)
 	var out WorkloadTableResult
 	for _, bench := range r.Benches {
 		p := trace.MustByName(bench)

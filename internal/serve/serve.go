@@ -448,27 +448,27 @@ func (s *Server) sweepBody(ctx context.Context, p v1.RunRequest) ([]byte, error)
 
 // sweepPoints expands a sweep request into its normalized point list.
 func (s *Server) sweepPoints(sreq v1.SweepRequest) ([]v1.RunRequest, error) {
-	var pts []experiments.Point
+	var runs []experiments.Run
 	switch sreq.Preset {
 	case "":
 		return sreq.Points, nil
 	case "fig9":
-		pts = s.runner.Figure9Points()
+		runs = s.runner.Figure9Runs()
 	case "eval":
-		pts = s.runner.EvalPoints()
+		runs = s.runner.EvalRuns()
 	default:
 		return nil, fmt.Errorf("serve: unknown sweep preset %q (valid: %s)", sreq.Preset, v1.SweepPresets)
 	}
-	reqs := make([]v1.RunRequest, len(pts))
-	for i, p := range pts {
+	reqs := make([]v1.RunRequest, len(runs))
+	for i, run := range runs {
 		reqs[i] = v1.RunRequest{
-			Config:     p.Kind.String(),
-			Bench:      p.Bench,
-			Scale:      p.Scale.String(),
-			Cluster:    p.ClusterSize,
-			Quota:      p.Quota,
-			Seed:       s.runner.Seed,
-			EpochTrace: p.EpochTrace,
+			Config:     run.Config.Kind.String(),
+			Bench:      run.Bench,
+			Scale:      run.Config.Scale.String(),
+			Cluster:    run.Config.ClusterSize,
+			Quota:      run.Opts.QuotaInstr,
+			Seed:       run.Opts.Seed,
+			EpochTrace: run.Opts.EpochTrace,
 		}
 		if err := reqs[i].Normalize(); err != nil {
 			return nil, fmt.Errorf("serve: preset %s point %d: %w", sreq.Preset, i, err)

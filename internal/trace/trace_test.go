@@ -21,6 +21,9 @@ func TestAllProfilesValidate(t *testing.T) {
 
 func TestNamesOrderAndSuites(t *testing.T) {
 	names := Names()
+	if len(names) != 13 {
+		t.Fatalf("%d benchmarks, want 13 (9 SPLASH-2 + 4 PARSEC)", len(names))
+	}
 	// SPLASH-2 first.
 	splash := map[string]bool{"barnes": true, "cholesky": true, "fft": true, "lu": true,
 		"ocean": true, "radiosity": true, "radix": true, "raytrace": true, "water-nsquared": true}
