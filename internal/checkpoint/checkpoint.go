@@ -2,7 +2,9 @@
 // checkpoints: a small versioned header, a SHA-256 checksum, and a
 // gob-encoded payload. The container knows nothing about the payload's
 // shape — package sim owns the snapshot structure and bumps the version
-// it passes here whenever that structure changes incompatibly.
+// it passes here whenever that structure changes incompatibly. Inside
+// the payload, the bulky state types encode themselves as flat binary
+// records; Reader and AppendFloat64 are their shared codec (record.go).
 //
 // Format (all integers big-endian):
 //
@@ -67,10 +69,26 @@ func (e *ErrVersion) Error() string {
 // Save gob-encodes payload and writes the container to path atomically
 // (temporary file in the same directory, fsync, rename).
 func Save(path string, version uint32, payload any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
+	var w Writer
+	return w.Save(path, version, payload)
+}
+
+// Writer saves the successive checkpoints of one run. It sizes each
+// encode buffer from the previous write, so a save does not regrow its
+// buffer from empty through every doubling. The zero value is ready to
+// use; a Writer is not safe for concurrent use.
+type Writer struct {
+	last int
+}
+
+// Save is the package-level Save with the buffer sized from the
+// previous write.
+func (w *Writer) Save(path string, version uint32, payload any) error {
+	body := bytes.NewBuffer(make([]byte, 0, w.last+w.last/16))
+	if err := gob.NewEncoder(body).Encode(payload); err != nil {
 		return fmt.Errorf("checkpoint %s: encode: %w", path, err)
 	}
+	w.last = body.Len()
 	sum := sha256.Sum256(body.Bytes())
 
 	var hdr [headerLen]byte

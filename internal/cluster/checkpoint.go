@@ -38,9 +38,7 @@ type VCoreState struct {
 	AtBarrier   bool
 	SpinLeft    int
 	LoadPending bool
-	LoadAddr    uint64
 	LoadIssued  uint64
-	LoadService uint64
 	FetchAddr   uint64
 	PendingCold bool
 }
@@ -133,6 +131,9 @@ func (cl *Cluster) Snapshot() (State, error) {
 		Stats:         cl.Stats,
 	}
 	st.RNGSeed, st.RNGDraws = cl.rng.State()
+	st.PCores = make([]PCoreState, 0, len(cl.pcores))
+	st.VCores = make([]VCoreState, 0, len(cl.vcores))
+	st.EdgeNext = make([]uint64, 0, len(cl.edges))
 	for i := range cl.pcores {
 		p := &cl.pcores[i]
 		st.PCores = append(st.PCores, PCoreState{
@@ -154,9 +155,7 @@ func (cl *Cluster) Snapshot() (State, error) {
 			AtBarrier:   vs.atBarrier,
 			SpinLeft:    vs.spinLeft,
 			LoadPending: vs.loadPending,
-			LoadAddr:    vs.loadAddr,
 			LoadIssued:  vs.loadIssued,
-			LoadService: vs.loadService,
 			FetchAddr:   vs.fetchAddr,
 			PendingCold: vs.pendingCold,
 		})
@@ -179,14 +178,16 @@ func (cl *Cluster) Snapshot() (State, error) {
 			})
 		}
 	}
-	for _, c := range cl.privI {
-		st.PrivI = append(st.PrivI, c.Snapshot())
+	st.PrivI = make([]mem.CacheState, len(cl.privI))
+	for i, c := range cl.privI {
+		st.PrivI[i] = c.Snapshot()
 	}
 	if cl.dir != nil {
 		d := cl.dir.State()
 		st.Dir = &d
 	}
 	st.PrivStoreMiss = append([]int(nil), cl.privStoreMiss...)
+	st.Events = make([]EventState, 0, len(cl.events.h))
 	for _, e := range cl.events.h {
 		st.Events = append(st.Events, EventState{
 			Cycle: e.cycle, Seq: e.seq, Kind: int(e.kind), VCore: e.vcore,
@@ -255,9 +256,7 @@ func (cl *Cluster) Restore(st State) error {
 		vs.atBarrier = ss.AtBarrier
 		vs.spinLeft = ss.SpinLeft
 		vs.loadPending = ss.LoadPending
-		vs.loadAddr = ss.LoadAddr
 		vs.loadIssued = ss.LoadIssued
-		vs.loadService = ss.LoadService
 		vs.fetchAddr = ss.FetchAddr
 		vs.pendingCold = ss.PendingCold
 	}

@@ -176,9 +176,7 @@ type vcoreState struct {
 	atBarrier   bool
 	spinLeft    int
 	loadPending bool
-	loadAddr    uint64
 	loadIssued  uint64
-	loadService uint64 // debug: when the controller serviced it
 	fetchAddr   uint64
 	pendingCold bool
 }

@@ -41,7 +41,6 @@ func (mp *memPort) IssueLoad(v int, addr uint64) bool {
 		})
 		cl.shiftEnergy()
 		vs.loadPending = true
-		vs.loadAddr = addr
 		vs.loadIssued = cl.now
 		return true
 	}
@@ -60,7 +59,6 @@ func (mp *memPort) IssueLoad(v int, addr uint64) bool {
 		event{kind: evCompleteLoad, vcore: v})
 	cl.chargeCoherence(out.Invalidations, out.WritebacksToL2, out.SourcedFromCore >= 0)
 	vs.loadPending = true
-	vs.loadAddr = addr
 	vs.loadIssued = cl.now
 	return true
 }

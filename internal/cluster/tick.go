@@ -1,17 +1,12 @@
 package cluster
 
 import (
-	"fmt"
-
 	"respin/internal/config"
 	"respin/internal/cpu"
 	"respin/internal/power"
 	"respin/internal/sharedcache"
 	"respin/internal/trace"
 )
-
-// debugSlowLoads enables slow-load tracing (development aid).
-var debugSlowLoads = false
 
 // Tick advances the cluster by one cache cycle.
 func (cl *Cluster) Tick() {
@@ -82,10 +77,6 @@ func (cl *Cluster) completeLoad(v int) {
 	vs := &cl.vcores[v]
 	vs.loadPending = false
 	cl.Stats.LoadLatency.Observe(int(cl.now - vs.loadIssued))
-	if cl.now-vs.loadIssued > 2000 && debugSlowLoads {
-		fmt.Printf("SLOW load cl%d v%d: issue->service %d, service->complete %d, addr=%#x\n",
-			cl.id, v, vs.loadService-vs.loadIssued, cl.now-vs.loadService, vs.loadAddr)
-	}
 	vs.core.CompleteLoad()
 	cl.maybeColdRestart(v)
 }
@@ -132,7 +123,6 @@ func (cl *Cluster) serviceD(s sharedcache.Serviced) {
 	case tagLoad:
 		v := tagVCore(s.Req.Tag)
 		addr := tagAddr(s.Req.Tag)
-		cl.vcores[v].loadService = cl.now
 		cl.Meter.AddPJ(power.CacheDynamic, cl.eL1DRead)
 		res := cl.sharedL1D.Access(addr, false)
 		if res.Hit {

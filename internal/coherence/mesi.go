@@ -13,7 +13,6 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"respin/internal/config"
 	"respin/internal/mem"
@@ -90,7 +89,7 @@ type Directory struct {
 // New builds a directory over nCores private L1D caches with the given
 // geometry.
 func New(nCores int, p config.CacheParams) *Directory {
-	if nCores <= 0 || nCores > 64 {
+	if nCores <= 0 || nCores > maxCaches {
 		panic(fmt.Sprintf("coherence: unsupported core count %d", nCores))
 	}
 	d := &Directory{
@@ -354,59 +353,4 @@ func (d *Directory) WouldHit(core int, addr uint64) bool {
 	d.checkCore(core)
 	st := d.caches[core].State(addr)
 	return st == Modified || st == Exclusive || st == Shared
-}
-
-// DirEntryState is one directory entry, exported for checkpointing.
-type DirEntryState struct {
-	Block   uint64
-	Sharers uint64
-	Owner   int8
-}
-
-// DirectoryState is the protocol engine's full mutable state: the
-// per-core L1D arrays, the directory map (sorted by block address so
-// the serialized form is deterministic), and the event counters.
-type DirectoryState struct {
-	Caches  []mem.CacheState
-	Entries []DirEntryState
-	Stats   Stats
-}
-
-// State captures the directory's mutable state.
-func (d *Directory) State() DirectoryState {
-	st := DirectoryState{Stats: d.Stats}
-	for _, c := range d.caches {
-		st.Caches = append(st.Caches, c.Snapshot())
-	}
-	for block, e := range d.entries {
-		st.Entries = append(st.Entries, DirEntryState{Block: block, Sharers: e.sharers, Owner: e.owner})
-	}
-	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Block < st.Entries[j].Block })
-	return st
-}
-
-// Restore repositions a freshly built directory (same geometry) to a
-// captured state. An entry naming a cache the directory does not have
-// is an error, not a later out-of-range index.
-func (d *Directory) Restore(st DirectoryState) error {
-	if len(st.Caches) != len(d.caches) {
-		return fmt.Errorf("coherence: restore has %d caches, directory has %d", len(st.Caches), len(d.caches))
-	}
-	for _, e := range st.Entries {
-		if int(e.Owner) < -1 || int(e.Owner) >= len(d.caches) || e.Sharers>>uint(len(d.caches)) != 0 {
-			return fmt.Errorf("coherence: restore entry %#x has owner %d, sharers %#x over %d caches",
-				e.Block, e.Owner, e.Sharers, len(d.caches))
-		}
-	}
-	for i, c := range d.caches {
-		if err := c.Restore(st.Caches[i]); err != nil {
-			return err
-		}
-	}
-	d.entries = make(map[uint64]dirEntry, len(st.Entries))
-	for _, e := range st.Entries {
-		d.entries[e.Block] = dirEntry{sharers: e.Sharers, owner: e.Owner}
-	}
-	d.Stats = st.Stats
-	return nil
 }

@@ -96,6 +96,13 @@ type Cache struct {
 	// deadline anchor for relaxed-retention STT arrays (unread unless
 	// an endurance model with retention is attached).
 	written []uint64
+	// touched holds one bit per way, set for every way whose columns
+	// may be non-zero: FillState sets it when it installs a victim way
+	// (the only write that turns an all-zero way non-zero) and Restore
+	// sets it for every way it restores. No path zeroes a column, so
+	// every other way is all-zero and Snapshot and Restore visit only
+	// the touched ways.
+	touched []uint64
 	assoc   int
 	numSets uint64
 	// setMask strength-reduces the set-index modulo to a mask when the
@@ -145,6 +152,7 @@ func NewCache(p config.CacheParams) *Cache {
 		used:       flat[ways : 2*ways : 2*ways],
 		written:    flat[2*ways:],
 		state:      make([]LineState, ways),
+		touched:    make([]uint64, (ways+63)/64),
 		assoc:      p.Assoc,
 		numSets:    uint64(sets),
 		blockShift: shift,
@@ -437,6 +445,7 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 			}
 		}
 	}
+	c.touched[victim>>6] |= 1 << (victim & 63)
 	c.tags[victim] = block
 	c.state[victim] = st
 	c.used[victim] = c.tick
@@ -526,102 +535,6 @@ func (c *Cache) Clear() (writebacks int) {
 // minus permanently retired ways).
 func (c *Cache) LiveCapacity() int {
 	return len(c.state) - c.endur.RetiredWays()
-}
-
-// CacheState is the array's full mutable state, for checkpointing.
-// Geometry, the set-index magic and attached models are construction
-// inputs; the SoA columns, clocks, rotation offset and stats are the
-// state. The attached endurance array is snapshotted separately by its
-// own package (registration order is deterministic).
-//
-// The columns are sparse: a freshly built array is all-zero, and a run
-// touches only a few percent of a multi-megabyte L2/L3, so only the
-// ways with a non-zero tag, stamp or state byte are listed. Index holds
-// their global way indices (set*assoc+way) in strictly ascending order;
-// Tags, Used, Written and LineStates hold their values in the same
-// order. Every unlisted way is all-zero.
-type CacheState struct {
-	// Ways is the array's total way count, so a state captured from a
-	// different geometry is refused instead of scattered out of range.
-	Ways                int
-	Index               []uint32
-	Tags, Used, Written []uint64
-	LineStates          []LineState
-	Tick, Now, Rotation uint64
-	Stats               Stats
-}
-
-// Snapshot captures the array's mutable state, listing only the ways
-// whose columns are not all zero.
-func (c *Cache) Snapshot() CacheState {
-	st := CacheState{
-		Ways:     len(c.tags),
-		Tick:     c.tick,
-		Now:      c.now,
-		Rotation: c.rotation,
-		Stats:    c.Stats,
-	}
-	for i := range c.tags {
-		if c.tags[i]|c.used[i]|c.written[i] == 0 && c.state[i] == StateInvalid {
-			continue
-		}
-		st.Index = append(st.Index, uint32(i))
-		st.Tags = append(st.Tags, c.tags[i])
-		st.Used = append(st.Used, c.used[i])
-		st.Written = append(st.Written, c.written[i])
-		st.LineStates = append(st.LineStates, c.state[i])
-	}
-	return st
-}
-
-// check validates a captured state against the array's geometry. The
-// checkpoint checksum only proves the bytes are the ones written, so a
-// hostile or mismatched state must be refused here, before Restore
-// writes anything.
-func (st *CacheState) check(ways int) error {
-	if st.Ways != ways {
-		return fmt.Errorf("mem: restore has %d ways, cache has %d", st.Ways, ways)
-	}
-	n := len(st.Index)
-	if len(st.Tags) != n || len(st.Used) != n || len(st.Written) != n || len(st.LineStates) != n {
-		return fmt.Errorf("mem: restore column lengths differ (index %d, tags %d, used %d, written %d, states %d)",
-			n, len(st.Tags), len(st.Used), len(st.Written), len(st.LineStates))
-	}
-	for k, w := range st.Index {
-		if int64(w) >= int64(ways) {
-			return fmt.Errorf("mem: restore way index %d out of range (%d ways)", w, ways)
-		}
-		if k > 0 && w <= st.Index[k-1] {
-			return fmt.Errorf("mem: restore way indices not strictly ascending at %d", k)
-		}
-	}
-	return nil
-}
-
-// Restore repositions an array of identical geometry to a captured
-// state: the columns are zeroed, then the listed ways scattered back.
-// Since a freshly built array is all-zero, the result is bit-identical
-// to the snapshotted array whatever this one held before. An invalid
-// state is refused with an error and leaves the array untouched.
-func (c *Cache) Restore(st CacheState) error {
-	if err := st.check(len(c.tags)); err != nil {
-		return err
-	}
-	clear(c.tags)
-	clear(c.used)
-	clear(c.written)
-	clear(c.state)
-	for k, w := range st.Index {
-		c.tags[w] = st.Tags[k]
-		c.used[w] = st.Used[k]
-		c.written[w] = st.Written[k]
-		c.state[w] = st.LineStates[k]
-	}
-	c.tick = st.Tick
-	c.now = st.Now
-	c.rotation = st.Rotation
-	c.Stats = st.Stats
-	return nil
 }
 
 // Scrub performs one background retention scrub pass at cycle now:

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"respin/internal/config"
+	"respin/internal/endurance"
 )
 
 // snapGeometries are the two set-index paths: a power-of-two set count
@@ -190,12 +192,7 @@ func FuzzCacheRestore(f *testing.F) {
 	f.Add(32, []byte{1, 2}, uint8(0x55), uint64(7))
 	f.Add(-64, []byte{}, uint8(0x55), uint64(8))
 	f.Fuzz(func(t *testing.T, ways int, index []byte, skew uint8, seed uint64) {
-		// 16 sets x 4 ways; pre-filled so a refused restore has
-		// something to disturb.
-		c := NewCache(config.CacheParams{SizeBytes: 2048, BlockBytes: 32, Assoc: 4, ReadPorts: 1, WritePorts: 1})
-		for a := uint64(0); a < 40; a++ {
-			c.Fill(a*32*3, a%3 == 0)
-		}
+		c := fuzzCache()
 		before := c.Snapshot()
 
 		st := CacheState{Ways: ways, Tick: seed, Now: seed >> 1, Rotation: seed % 5}
@@ -239,24 +236,229 @@ func FuzzCacheRestore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("refused a state that fits: %v", err)
 		}
-		k := 0
-		for i := range c.tags {
-			var tag, used, written uint64
-			var ls LineState
-			if k < len(st.Index) && int(st.Index[k]) == i {
-				tag, used, written, ls = st.Tags[k], st.Used[k], st.Written[k], st.LineStates[k]
-				k++
-			}
-			if c.tags[i] != tag || c.used[i] != used || c.written[i] != written || c.state[i] != ls {
-				t.Fatalf("way %d holds (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-					i, c.tags[i], c.used[i], c.written[i], c.state[i], tag, used, written, ls)
-			}
-		}
-		again := NewCache(c.Params())
-		if err := again.Restore(c.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		assertSameState(t, c, again)
+		assertLanded(t, c, st)
 		applyOps(c, randomOps(rng, c, 50))
 	})
+}
+
+// assertLanded fails unless the accepted state st landed exactly in c:
+// listed ways hold the given values, every other way is zero, and a
+// fresh array restored from c's snapshot matches c.
+func assertLanded(t *testing.T, c *Cache, st CacheState) {
+	t.Helper()
+	k := 0
+	for i := range c.tags {
+		var tag, used, written uint64
+		var ls LineState
+		if k < len(st.Index) && int(st.Index[k]) == i {
+			tag, used, written, ls = st.Tags[k], st.Used[k], st.Written[k], st.LineStates[k]
+			k++
+		}
+		if c.tags[i] != tag || c.used[i] != used || c.written[i] != written || c.state[i] != ls {
+			t.Fatalf("way %d holds (%d,%d,%d,%d), want (%d,%d,%d,%d)",
+				i, c.tags[i], c.used[i], c.written[i], c.state[i], tag, used, written, ls)
+		}
+	}
+	if c.tick != st.Tick || c.now != st.Now || c.rotation != st.Rotation || c.Stats != st.Stats {
+		t.Fatal("restored clocks or stats differ from the state's")
+	}
+	again := NewCache(c.Params())
+	if err := again.Restore(c.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	assertSameState(t, c, again)
+}
+
+// fuzzCache is the fuzz targets' array, 16 sets x 4 ways, pre-filled so
+// a refused restore has something to disturb.
+func fuzzCache() *Cache {
+	c := NewCache(config.CacheParams{SizeBytes: 2048, BlockBytes: 32, Assoc: 4, ReadPorts: 1, WritePorts: 1})
+	for a := uint64(0); a < 40; a++ {
+		c.Fill(a*32*3, a%3 == 0)
+	}
+	return c
+}
+
+// FuzzCacheStateDecode feeds arbitrary bytes through the checkpoint
+// record decoder and then Restore. The decoder must refuse the bytes or
+// return a state no larger than the input can describe, which
+// re-encodes to a record that decodes to the same state; Restore must
+// then refuse the state, leaving the array as it was, or land it
+// exactly. Never a panic.
+func FuzzCacheStateDecode(f *testing.F) {
+	record := func(st CacheState) []byte {
+		b, err := st.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	filled := record(fuzzCache().Snapshot())
+	f.Add(filled)
+	f.Add(record(NewCache(fuzzCache().Params()).Snapshot()))
+	f.Add(filled[:len(filled)-1])
+	f.Add(append(filled[:len(filled):len(filled)], 0))
+	f.Add(record(CacheState{Ways: 64, Index: []uint32{63, 2}, Tags: []uint64{1, 2}, Used: []uint64{3, 4},
+		Written: []uint64{5, 6}, LineStates: []LineState{1, 2}}))
+	f.Add([]byte{0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st CacheState
+		if err := st.UnmarshalBinary(data); err != nil {
+			return
+		}
+		if wayRecordBytes*len(st.Index) > len(data) {
+			t.Fatalf("%d input bytes decoded to %d ways", len(data), len(st.Index))
+		}
+		enc, err := st.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again CacheState
+		if err := again.UnmarshalBinary(enc); err != nil || !reflect.DeepEqual(again, st) {
+			t.Fatalf("re-encoded record decodes to %+v (%v), want %+v", again, err, st)
+		}
+		c := fuzzCache()
+		before := c.Snapshot()
+		if err := c.Restore(st); err != nil {
+			if !reflect.DeepEqual(c.Snapshot(), before) {
+				t.Fatal("refused restore modified the cache")
+			}
+			return
+		}
+		assertLanded(t, c, st)
+	})
+}
+
+// fullScan is the oracle Snapshot must match: every way of the array
+// scanned, and those with any non-zero column listed.
+func fullScan(c *Cache) CacheState {
+	st := CacheState{Ways: len(c.tags), Tick: c.tick, Now: c.now, Rotation: c.rotation, Stats: c.Stats}
+	for i := range c.tags {
+		if c.tags[i]|c.used[i]|c.written[i] == 0 && c.state[i] == StateInvalid {
+			continue
+		}
+		st.Index = append(st.Index, uint32(i))
+		st.Tags = append(st.Tags, c.tags[i])
+		st.Used = append(st.Used, c.used[i])
+		st.Written = append(st.Written, c.written[i])
+		st.LineStates = append(st.LineStates, c.state[i])
+	}
+	return st
+}
+
+// TestSnapshotMatchesFullScan: over random sequences of fills,
+// invalidations, Clear, Restore (of earlier snapshots, and of states
+// listing all-zero ways), scrubs, wear-leveling rotations and endurance
+// retirements, the touched-way Snapshot equals a full scan of the array
+// after every step, and its checkpoint record decodes to the same state.
+func TestSnapshotMatchesFullScan(t *testing.T) {
+	for _, g := range snapGeometries {
+		for _, wear := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/wear=%v", g.name, wear), func(t *testing.T) {
+				var rotations, retired int
+				for seed := int64(1); seed <= 10; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					c := NewCache(g.p)
+					var tr *endurance.Tracker
+					if wear {
+						tr = endurance.NewTracker(endurance.Params{
+							Seed: seed, BudgetMean: 40, BudgetSigma: 0.5,
+							RetentionCycles: 60, WearLevel: true, WearLevelPeriod: 97,
+						})
+						c.AttachEndurance(tr.NewArray("test", 0, int(c.numSets), c.assoc))
+					}
+					var saved []CacheState
+					for step := 0; step < 600; step++ {
+						switch op := rng.Intn(40); {
+						case op == 0:
+							saved = append(saved, c.Snapshot())
+						case op == 1 && len(saved) > 0:
+							if err := c.Restore(saved[rng.Intn(len(saved))]); err != nil {
+								t.Fatal(err)
+							}
+						case op == 2:
+							// A valid state may list ways whose columns
+							// are all zero; Snapshot must leave them out.
+							w := uint32(rng.Intn(c.Capacity()))
+							zero := CacheState{Ways: c.Capacity(), Index: []uint32{w}, Tags: []uint64{0},
+								Used: []uint64{0}, Written: []uint64{0}, LineStates: []LineState{StateInvalid}}
+							if err := c.Restore(zero); err != nil {
+								t.Fatal(err)
+							}
+						case op == 3 && wear:
+							c.Scrub(c.now)
+						default:
+							applyOps(c, randomOps(rng, c, 1+rng.Intn(8)))
+						}
+						got, want := c.Snapshot(), fullScan(c)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d step %d: snapshot lists %d ways, full scan %d", seed, step, len(got.Index), len(want.Index))
+						}
+						rec, err := got.MarshalBinary()
+						if err != nil {
+							t.Fatal(err)
+						}
+						var dec CacheState
+						if err := dec.UnmarshalBinary(rec); err != nil || !reflect.DeepEqual(dec, want) {
+							t.Fatalf("seed %d step %d: record round trip differs (%v)", seed, step, err)
+						}
+					}
+					if tr != nil {
+						rep := tr.Report(c.now)
+						rotations += int(rep.Rotations)
+						retired += rep.RetiredWays
+					}
+				}
+				if wear && (rotations == 0 || retired == 0) {
+					t.Fatalf("sequences never rotated (%d) or retired a way (%d)", rotations, retired)
+				}
+			})
+		}
+	}
+}
+
+// TestCacheStateRecordRefusesDamage: a record cut short, one with a
+// trailing byte, or one whose way count exceeds what its bytes can hold
+// is refused, never decoded into a partial state.
+func TestCacheStateRecordRefusesDamage(t *testing.T) {
+	c := smallCache()
+	c.Fill(0x40, true)
+	c.Fill(0x80, false)
+	rec, err := c.Snapshot().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(rec); n++ {
+		var st CacheState
+		if err := st.UnmarshalBinary(rec[:n]); err == nil {
+			t.Fatalf("record cut to %d of %d bytes accepted", n, len(rec))
+		}
+	}
+	var st CacheState
+	if err := st.UnmarshalBinary(append(rec, 0)); err == nil {
+		t.Fatal("record with a trailing byte accepted")
+	}
+	// Ways 8, then a way count of 2^40 with nothing behind it.
+	if err := st.UnmarshalBinary([]byte{0x10, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}); err == nil {
+		t.Fatal("way count beyond the input accepted")
+	}
+	if _, err := (CacheState{Index: []uint32{1}}).MarshalBinary(); err == nil {
+		t.Fatal("columns of unequal length encoded")
+	}
+}
+
+// TestStatsCountersCoverEveryField: the checkpoint record lists every
+// Stats counter, in declaration order.
+func TestStatsCountersCoverEveryField(t *testing.T) {
+	var s Stats
+	cs := s.counters()
+	v := reflect.ValueOf(&s).Elem()
+	if v.NumField() != len(cs) {
+		t.Fatalf("Stats has %d fields, the record lists %d", v.NumField(), len(cs))
+	}
+	for i, c := range cs {
+		if v.Field(i).Addr().Interface() != any(c) {
+			t.Fatalf("record counter %d is not Stats field %s", i, v.Type().Field(i).Name)
+		}
+	}
 }

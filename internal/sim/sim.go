@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 
+	"respin/internal/checkpoint"
 	"respin/internal/cluster"
 	"respin/internal/config"
 	"respin/internal/consolidation"
@@ -233,11 +234,13 @@ type Sim struct {
 
 	// Checkpoint/resume state: startCycle is where RunContext begins
 	// (zero unless restored), resumed suppresses the duplicate
-	// run.start event, lastCkpt/ckptAtDone drive CheckpointSpec.
+	// run.start event, lastCkpt/ckptAtDone drive CheckpointSpec, and
+	// ckptW sizes each write's buffer from the previous one.
 	startCycle uint64
 	resumed    bool
 	lastCkpt   uint64
 	ckptAtDone bool
+	ckptW      checkpoint.Writer
 
 	// L3 energy/latency scalars copied out of the immutable chip power
 	// model at construction; the drain charges one per answered request.
