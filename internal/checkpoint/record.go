@@ -118,6 +118,17 @@ func (r *Reader) Byte() byte {
 	return b[0]
 }
 
+// Bool reads one byte that must be 0 (false) or 1 (true).
+func (r *Reader) Bool() bool {
+	switch b := r.Byte(); b {
+	case 0, 1:
+		return b == 1
+	default:
+		r.fail(fmt.Errorf("record flag byte %d is neither 0 nor 1", b))
+		return false
+	}
+}
+
 // Bytes returns the next n raw bytes (aliasing the input, not a copy).
 func (r *Reader) Bytes(n int) []byte {
 	if r.err != nil {

@@ -14,7 +14,7 @@ func TestReaderDecodesWhatWasAppended(t *testing.T) {
 	b = binary.AppendVarint(b, math.MinInt64)
 	b = binary.AppendUvarint(b, math.MaxUint32)
 	b = AppendFloat64(b, math.Copysign(0, -1))
-	b = append(b, 7, 1, 2)
+	b = append(b, 7, 1, 2, 1, 0)
 	b = binary.AppendUvarint(b, 3)
 	b = append(b, 0, 0, 0)
 	r := NewReader(b)
@@ -36,6 +36,9 @@ func TestReaderDecodesWhatWasAppended(t *testing.T) {
 	if v := r.Bytes(2); len(v) != 2 || v[1] != 2 {
 		t.Fatalf("bytes %v", v)
 	}
+	if !r.Bool() || r.Bool() {
+		t.Fatal("flags 1, 0 not read as true, false")
+	}
 	if n := r.Count(1); n != 3 || len(r.Bytes(n)) != 3 {
 		t.Fatalf("count %d", n)
 	}
@@ -45,7 +48,7 @@ func TestReaderDecodesWhatWasAppended(t *testing.T) {
 }
 
 // TestReaderRefusesHostileInput: truncation, 64-bit overflow, a 32-bit
-// field past 32 bits, a count the remaining bytes cannot hold, and
+// field past 32 bits, a flag byte other than 0 or 1, a count the remaining bytes cannot hold, and
 // trailing bytes are errors, and the first one sticks.
 func TestReaderRefusesHostileInput(t *testing.T) {
 	cases := map[string]func(r *Reader){
@@ -55,6 +58,8 @@ func TestReaderRefusesHostileInput(t *testing.T) {
 		"uint32 overflow":  func(r *Reader) { r.Uint32() },
 		"count too large":  func(r *Reader) { r.Count(2) },
 		"trailing bytes":   func(r *Reader) { r.Byte() },
+		"flag above one":   func(r *Reader) { r.Bool() },
+		"empty flag":       func(r *Reader) { r.Bool() },
 		"varint overflow":  func(r *Reader) { r.Bytes(3); r.Varint() },
 		"sticky after err": func(r *Reader) { r.Bytes(100); r.Uvarint() },
 	}
@@ -65,6 +70,8 @@ func TestReaderRefusesHostileInput(t *testing.T) {
 		"uint32 overflow":  binary.AppendUvarint(nil, 1<<32),
 		"count too large":  {4, 1, 2, 3, 4, 5, 6, 7},
 		"trailing bytes":   {1, 2},
+		"flag above one":   {2},
+		"empty flag":       {},
 		"varint overflow":  {0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 		"sticky after err": {1},
 	}

@@ -250,7 +250,9 @@ func (cl *Cluster) Restore(st State) error {
 	}
 	for i := range cl.vcores {
 		vs, ss := &cl.vcores[i], &st.VCores[i]
-		vs.core.Restore(ss.Core)
+		if err := vs.core.Restore(ss.Core); err != nil {
+			return fmt.Errorf("cluster %d: vcore %d: %w", cl.id, i, err)
+		}
 		vs.pcore = ss.PCore
 		vs.finished = ss.Finished
 		vs.atBarrier = ss.AtBarrier

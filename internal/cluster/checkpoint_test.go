@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"respin/internal/config"
+	"respin/internal/cpu"
 )
 
 // TestRestoreRejectsMalformedState: a well-formed State whose pointers
@@ -23,6 +25,8 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		{"negative resident", config.SHSTT, func(st *State) { st.PCores[0].Residents = []int{-1} }},
 		{"round-robin index past the residents", config.SHSTT, func(st *State) { st.PCores[0].RRIndex = len(st.PCores[0].Residents) }},
 		{"vcore on a missing pcore", config.SHSTT, func(st *State) { st.VCores[0].PCore = len(st.PCores) }},
+		{"vcore core in an unknown state", config.SHSTT, func(st *State) { st.VCores[0].Core.State = cpu.AtBarrier + 1 }},
+		{"vcore core with a NaN issue credit", config.PRSRAMNT, func(st *State) { st.VCores[1].Core.IssueCredit = math.NaN() }},
 		{"directory owner past the caches", config.PRSRAMNT, func(st *State) { st.Dir.Entries[0].Owner = int8(len(st.Dir.Caches)) }},
 		{"directory owner below -1", config.PRSRAMNT, func(st *State) { st.Dir.Entries[0].Owner = -2 }},
 		{"directory sharer past the caches", config.PRSRAMNT, func(st *State) { st.Dir.Entries[0].Sharers = 1 << uint(len(st.Dir.Caches)) }},

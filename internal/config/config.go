@@ -217,6 +217,10 @@ func (p CacheParams) Sets() int {
 	return p.SizeBytes / (p.BlockBytes * p.Assoc)
 }
 
+// maxAssoc is the largest associativity a cache array supports: each
+// way's LRU rank within its set is one byte.
+const maxAssoc = 255
+
 // Validate checks that the geometry is internally consistent.
 func (p CacheParams) Validate() error {
 	switch {
@@ -226,6 +230,8 @@ func (p CacheParams) Validate() error {
 		return errors.New("block size must be positive")
 	case p.Assoc <= 0:
 		return errors.New("associativity must be positive")
+	case p.Assoc > maxAssoc:
+		return fmt.Errorf("associativity %d above the %d an LRU rank byte can order", p.Assoc, maxAssoc)
 	case p.SizeBytes%(p.BlockBytes*p.Assoc) != 0:
 		return fmt.Errorf("size %d not divisible by block*assoc %d", p.SizeBytes, p.BlockBytes*p.Assoc)
 	case p.ReadPorts <= 0 || p.WritePorts <= 0:

@@ -24,6 +24,7 @@ func TestCacheParamsValidateRejectsBadGeometry(t *testing.T) {
 		{"zero size", CacheParams{BlockBytes: 32, Assoc: 2, ReadPorts: 1, WritePorts: 1}},
 		{"zero block", CacheParams{SizeBytes: 1024, Assoc: 2, ReadPorts: 1, WritePorts: 1}},
 		{"zero assoc", CacheParams{SizeBytes: 1024, BlockBytes: 32, ReadPorts: 1, WritePorts: 1}},
+		{"assoc above a rank byte", CacheParams{SizeBytes: 256 * 32, BlockBytes: 32, Assoc: 256, ReadPorts: 1, WritePorts: 1}},
 		{"indivisible", CacheParams{SizeBytes: 1000, BlockBytes: 32, Assoc: 2, ReadPorts: 1, WritePorts: 1}},
 		{"no ports", CacheParams{SizeBytes: 1024, BlockBytes: 32, Assoc: 2}},
 	}
@@ -31,6 +32,9 @@ func TestCacheParamsValidateRejectsBadGeometry(t *testing.T) {
 		if err := c.p.Validate(); err == nil {
 			t.Errorf("%s: Validate() = nil, want error", c.name)
 		}
+	}
+	if err := (CacheParams{SizeBytes: 255 * 32, BlockBytes: 32, Assoc: 255, ReadPorts: 1, WritePorts: 1}).Validate(); err != nil {
+		t.Errorf("255-way geometry refused: %v", err)
 	}
 }
 

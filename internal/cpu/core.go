@@ -346,9 +346,31 @@ func (c *Core) Snapshot() CoreState {
 	}
 }
 
+// check refuses values the core can never hold. The checkpoint checksum
+// proves only that the bytes are the ones written, so a state that
+// would make Step misbehave (an unknown state or event, a fetch group
+// overrun, a NaN or out-of-range issue credit) must be refused here.
+func (st *CoreState) check() error {
+	switch {
+	case st.State < Running || st.State > AtBarrier:
+		return fmt.Errorf("cpu: restore state %v is unknown", st.State)
+	case st.InstrToFetch < 0 || st.InstrToFetch > fetchGroupInstr:
+		return fmt.Errorf("cpu: restore fetch-group position %d outside [0, %d]", st.InstrToFetch, fetchGroupInstr)
+	case !(st.IssueCredit >= 0 && st.IssueCredit <= config.IssueWidth): // NaN fails both
+		return fmt.Errorf("cpu: restore issue credit %v outside [0, %d]", st.IssueCredit, config.IssueWidth)
+	case st.HavePending && (st.Pending.Type < trace.Load || st.Pending.Type > trace.Barrier):
+		return fmt.Errorf("cpu: restore pending event type %v is unknown", st.Pending.Type)
+	}
+	return nil
+}
+
 // Restore repositions a freshly built core (same generator inputs) to a
-// captured state.
-func (c *Core) Restore(st CoreState) {
+// captured state. A state the core can never hold is an error and
+// leaves the core untouched.
+func (c *Core) Restore(st CoreState) error {
+	if err := st.check(); err != nil {
+		return err
+	}
 	c.state = st.State
 	c.issueCredit = st.IssueCredit
 	c.gap = st.Gap
@@ -362,6 +384,7 @@ func (c *Core) Restore(st CoreState) {
 	c.loadCount = st.LoadCount
 	c.storeCount = st.StoreCount
 	c.gen.Restore(st.Gen)
+	return nil
 }
 
 // SkipStalls accounts n clock edges of a fast-forwarded idle window as

@@ -1,8 +1,11 @@
 package cpu
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"respin/internal/config"
 	"respin/internal/trace"
 )
 
@@ -360,5 +363,59 @@ func TestRetiredMatchesCounts(t *testing.T) {
 	}
 	if uint64(len(m.loads)) != c.Loads() || uint64(len(m.stores)) != c.Stores() {
 		t.Error("issue counts disagree with memory system")
+	}
+}
+
+// TestCoreRestoreRejectsMalformedState: a state the core can never hold
+// is an error from Restore that leaves the core untouched, never a
+// misstep on a later cycle; the values at each range's edges restore.
+func TestCoreRestoreRejectsMalformedState(t *testing.T) {
+	m := newMockMem()
+	src := newCore("fft", m)
+	drive(src, m, 200, 3, 2)
+	valid := src.Snapshot()
+	cases := map[string]func(st *CoreState){
+		"state below running":         func(st *CoreState) { st.State = -1 },
+		"state past at-barrier":       func(st *CoreState) { st.State = AtBarrier + 1 },
+		"fetch position negative":     func(st *CoreState) { st.InstrToFetch = -1 },
+		"fetch position past a group": func(st *CoreState) { st.InstrToFetch = fetchGroupInstr + 1 },
+		"issue credit NaN":            func(st *CoreState) { st.IssueCredit = math.NaN() },
+		"issue credit negative":       func(st *CoreState) { st.IssueCredit = -0.5 },
+		"issue credit past the width": func(st *CoreState) { st.IssueCredit = config.IssueWidth + 0.5 },
+		"issue credit +Inf":           func(st *CoreState) { st.IssueCredit = math.Inf(1) },
+		"pending event type unknown":  func(st *CoreState) { st.HavePending, st.Pending.Type = true, trace.Barrier+1 },
+		"pending event type negative": func(st *CoreState) { st.HavePending, st.Pending.Type = true, -1 },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := newCore("fft", newMockMem())
+			before := c.Snapshot()
+			st := valid
+			corrupt(&st)
+			if err := c.Restore(st); err == nil {
+				t.Fatal("malformed state restored without an error")
+			}
+			if !reflect.DeepEqual(c.Snapshot(), before) {
+				t.Fatal("refused restore modified the core")
+			}
+		})
+	}
+	edges := map[string]func(st *CoreState){
+		"at-barrier":          func(st *CoreState) { st.State = AtBarrier },
+		"full fetch group":    func(st *CoreState) { st.InstrToFetch = fetchGroupInstr },
+		"zero credit":         func(st *CoreState) { st.IssueCredit = 0 },
+		"full credit":         func(st *CoreState) { st.IssueCredit = config.IssueWidth },
+		"unknown but unarmed": func(st *CoreState) { st.HavePending, st.Pending.Type = false, trace.Barrier+1 },
+	}
+	for name, edge := range edges {
+		st := valid
+		edge(&st)
+		c := newCore("fft", newMockMem())
+		if err := c.Restore(st); err != nil {
+			t.Errorf("%s: refused: %v", name, err)
+		}
+		if !reflect.DeepEqual(c.Snapshot(), st) {
+			t.Errorf("%s: restored core snapshots differently", name)
+		}
 	}
 }

@@ -81,8 +81,7 @@ func (s *Stats) MissRate() float64 {
 // Cache is a set-associative tag array with true LRU replacement.
 //
 // The per-way metadata is laid out structure-of-arrays: parallel
-// tags/state/used/written slices indexed by set*assoc+way, with the
-// three uint64 columns carved out of one flat backing allocation. The
+// tags/state/age slices indexed by set*assoc+way, 10 bytes per way. The
 // lookup scan touches only the contiguous tag column (the state byte is
 // consulted only on a tag match), which is what a hardware tag array
 // does and what keeps the per-access footprint minimal.
@@ -91,10 +90,14 @@ type Cache struct {
 	// SoA columns, numSets*assoc entries each, set-major.
 	tags  []uint64
 	state []LineState
-	used  []uint64 // LRU timestamps
+	// age is each way's LRU rank within its set: 0 for a way never
+	// stamped, else 1 for the most recently used up to k for the least,
+	// where k is the number of stamped ways in the set (see stamp).
+	age []uint8
 	// written is the cache cycle of the last data write, the retention
-	// deadline anchor for relaxed-retention STT arrays (unread unless
-	// an endurance model with retention is attached).
+	// deadline anchor for relaxed-retention STT arrays. It exists only
+	// while an endurance model with retention is attached; nil
+	// otherwise.
 	written []uint64
 	// touched holds one bit per way, set for every way whose columns
 	// may be non-zero: FillState sets it when it installs a victim way
@@ -113,7 +116,6 @@ type Cache struct {
 	maskable         bool
 	magicHi, magicLo uint64
 	blockShift       uint
-	tick             uint64
 	faults           *faults.Injector
 	// endur, when attached, models finite write endurance and relaxed
 	// retention for STT arrays. wearOn mirrors the attachment as a mode
@@ -144,14 +146,13 @@ func NewCache(p config.CacheParams) *Cache {
 	}
 	sets := p.Sets()
 	ways := sets * p.Assoc
-	// One flat allocation backs the three uint64 columns.
-	flat := make([]uint64, 3*ways)
+	// Zero-filled columns are a valid state: every way invalid and
+	// never stamped.
 	c := &Cache{
 		params:     p,
-		tags:       flat[:ways:ways],
-		used:       flat[ways : 2*ways : 2*ways],
-		written:    flat[2*ways:],
+		tags:       make([]uint64, ways),
 		state:      make([]LineState, ways),
+		age:        make([]uint8, ways),
 		touched:    make([]uint64, (ways+63)/64),
 		assoc:      p.Assoc,
 		numSets:    uint64(sets),
@@ -181,14 +182,22 @@ func (c *Cache) AttachFaults(in *faults.Injector) { c.faults = in }
 
 // AttachEndurance connects an endurance/retention model: data-array
 // writes charge per-way budgets (retiring exhausted ways), lines carry
-// retention deadlines, and fills skip retired ways. The owner must keep
-// the cache clock current via SetNow and drive Scrub when a.ScrubDue.
-// A nil array detaches.
+// retention deadlines, and fills skip retired ways. The owner attaches
+// before the first access, keeps the cache clock current via SetNow and
+// drives Scrub when a.ScrubDue. A model with retention allocates the
+// write-stamp column; one without, or a nil array (which detaches),
+// frees it.
 func (c *Cache) AttachEndurance(a *endurance.Array) {
 	c.endur = a
 	c.wearOn = a != nil
 	c.retention = a.RetentionCycles()
 	c.scrubPeriod = a.ScrubPeriod()
+	switch {
+	case c.retention == 0:
+		c.written = nil
+	case c.written == nil:
+		c.written = make([]uint64, len(c.tags))
+	}
 }
 
 // Endurance returns the attached endurance model (nil when detached).
@@ -276,12 +285,33 @@ func (c *Cache) State(addr uint64) LineState {
 	return c.state[i]
 }
 
-// Access performs a read or write lookup. On a hit the LRU stamp is
-// refreshed and, for writes, the line becomes dirty. On a miss nothing
-// is allocated — callers model the miss path and then Fill.
+// stamp makes way i of the set starting at global way index base the
+// set's most recently used. It is true LRU over ranks instead of
+// timestamps: every stamped way ranked ahead of i (rank below i's) ages
+// by one and i takes rank 1. A never-stamped way (rank 0) ranks behind
+// every stamped one, so stamping it ages them all. The non-zero ranks of
+// a set therefore stay exactly {1..k} in recency order, and the largest
+// rank marks the way a timestamp LRU would call oldest. Callers skip
+// the call when i already has rank 1, the common re-hit.
+func (c *Cache) stamp(base, i int) {
+	// lim wraps to 255 for a never-stamped way, above every rank
+	// (assoc <= 255), and a-1 wraps to 255 for rank 0, so one unsigned
+	// compare selects exactly the stamped ways ahead of i.
+	lim := c.age[i] - 1
+	ages := c.age[base : base+c.assoc]
+	for j, a := range ages {
+		if a-1 < lim {
+			ages[j] = a + 1
+		}
+	}
+	c.age[i] = 1
+}
+
+// Access performs a read or write lookup. On a hit the line becomes the
+// set's most recently used and, for writes, dirty. On a miss nothing is
+// allocated — callers model the miss path and then Fill.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	block := c.BlockAddr(addr)
-	c.tick++
 	if write {
 		c.Stats.Writes.Inc()
 	} else {
@@ -306,11 +336,15 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 		}
 		return AccessResult{}
 	}
-	c.used[i] = c.tick
+	if c.age[i] != 1 {
+		c.stamp(int(si)*c.assoc, i)
+	}
 	if write {
 		c.state[i] = StateDirty
-		c.written[i] = c.now
 		if c.wearOn {
+			if c.written != nil {
+				c.written[i] = c.now
+			}
 			c.recordWrite(si, i)
 			c.maybeRotate()
 		}
@@ -372,9 +406,9 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 		panic("mem: cannot fill with StateInvalid")
 	}
 	block := c.BlockAddr(addr)
-	c.tick++
 	c.Stats.FillsFromLowerLevel.Inc()
 	si, i := c.find(block)
+	base := int(si) * c.assoc
 	if i >= 0 {
 		// Refill of a present block updates state; the incoming data
 		// replaces whatever the line held, so an expired old copy only
@@ -383,23 +417,28 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 			c.endur.RetentionLoss(c.state[i] == StateDirty)
 		}
 		c.state[i] = st
-		c.used[i] = c.tick
-		c.written[i] = c.now
+		if c.age[i] != 1 {
+			c.stamp(base, i)
+		}
 		if c.wearOn {
+			if c.written != nil {
+				c.written[i] = c.now
+			}
 			c.recordWrite(si, i)
 			c.maybeRotate()
 		}
 		return AccessResult{Hit: true}
 	}
-	// Victim selection folds over the SoA state/used columns: first
-	// invalid way wins, otherwise the least-recently-used one (an
-	// invalid way short-circuits, so a non-invalid victim candidate is
-	// always valid and the LRU compare needs no state test). With the
-	// endurance model attached, permanently retired ways are skipped:
-	// the array keeps operating at reduced associativity. A set with no
-	// live way left cannot hold the block at all — the fill is bypassed
-	// (and the wear-out is already recorded as the array's end of life).
-	base := int(si) * c.assoc
+	// Victim selection folds over the SoA state/age columns: first
+	// invalid way wins, otherwise the least-recently-used one, the
+	// largest rank (an invalid way short-circuits, so a non-invalid
+	// victim candidate is always valid and the LRU compare needs no
+	// state test). With the endurance model attached, permanently
+	// retired ways are skipped: the array keeps operating at reduced
+	// associativity, and the ranks of the live ways keep their relative
+	// order. A set with no live way left cannot hold the block at all —
+	// the fill is bypassed (and the wear-out is already recorded as the
+	// array's end of life).
 	victim := -1
 	if !c.wearOn {
 		for j := base; j < base+c.assoc; j++ {
@@ -407,7 +446,7 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 				victim = j
 				break
 			}
-			if victim < 0 || c.used[j] < c.used[victim] {
+			if victim < 0 || c.age[j] > c.age[victim] {
 				victim = j
 			}
 		}
@@ -420,7 +459,7 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 				victim = j
 				break
 			}
-			if victim < 0 || c.used[j] < c.used[victim] {
+			if victim < 0 || c.age[j] > c.age[victim] {
 				victim = j
 			}
 		}
@@ -448,9 +487,13 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 	c.touched[victim>>6] |= 1 << (victim & 63)
 	c.tags[victim] = block
 	c.state[victim] = st
-	c.used[victim] = c.tick
-	c.written[victim] = c.now
+	if c.age[victim] != 1 {
+		c.stamp(base, victim)
+	}
 	if c.wearOn {
+		if c.written != nil {
+			c.written[victim] = c.now
+		}
 		c.recordWrite(si, victim)
 		c.maybeRotate()
 	}
@@ -499,16 +542,27 @@ func (c *Cache) Invalidate(addr uint64) AccessResult {
 	return AccessResult{Hit: true, Writeback: dirty}
 }
 
-// Occupancy returns the number of valid lines (O(size); for tests and
-// reports only).
+// Occupancy returns the number of valid lines (for tests and reports
+// only). Only touched ways can be valid, so it visits those alone.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.state {
+	c.forTouched(func(i int) {
 		if c.state[i] != StateInvalid {
 			n++
 		}
-	}
+	})
 	return n
+}
+
+// forTouched calls fn with the global index of every touched way, in
+// ascending order.
+func (c *Cache) forTouched(fn func(i int)) {
+	for w, word := range c.touched {
+		for word != 0 {
+			fn(w<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
 }
 
 // Capacity returns the total number of ways in the array.
@@ -516,18 +570,20 @@ func (c *Cache) Capacity() int { return len(c.state) }
 
 // Clear invalidates every line (used when a core is power-gated and its
 // private caches lose their content). Dirty lines are counted as
-// writebacks and the count returned.
+// writebacks and the count returned. Only touched ways can be valid, so
+// it visits those alone.
 func (c *Cache) Clear() (writebacks int) {
-	for i := range c.state {
-		if c.state[i] == StateDirty {
+	c.forTouched(func(i int) {
+		switch c.state[i] {
+		case StateInvalid:
+			return
+		case StateDirty:
 			writebacks++
 			c.Stats.Writebacks.Inc()
 		}
-		if c.state[i] != StateInvalid {
-			c.state[i] = StateInvalid
-			c.Stats.Invalidations.Inc()
-		}
-	}
+		c.state[i] = StateInvalid
+		c.Stats.Invalidations.Inc()
+	})
 	return writebacks
 }
 
@@ -544,29 +600,28 @@ func (c *Cache) LiveCapacity() int {
 // write, so refreshes both reset the retention deadline and consume
 // endurance budget). It returns the number of lines refreshed so the
 // owner can charge the write energy. No-op without a retention model.
+// Only touched ways can be valid, so the pass visits those alone, in
+// the set/way order of a full sweep.
 func (c *Cache) Scrub(now uint64) (refreshed int) {
 	if c.endur == nil || c.retention == 0 {
 		return 0
 	}
 	c.SetNow(now)
-	for si := uint64(0); si < c.numSets; si++ {
-		base := int(si) * c.assoc
-		for w := base; w < base+c.assoc; w++ {
-			if c.state[w] == StateInvalid {
-				continue
-			}
-			if c.expiredAt(w) {
-				c.endur.RetentionLoss(c.state[w] == StateDirty)
-				c.state[w] = StateInvalid
-				continue
-			}
-			if c.written[w]+c.retention < now+c.scrubPeriod {
-				c.written[w] = now
-				refreshed++
-				c.recordWrite(si, w)
-			}
+	c.forTouched(func(w int) {
+		if c.state[w] == StateInvalid {
+			return
 		}
-	}
+		if c.expiredAt(w) {
+			c.endur.RetentionLoss(c.state[w] == StateDirty)
+			c.state[w] = StateInvalid
+			return
+		}
+		if c.written[w]+c.retention < now+c.scrubPeriod {
+			c.written[w] = now
+			refreshed++
+			c.recordWrite(uint64(w/c.assoc), w)
+		}
+	})
 	c.endur.ScrubDone(now, refreshed)
 	c.maybeRotate()
 	return refreshed

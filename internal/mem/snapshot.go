@@ -11,37 +11,46 @@ import (
 
 // CacheState is the array's full mutable state, for checkpointing.
 // Geometry, the set-index magic and attached models are construction
-// inputs; the SoA columns, clocks, rotation offset and stats are the
-// state. The attached endurance array is snapshotted separately by its
-// own package (registration order is deterministic).
+// inputs; the SoA columns, the cache clock, the rotation offset and stats
+// are the state. The attached endurance array is snapshotted separately
+// by its own package (registration order is deterministic).
 //
 // The columns are sparse: a freshly built array is all-zero, and a run
 // touches only a few percent of a multi-megabyte L2/L3, so only the
-// ways with a non-zero tag, stamp or state byte are listed. Index holds
-// their global way indices (set*assoc+way) in strictly ascending order;
-// Tags, Used, Written and LineStates hold their values in the same
-// order. Every unlisted way is all-zero.
+// ways with a non-zero tag, LRU rank, write stamp or state byte are
+// listed. Index holds their global way indices (set*assoc+way) in
+// strictly ascending order; Tags, Age, LineStates and, for an array with
+// a retention model, Written hold their values in the same order. Every
+// unlisted way is all-zero. Age is each way's LRU rank (see Cache.stamp):
+// in every set the non-zero ranks are exactly {1..k}, and every valid
+// line has one. Retention records whether the array keeps write stamps;
+// without it Written is empty, and Restore refuses a state whose
+// Retention differs from the array's.
 //
 // In a checkpoint the state is one flat binary record (AppendBinary,
-// DecodeRecord): Ways as a varint; the listed way count; the way
-// indices, each a uvarint delta from the previous one (the first from
-// zero, modulo 2^32); the tags, then the LRU stamps, then the write
-// stamps, each a uvarint; one byte per line state; Tick, Now and
-// Rotation; then the Stats counters in field order.
+// DecodeRecord): Ways as a varint; Retention as one 0/1 byte; the
+// listed way count; the way indices, each a uvarint delta from the
+// previous one (the first from zero, modulo 2^32); the tags, then (with
+// Retention) the write stamps, each a uvarint; one byte per rank; one
+// byte per line state; Now and Rotation; then the Stats counters in
+// field order.
 type CacheState struct {
 	// Ways is the array's total way count, so a state captured from a
 	// different geometry is refused instead of scattered out of range.
-	Ways                int
-	Index               []uint32
-	Tags, Used, Written []uint64
-	LineStates          []LineState
-	Tick, Now, Rotation uint64
-	Stats               Stats
+	Ways          int
+	Retention     bool
+	Index         []uint32
+	Tags, Written []uint64
+	Age           []uint8
+	LineStates    []LineState
+	Now, Rotation uint64
+	Stats         Stats
 }
 
-// wayRecordBytes is the least a listed way occupies in a record: four
-// one-byte uvarints and its state byte.
-const wayRecordBytes = 5
+// wayRecordBytes is the least a listed way occupies in a record: two
+// one-byte uvarints (index delta and tag), its rank byte and its state
+// byte; a write stamp adds at least one more.
+const wayRecordBytes = 4
 
 // counters lists every Stats field in declaration order, the order of
 // the checkpoint record.
@@ -53,20 +62,9 @@ func (s *Stats) counters() [11]*stats.Counter {
 	}
 }
 
-// forTouched calls fn with the global index of every touched way, in
-// ascending order.
-func (c *Cache) forTouched(fn func(i int)) {
-	for w, word := range c.touched {
-		for word != 0 {
-			fn(w<<6 | bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
-
 // live reports whether way i holds any non-zero column.
 func (c *Cache) live(i int) bool {
-	return c.tags[i]|c.used[i]|c.written[i] != 0 || c.state[i] != StateInvalid
+	return c.tags[i] != 0 || c.age[i] != 0 || c.state[i] != StateInvalid || c.written != nil && c.written[i] != 0
 }
 
 // Snapshot captures the array's mutable state, listing only the ways
@@ -76,11 +74,11 @@ func (c *Cache) live(i int) bool {
 // restored state listed an all-zero way.
 func (c *Cache) Snapshot() CacheState {
 	st := CacheState{
-		Ways:     len(c.tags),
-		Tick:     c.tick,
-		Now:      c.now,
-		Rotation: c.rotation,
-		Stats:    c.Stats,
+		Ways:      len(c.tags),
+		Retention: c.written != nil,
+		Now:       c.now,
+		Rotation:  c.rotation,
+		Stats:     c.Stats,
 	}
 	n := 0
 	for _, word := range c.touched {
@@ -89,21 +87,29 @@ func (c *Cache) Snapshot() CacheState {
 	if n == 0 {
 		return st
 	}
-	cols := make([]uint64, 3*n)
 	index := make([]uint32, n)
-	tags, used, written := cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
+	tags := make([]uint64, n)
+	var written []uint64
+	if st.Retention {
+		written = make([]uint64, n)
+	}
+	age := make([]uint8, n)
 	states := make([]LineState, n)
 	k := 0
 	c.forTouched(func(i int) {
 		if c.live(i) {
-			index[k] = uint32(i)
-			tags[k], used[k], written[k] = c.tags[i], c.used[i], c.written[i]
-			states[k] = c.state[i]
+			index[k], tags[k], age[k], states[k] = uint32(i), c.tags[i], c.age[i], c.state[i]
+			if written != nil {
+				written[k] = c.written[i]
+			}
 			k++
 		}
 	})
 	if k > 0 {
-		st.Index, st.Tags, st.Used, st.Written, st.LineStates = index[:k], tags[:k], used[:k], written[:k], states[:k]
+		st.Index, st.Tags, st.Age, st.LineStates = index[:k], tags[:k], age[:k], states[:k]
+		if written != nil {
+			st.Written = written[:k]
+		}
 	}
 	return st
 }
@@ -112,9 +118,12 @@ func (c *Cache) Snapshot() CacheState {
 // checkpoint checksum only proves the bytes are the ones written, so a
 // hostile or mismatched state must be refused here, before Restore
 // writes anything.
-func (st *CacheState) check(ways int) error {
+func (st *CacheState) check(ways, assoc int, retention bool) error {
 	if st.Ways != ways {
 		return fmt.Errorf("mem: restore has %d ways, cache has %d", st.Ways, ways)
+	}
+	if st.Retention != retention {
+		return fmt.Errorf("mem: restore retention stamps %v, cache models retention %v", st.Retention, retention)
 	}
 	if err := st.checkColumns(); err != nil {
 		return err
@@ -127,15 +136,55 @@ func (st *CacheState) check(ways int) error {
 			return fmt.Errorf("mem: restore way indices not strictly ascending at %d", k)
 		}
 	}
+	return st.checkRanks(assoc)
+}
+
+// checkColumns refuses columns of unequal length, and write stamps on a
+// state without Retention.
+func (st *CacheState) checkColumns() error {
+	n := len(st.Index)
+	nw := 0
+	if st.Retention {
+		nw = n
+	}
+	if len(st.Tags) != n || len(st.Written) != nw || len(st.Age) != n || len(st.LineStates) != n {
+		return fmt.Errorf("mem: cache state column lengths differ (index %d, tags %d, written %d (want %d), ranks %d, states %d)",
+			n, len(st.Tags), len(st.Written), nw, len(st.Age), len(st.LineStates))
+	}
 	return nil
 }
 
-// checkColumns refuses columns of unequal length.
-func (st *CacheState) checkColumns() error {
-	n := len(st.Index)
-	if len(st.Tags) != n || len(st.Used) != n || len(st.Written) != n || len(st.LineStates) != n {
-		return fmt.Errorf("mem: cache state column lengths differ (index %d, tags %d, used %d, written %d, states %d)",
-			n, len(st.Tags), len(st.Used), len(st.Written), len(st.LineStates))
+// checkRanks refuses ranks that break the invariant Cache.stamp keeps:
+// in every set the non-zero ranks are exactly {1..k}, and every valid
+// line has one. Unlisted ways have rank 0 and are invalid, so only the
+// listed ways of each set count. Distinct non-zero ranks whose largest
+// equals their count are exactly {1..k}. The indices are already known
+// to be ascending and in range, so each set's ways are contiguous.
+func (st *CacheState) checkRanks(assoc int) error {
+	for lo := 0; lo < len(st.Index); {
+		set := st.Index[lo] / uint32(assoc)
+		var seen [4]uint64 // one bit per rank value
+		k, top := 0, uint8(0)
+		hi := lo
+		for ; hi < len(st.Index) && st.Index[hi]/uint32(assoc) == set; hi++ {
+			a := st.Age[hi]
+			if a == 0 {
+				if st.LineStates[hi] != StateInvalid {
+					return fmt.Errorf("mem: restore way %d holds a valid line with no LRU rank", st.Index[hi])
+				}
+				continue
+			}
+			if seen[a>>6]&(1<<(a&63)) != 0 {
+				return fmt.Errorf("mem: restore set %d repeats LRU rank %d", set, a)
+			}
+			seen[a>>6] |= 1 << (a & 63)
+			k++
+			top = max(top, a)
+		}
+		if int(top) != k {
+			return fmt.Errorf("mem: restore set %d has %d LRU ranks up to %d, want exactly 1..%d", set, k, top, k)
+		}
+		lo = hi
 	}
 	return nil
 }
@@ -147,21 +196,25 @@ func (st *CacheState) checkColumns() error {
 // snapshotted array whatever this one held before. An invalid state is
 // refused with an error and leaves the array untouched.
 func (c *Cache) Restore(st CacheState) error {
-	if err := st.check(len(c.tags)); err != nil {
+	if err := st.check(len(c.tags), c.assoc, c.written != nil); err != nil {
 		return err
 	}
 	c.forTouched(func(i int) {
-		c.tags[i], c.used[i], c.written[i], c.state[i] = 0, 0, 0, StateInvalid
+		c.tags[i], c.age[i], c.state[i] = 0, 0, StateInvalid
+		if c.written != nil {
+			c.written[i] = 0
+		}
 	})
 	clear(c.touched)
 	for k, w := range st.Index {
 		c.tags[w] = st.Tags[k]
-		c.used[w] = st.Used[k]
-		c.written[w] = st.Written[k]
+		c.age[w] = st.Age[k]
 		c.state[w] = st.LineStates[k]
+		if c.written != nil {
+			c.written[w] = st.Written[k]
+		}
 		c.touched[w>>6] |= 1 << (w & 63)
 	}
-	c.tick = st.Tick
 	c.now = st.Now
 	c.rotation = st.Rotation
 	c.Stats = st.Stats
@@ -175,21 +228,26 @@ func (st CacheState) AppendBinary(b []byte) ([]byte, error) {
 		return b, err
 	}
 	b = binary.AppendVarint(b, int64(st.Ways))
+	flag := byte(0)
+	if st.Retention {
+		flag = 1
+	}
+	b = append(b, flag)
 	b = binary.AppendUvarint(b, uint64(len(st.Index)))
 	prev := uint32(0)
 	for _, w := range st.Index {
 		b = binary.AppendUvarint(b, uint64(w-prev))
 		prev = w
 	}
-	for _, col := range [...][]uint64{st.Tags, st.Used, st.Written} {
+	for _, col := range [...][]uint64{st.Tags, st.Written} {
 		for _, v := range col {
 			b = binary.AppendUvarint(b, v)
 		}
 	}
+	b = append(b, st.Age...)
 	for _, ls := range st.LineStates {
 		b = append(b, byte(ls))
 	}
-	b = binary.AppendUvarint(b, st.Tick)
 	b = binary.AppendUvarint(b, st.Now)
 	b = binary.AppendUvarint(b, st.Rotation)
 	for _, c := range st.Stats.counters() {
@@ -200,7 +258,7 @@ func (st CacheState) AppendBinary(b []byte) ([]byte, error) {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (st CacheState) MarshalBinary() ([]byte, error) {
-	return st.AppendBinary(make([]byte, 0, 20*len(st.Index)+16*binary.MaxVarintLen64))
+	return st.AppendBinary(make([]byte, 0, 12*len(st.Index)+9*len(st.Written)+16*binary.MaxVarintLen64))
 }
 
 // DecodeRecord reads one record written by AppendBinary into the zero
@@ -209,24 +267,36 @@ func (st CacheState) MarshalBinary() ([]byte, error) {
 // an array is Restore's check, not the decoder's.
 func (st *CacheState) DecodeRecord(r *checkpoint.Reader) {
 	st.Ways = int(r.Varint())
-	if n := r.Count(wayRecordBytes); n > 0 {
+	st.Retention = r.Bool()
+	minBytes := wayRecordBytes
+	if st.Retention {
+		minBytes++
+	}
+	if n := r.Count(minBytes); n > 0 {
 		st.Index = make([]uint32, n)
 		prev := uint32(0)
 		for k := range st.Index {
 			prev += r.Uint32()
 			st.Index[k] = prev
 		}
-		cols := make([]uint64, 3*n)
-		for k := range cols {
-			cols[k] = r.Uvarint()
+		st.Tags = make([]uint64, n)
+		for k := range st.Tags {
+			st.Tags[k] = r.Uvarint()
 		}
-		st.Tags, st.Used, st.Written = cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
+		if st.Retention {
+			st.Written = make([]uint64, n)
+			for k := range st.Written {
+				st.Written[k] = r.Uvarint()
+			}
+		}
+		st.Age = make([]uint8, n)
+		copy(st.Age, r.Bytes(n))
 		st.LineStates = make([]LineState, n)
 		for k, b := range r.Bytes(n) {
 			st.LineStates[k] = LineState(b)
 		}
 	}
-	st.Tick, st.Now, st.Rotation = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	st.Now, st.Rotation = r.Uvarint(), r.Uvarint()
 	for _, c := range st.Stats.counters() {
 		c.Add(r.Uvarint())
 	}

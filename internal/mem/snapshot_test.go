@@ -80,13 +80,16 @@ func applyOps(c *Cache, ops []cacheOp) []opOut {
 // assertSameState fails unless got holds exactly want's mutable state.
 func assertSameState(t *testing.T, want, got *Cache) {
 	t.Helper()
-	if !slices.Equal(want.tags, got.tags) || !slices.Equal(want.used, got.used) ||
+	if !slices.Equal(want.tags, got.tags) || !slices.Equal(want.age, got.age) ||
 		!slices.Equal(want.written, got.written) || !slices.Equal(want.state, got.state) {
 		t.Fatal("restored columns differ from the source's")
 	}
-	if want.tick != got.tick || want.now != got.now || want.rotation != got.rotation {
-		t.Fatalf("restored clocks tick/now/rotation = %d/%d/%d, want %d/%d/%d",
-			got.tick, got.now, got.rotation, want.tick, want.now, want.rotation)
+	if (want.written == nil) != (got.written == nil) {
+		t.Fatal("restored array keeps write stamps where the source does not, or the reverse")
+	}
+	if want.now != got.now || want.rotation != got.rotation {
+		t.Fatalf("restored clocks now/rotation = %d/%d, want %d/%d",
+			got.now, got.rotation, want.now, want.rotation)
 	}
 	if want.Stats != got.Stats {
 		t.Fatalf("restored stats %+v, want %+v", got.Stats, want.Stats)
@@ -136,30 +139,49 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 // TestRestoreRejectsInvalidState: a state that does not fit the array
 // is an error, never a panic or an out-of-range write, and leaves the
-// array as it was.
+// array as it was. That covers the geometry, the column lengths, the
+// write-stamp column's presence, and the LRU rank invariant.
 func TestRestoreRejectsInvalidState(t *testing.T) {
-	c := smallCache() // 8 ways
+	c := smallCache() // 4 sets x 2 ways
+	// Ways 0 and 1 are set 0 (ranks 2 and 1), way 5 is set 2 (rank 1).
 	valid := func() CacheState {
 		return CacheState{
-			Ways: 8, Index: []uint32{1, 5},
-			Tags: []uint64{3, 4}, Used: []uint64{1, 2}, Written: []uint64{0, 0},
-			LineStates: []LineState{StateValid, StateDirty},
+			Ways: 8, Index: []uint32{0, 1, 5},
+			Tags: []uint64{2, 3, 4}, Age: []uint8{2, 1, 1},
+			LineStates: []LineState{StateValid, StateDirty, StateValid},
 		}
 	}
 	cases := map[string]func(*CacheState){
-		"way count":        func(st *CacheState) { st.Ways = 16 },
-		"negative ways":    func(st *CacheState) { st.Ways = -8 },
-		"index = ways":     func(st *CacheState) { st.Index[1] = 8 },
-		"index max uint32": func(st *CacheState) { st.Index[1] = math.MaxUint32 },
-		"descending":       func(st *CacheState) { st.Index = []uint32{5, 1} },
-		"duplicate":        func(st *CacheState) { st.Index = []uint32{5, 5} },
-		"short tags":       func(st *CacheState) { st.Tags = st.Tags[:1] },
-		"long used":        func(st *CacheState) { st.Used = append(st.Used, 9) },
-		"nil written":      func(st *CacheState) { st.Written = nil },
-		"short states":     func(st *CacheState) { st.LineStates = st.LineStates[:1] },
+		"way count":         func(st *CacheState) { st.Ways = 16 },
+		"negative ways":     func(st *CacheState) { st.Ways = -8 },
+		"index = ways":      func(st *CacheState) { st.Index[2] = 8 },
+		"index max uint32":  func(st *CacheState) { st.Index[2] = math.MaxUint32 },
+		"descending":        func(st *CacheState) { st.Index = []uint32{5, 1, 0} },
+		"duplicate":         func(st *CacheState) { st.Index = []uint32{0, 5, 5} },
+		"short tags":        func(st *CacheState) { st.Tags = st.Tags[:1] },
+		"long ranks":        func(st *CacheState) { st.Age = append(st.Age, 1) },
+		"nil ranks":         func(st *CacheState) { st.Age = nil },
+		"short states":      func(st *CacheState) { st.LineStates = st.LineStates[:1] },
+		"write stamps":      func(st *CacheState) { st.Written = []uint64{0, 0, 0} },
+		"retention flag":    func(st *CacheState) { st.Retention, st.Written = true, []uint64{0, 0, 0} },
+		"repeated rank":     func(st *CacheState) { st.Age[0] = 1 },
+		"rank gap":          func(st *CacheState) { st.Age[2] = 2 },
+		"rank above assoc":  func(st *CacheState) { st.Age[0] = 3 },
+		"rank 255":          func(st *CacheState) { st.Age[2] = 255 },
+		"valid without":     func(st *CacheState) { st.Age[2] = 0 },
+		"set 0 without one": func(st *CacheState) { st.Age[0], st.Age[1] = 2, 0; st.LineStates[1] = StateInvalid },
 	}
 	if err := c.Restore(valid()); err != nil {
 		t.Fatalf("valid state refused: %v", err)
+	}
+	// An invalid way may keep a rank, and a never-stamped invalid way
+	// may keep a stale tag.
+	spare := valid()
+	spare.LineStates[0] = StateInvalid
+	spare.Index, spare.Tags, spare.Age = append(spare.Index, 6), append(spare.Tags, 9), append(spare.Age, 0)
+	spare.LineStates = append(spare.LineStates, StateInvalid)
+	if err := c.Restore(spare); err != nil {
+		t.Fatalf("valid state with an invalid ranked way refused: %v", err)
 	}
 	c.Fill(0x40, true)
 	before := c.Snapshot()
@@ -173,55 +195,80 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 			t.Fatalf("%s: refused restore modified the cache", name)
 		}
 	}
+
+	// An array with a retention model refuses a state without write
+	// stamps, and takes one with them.
+	r, _ := endurCache(endurance.Params{Seed: 1, BudgetMean: 1e9, RetentionCycles: 100})
+	if err := r.Restore(valid()); err == nil {
+		t.Error("retention array accepted a state without write stamps")
+	}
+	st := valid()
+	st.Retention, st.Written = true, []uint64{7, 8, 9}
+	if err := r.Restore(st); err != nil {
+		t.Fatalf("retention array refused a state with write stamps: %v", err)
+	}
+	st.Written = st.Written[:2]
+	if err := r.Restore(st); err == nil {
+		t.Error("retention array accepted a short write-stamp column")
+	}
 }
 
 // FuzzCacheRestore feeds Restore arbitrary sparse states. Restore must
 // accept exactly the states that fit the array — right way count, equal
-// column lengths, strictly ascending in-range indices — and refuse the
-// rest without touching the array. An accepted state must land exactly:
-// listed ways hold the given values, every other way is zero, and the
-// array keeps working.
+// column lengths, no write stamps (the array has no retention model),
+// strictly ascending in-range indices, and ranks that keep the LRU
+// invariant — and refuse the rest without touching the array. An
+// accepted state must land exactly: listed ways hold the given values,
+// every other way is zero, and the array keeps working.
 func FuzzCacheRestore(f *testing.F) {
-	// skew 0x55 gives every column the index's length.
-	f.Add(64, []byte{0, 1, 2, 63}, uint8(0x55), uint64(1))
-	f.Add(64, []byte{}, uint8(0x55), uint64(2))
-	f.Add(64, []byte{3, 2}, uint8(0x55), uint64(3))
-	f.Add(64, []byte{7, 7}, uint8(0x55), uint64(4))
-	f.Add(64, []byte{1, 64}, uint8(0x55), uint64(5))
-	f.Add(64, []byte{1, 2}, uint8(0x54), uint64(6))
-	f.Add(32, []byte{1, 2}, uint8(0x55), uint64(7))
-	f.Add(-64, []byte{}, uint8(0x55), uint64(8))
-	f.Fuzz(func(t *testing.T, ways int, index []byte, skew uint8, seed uint64) {
+	// skew 0x55 gives every column the index's length; rankMode 0 draws
+	// ranks that keep the invariant, 2 damages one, 3 draws raw bytes.
+	f.Add(64, []byte{0, 1, 2, 63}, uint8(0x55), uint8(0), uint64(1))
+	f.Add(64, []byte{}, uint8(0x55), uint8(0), uint64(2))
+	f.Add(64, []byte{3, 2}, uint8(0x55), uint8(0), uint64(3))
+	f.Add(64, []byte{7, 7}, uint8(0x55), uint8(0), uint64(4))
+	f.Add(64, []byte{1, 64}, uint8(0x55), uint8(0), uint64(5))
+	f.Add(64, []byte{1, 2}, uint8(0x54), uint8(0), uint64(6))
+	f.Add(32, []byte{1, 2}, uint8(0x55), uint8(0), uint64(7))
+	f.Add(-64, []byte{}, uint8(0x55), uint8(0), uint64(8))
+	f.Add(64, []byte{4, 5, 6, 7, 9}, uint8(0x55), uint8(2), uint64(9))
+	f.Add(64, []byte{4, 5, 6, 7, 9}, uint8(0x55), uint8(3), uint64(10))
+	f.Fuzz(func(t *testing.T, ways int, index []byte, skew, rankMode uint8, seed uint64) {
 		c := fuzzCache()
 		before := c.Snapshot()
 
-		st := CacheState{Ways: ways, Tick: seed, Now: seed >> 1, Rotation: seed % 5}
+		st := CacheState{Ways: ways, Now: seed >> 1, Rotation: seed % 5}
 		for _, b := range index {
 			st.Index = append(st.Index, uint32(b))
 		}
-		// Each column's length is the index's plus -1, 0, +1 or +2.
+		// Each column's length is the index's plus -1, 0, +1 or +2; the
+		// write-stamp column's is 0 (top bits 0 or 1), or the index's
+		// plus 0 or +1.
 		colLen := func(j int) int { return max(0, len(index)+int(skew>>(2*j)&3)-1) }
+		writtenLen := 0
+		if m := int(skew >> 6); m >= 2 {
+			writtenLen = len(index) + m - 2
+		}
 		rng := rand.New(rand.NewSource(int64(seed)))
 		for k := 0; k < colLen(0); k++ {
 			st.Tags = append(st.Tags, rng.Uint64()>>rng.Intn(64))
 		}
-		for k := 0; k < colLen(1); k++ {
-			st.Used = append(st.Used, rng.Uint64()>>rng.Intn(64))
-		}
-		for k := 0; k < colLen(2); k++ {
+		for k := 0; k < writtenLen; k++ {
 			st.Written = append(st.Written, rng.Uint64()>>rng.Intn(64))
 		}
-		for k := 0; k < colLen(3); k++ {
+		for k := 0; k < colLen(2); k++ {
 			st.LineStates = append(st.LineStates, LineState(rng.Intn(256)))
 		}
+		st.Age = fuzzRanks(rng, st.Index, st.LineStates, colLen(1), c.assoc, rankMode)
 
-		fits := ways == c.Capacity()
-		for j := 0; j < 4; j++ {
+		fits := ways == c.Capacity() && writtenLen == 0
+		for j := 0; j < 3; j++ {
 			fits = fits && colLen(j) == len(index)
 		}
 		for k, w := range st.Index {
 			fits = fits && int(w) < ways && (k == 0 || w > st.Index[k-1])
 		}
+		fits = fits && ranksKeepInvariant(st, c.assoc)
 
 		err := c.Restore(st)
 		if !fits {
@@ -241,28 +288,104 @@ func FuzzCacheRestore(f *testing.F) {
 	})
 }
 
+// fuzzRanks draws n ranks for the listed ways. Modes 0 and 1 (mod 4)
+// keep the LRU invariant where the index allows it: each set's valid
+// ways get a random order of 1..k and some invalid ways join it. Mode 2
+// damages one such rank; mode 3 draws raw bytes.
+func fuzzRanks(rng *rand.Rand, index []uint32, states []LineState, n, assoc int, mode uint8) []uint8 {
+	ranks := make([]uint8, n)
+	if mode%4 == 3 {
+		for k := range ranks {
+			ranks[k] = uint8(rng.Intn(256))
+		}
+		return ranks
+	}
+	for lo := 0; lo < n; {
+		if lo >= len(index) {
+			ranks[lo] = 1 // a column longer than the index: refused anyway
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for hi < n && hi < len(index) && index[hi]/uint32(assoc) == index[lo]/uint32(assoc) {
+			hi++
+		}
+		var ranked []int
+		for k := lo; k < hi; k++ {
+			if k >= len(states) || states[k] != StateInvalid || rng.Intn(2) == 0 {
+				ranked = append(ranked, k)
+			}
+		}
+		for r, p := range rng.Perm(len(ranked)) {
+			ranks[ranked[p]] = uint8(r + 1)
+		}
+		lo = hi
+	}
+	if mode%4 == 2 && n > 0 {
+		ranks[rng.Intn(n)] = uint8(rng.Intn(assoc + 2))
+	}
+	return ranks
+}
+
+// ranksKeepInvariant is the fuzz targets' independent statement of the
+// rank invariant over a state whose indices are ascending and in range:
+// in each set, the sorted non-zero ranks are exactly 1..k and every
+// valid line has one.
+func ranksKeepInvariant(st CacheState, assoc int) bool {
+	sets := map[uint32][]uint8{}
+	for k, w := range st.Index {
+		if st.Age[k] == 0 {
+			if st.LineStates[k] != StateInvalid {
+				return false
+			}
+			continue
+		}
+		sets[w/uint32(assoc)] = append(sets[w/uint32(assoc)], st.Age[k])
+	}
+	for _, ranks := range sets {
+		slices.Sort(ranks)
+		for r, a := range ranks {
+			if int(a) != r+1 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // assertLanded fails unless the accepted state st landed exactly in c:
 // listed ways hold the given values, every other way is zero, and a
 // fresh array restored from c's snapshot matches c.
 func assertLanded(t *testing.T, c *Cache, st CacheState) {
 	t.Helper()
+	if (c.written != nil) != st.Retention {
+		t.Fatalf("array keeps write stamps %v, state %v", c.written != nil, st.Retention)
+	}
 	k := 0
 	for i := range c.tags {
-		var tag, used, written uint64
+		var tag, written, gotWritten uint64
+		var age uint8
 		var ls LineState
 		if k < len(st.Index) && int(st.Index[k]) == i {
-			tag, used, written, ls = st.Tags[k], st.Used[k], st.Written[k], st.LineStates[k]
+			tag, age, ls = st.Tags[k], st.Age[k], st.LineStates[k]
+			if st.Retention {
+				written = st.Written[k]
+			}
 			k++
 		}
-		if c.tags[i] != tag || c.used[i] != used || c.written[i] != written || c.state[i] != ls {
+		if c.written != nil {
+			gotWritten = c.written[i]
+		}
+		if c.tags[i] != tag || c.age[i] != age || gotWritten != written || c.state[i] != ls {
 			t.Fatalf("way %d holds (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-				i, c.tags[i], c.used[i], c.written[i], c.state[i], tag, used, written, ls)
+				i, c.tags[i], c.age[i], gotWritten, c.state[i], tag, age, written, ls)
 		}
 	}
-	if c.tick != st.Tick || c.now != st.Now || c.rotation != st.Rotation || c.Stats != st.Stats {
+	if c.now != st.Now || c.rotation != st.Rotation || c.Stats != st.Stats {
 		t.Fatal("restored clocks or stats differ from the state's")
 	}
 	again := NewCache(c.Params())
+	again.AttachEndurance(c.Endurance())
 	if err := again.Restore(c.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +421,11 @@ func FuzzCacheStateDecode(f *testing.F) {
 	f.Add(record(NewCache(fuzzCache().Params()).Snapshot()))
 	f.Add(filled[:len(filled)-1])
 	f.Add(append(filled[:len(filled):len(filled)], 0))
-	f.Add(record(CacheState{Ways: 64, Index: []uint32{63, 2}, Tags: []uint64{1, 2}, Used: []uint64{3, 4},
-		Written: []uint64{5, 6}, LineStates: []LineState{1, 2}}))
-	f.Add([]byte{0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(record(CacheState{Ways: 64, Index: []uint32{63, 2}, Tags: []uint64{1, 2}, Age: []uint8{3, 4},
+		LineStates: []LineState{1, 2}}))
+	f.Add([]byte{0x80, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add(record(CacheState{Ways: 64, Retention: true, Index: []uint32{0, 1}, Tags: []uint64{1, 2},
+		Written: []uint64{5, 6}, Age: []uint8{2, 1}, LineStates: []LineState{1, 2}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st CacheState
 		if err := st.UnmarshalBinary(data); err != nil {
@@ -332,15 +457,21 @@ func FuzzCacheStateDecode(f *testing.F) {
 // fullScan is the oracle Snapshot must match: every way of the array
 // scanned, and those with any non-zero column listed.
 func fullScan(c *Cache) CacheState {
-	st := CacheState{Ways: len(c.tags), Tick: c.tick, Now: c.now, Rotation: c.rotation, Stats: c.Stats}
+	st := CacheState{Ways: len(c.tags), Retention: c.written != nil, Now: c.now, Rotation: c.rotation, Stats: c.Stats}
 	for i := range c.tags {
-		if c.tags[i]|c.used[i]|c.written[i] == 0 && c.state[i] == StateInvalid {
+		var written uint64
+		if c.written != nil {
+			written = c.written[i]
+		}
+		if c.tags[i]|written == 0 && c.age[i] == 0 && c.state[i] == StateInvalid {
 			continue
 		}
 		st.Index = append(st.Index, uint32(i))
 		st.Tags = append(st.Tags, c.tags[i])
-		st.Used = append(st.Used, c.used[i])
-		st.Written = append(st.Written, c.written[i])
+		if c.written != nil {
+			st.Written = append(st.Written, written)
+		}
+		st.Age = append(st.Age, c.age[i])
 		st.LineStates = append(st.LineStates, c.state[i])
 	}
 	return st
@@ -380,8 +511,11 @@ func TestSnapshotMatchesFullScan(t *testing.T) {
 							// A valid state may list ways whose columns
 							// are all zero; Snapshot must leave them out.
 							w := uint32(rng.Intn(c.Capacity()))
-							zero := CacheState{Ways: c.Capacity(), Index: []uint32{w}, Tags: []uint64{0},
-								Used: []uint64{0}, Written: []uint64{0}, LineStates: []LineState{StateInvalid}}
+							zero := CacheState{Ways: c.Capacity(), Retention: wear, Index: []uint32{w}, Tags: []uint64{0},
+								Age: []uint8{0}, LineStates: []LineState{StateInvalid}}
+							if wear {
+								zero.Written = []uint64{0}
+							}
 							if err := c.Restore(zero); err != nil {
 								t.Fatal(err)
 							}

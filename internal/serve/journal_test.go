@@ -182,9 +182,10 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 // with ErrVersion, and both sim.RunOrResume and the journal recovery
 // fall back to a fresh run that converges to the uninterrupted bytes.
 // Version 1 held dense cache arrays; version 2 encoded the sparse
-// arrays, the directory and the statistics through reflective gob.
+// arrays, the directory and the statistics through reflective gob;
+// version 3 held 64-bit LRU stamps and write stamps for every way.
 func TestJournalOldLayoutCheckpointRestartsFresh(t *testing.T) {
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) { oldLayoutRestartsFresh(t, version) })
 	}
 }
@@ -220,8 +221,8 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 	}
 	writeOld()
 	var ev *checkpoint.ErrVersion
-	if _, err := sim.CheckpointInfo(path); !errors.As(err, &ev) || ev.Got != version || ev.Want != 3 {
-		t.Fatalf("old-layout checkpoint: got %v, want ErrVersion{Got: %d, Want: 3}", err, version)
+	if _, err := sim.CheckpointInfo(path); !errors.As(err, &ev) || ev.Got != version || ev.Want != 4 {
+		t.Fatalf("old-layout checkpoint: got %v, want ErrVersion{Got: %d, Want: 4}", err, version)
 	}
 
 	cfg, opts, err := req.Resolve()

@@ -34,9 +34,11 @@ import (
 // (mem.CacheState lists only the ways a run touched). Version 3 encodes
 // the cache arrays, the coherence directory, statistics and energy
 // meters as flat binary records instead of reflective gob, and drops
-// the debug-only load fields from cluster.VCoreState. Older files are
-// refused and their runs restart from cycle 0.
-const SnapshotVersion = 3
+// the debug-only load fields from cluster.VCoreState. Version 4 stores
+// each cache way's LRU rank instead of a 64-bit stamp and the cache's
+// stamp clock, and write stamps only for arrays that model retention.
+// Older files are refused and their runs restart from cycle 0.
+const SnapshotVersion = 4
 
 // CheckpointSpec configures checkpoint writes during a run. The zero
 // value disables checkpointing.
