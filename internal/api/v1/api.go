@@ -22,6 +22,7 @@
 package v1
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -540,14 +541,16 @@ func Encode(w io.Writer, v any) error {
 }
 
 // decodeStrict decodes exactly one JSON document, rejecting unknown
-// fields and trailing data.
+// fields and any non-whitespace byte after the document.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("api: %w", err)
 	}
-	if dec.More() {
+	// More reads past the whitespace after the document but reports
+	// false for a '}' or ']', so look at what it left buffered.
+	if dec.More() || trailingData(dec.Buffered()) {
 		return errors.New("api: trailing data after document")
 	}
 	return nil
@@ -595,12 +598,19 @@ func DecodeSweepRequest(r io.Reader) (SweepRequest, error) {
 	return req, nil
 }
 
-// DecodeRunResult strictly decodes one RunResult (round-trip tooling
-// and tests; the Result payload stays raw).
+// DecodeRunResult strictly decodes one RunResult, reading r to EOF; the
+// Result payload stays raw. A body in the canonical spelling (see
+// decodeCanonicalResult) decodes in one validating pass and its Result
+// aliases the read buffer; every other body goes to the encoding/json
+// reference decode, which alone decides acceptance and error text.
 func DecodeRunResult(r io.Reader) (RunResult, error) {
-	var res RunResult
-	if err := decodeStrict(r, &res); err != nil {
-		return RunResult{}, err
+	data, err := readBody(r)
+	if err != nil {
+		return decodeRunResultReference(io.MultiReader(bytes.NewReader(data), errReader{err}))
+	}
+	res, ok := decodeCanonicalResult(data)
+	if !ok {
+		return decodeRunResultReference(bytes.NewReader(data))
 	}
 	if err := requireVersion(res.SchemaVersion); err != nil {
 		return RunResult{}, err

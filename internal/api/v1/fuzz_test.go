@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"respin/internal/sim"
@@ -25,6 +27,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","faults":{"seed":7,"ecc":"none"},"endurance":{}}`,
 		`{"config":"SH-STT","bench":"fft"}`,
 		`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft"} {}`,
+		`{"schema_version":"respin/v1","config":"SH-STT","bench":"fft"}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -140,6 +143,62 @@ func FuzzDecodeRunResult(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRunResultMatchesReference: DecodeRunResult, canonical fast
+// path included, gives the encoding/json reference decode's answer for
+// every input: the same acceptance, the same error text, and the same
+// envelope with equal Result bytes.
+func FuzzDecodeRunResultMatchesReference(f *testing.F) {
+	// Small seeds (the golden body stalls the fuzzer): one canonical
+	// body per status, then spellings the fast path must decline.
+	req := RunRequest{SchemaVersion: SchemaVersion, Config: "SH-STT", Bench: "fft", Scale: "medium",
+		Cluster: 16, Quota: 2000, Seed: 1}
+	payload := json.RawMessage(`{"config":{"kind":"SH-STT"},"cycles":12345,"ipc":5.3,"energy_pj":1.5e6,` +
+		`"read_core_cycles":{"buckets":[0,22121,347],"mean":-0.25},"bench":"fft","tags":[true,false,null,"a\"\u00e9"]}`)
+	for _, doc := range []RunResult{
+		{SchemaVersion: SchemaVersion, Request: req, Status: StatusComplete, Result: payload},
+		{SchemaVersion: SchemaVersion, Request: req, Status: StatusPartial, Detail: "context canceled", Result: payload},
+		{SchemaVersion: SchemaVersion, Request: req, Status: StatusWearOut,
+			Detail: "endurance: array l3 set 7 lost its last way at cycle 900 (end of life)", Result: payload},
+		ErrorResult(req, errors.New("sim: no such benchmark")),
+	} {
+		body, err := EncodeBytes(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	const env = `{"schema_version":"respin/v1","request":{"config":"SH-STT","bench":"fft"},"status":"complete",`
+	for _, seed := range []string{
+		`{"schema_version":"respin/v1","request":{"config":"SH-STT"},"Status":"complete","result":{}}`,
+		`{"schema_version":"respin/v1","request":{"config":"SH-STT"},"status":"compl\u0065te","result":{}}`,
+		`{"schema_version":"respin/v1","status":"partial","status":"complete","result":{}}`,
+		env + `"result":null}`,
+		env + `"result":[]}`,
+		env + `"result":{"a":-0,"b":1E+3,"c":0.5e-7}}`,
+		env + `"result":{"a":01}}`,
+		env + `"result":{"a":-}}`,
+		env + `"result":[1.]}`,
+		env + `"result":[2e+]}`,
+		env + `"result":["\u12g4"]}`,
+		env + "\"result\":{\"a\":\"raw\ttab\"}}",
+		env + `"result":` + strings.Repeat(`[{"a":`, 40) + `1` + strings.Repeat(`}]`, 40) + `}`,
+		env + `"result":{}}}`,
+		env + `"result":{}} ]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := DecodeRunResult(bytes.NewReader(data))
+		want, wantErr := decodeRunResultReference(bytes.NewReader(data))
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("error %v, reference error %v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded\n%+v\nreference decoded\n%+v", got, want)
+		}
+	})
+}
+
 // sameResult compares two decoded results: every envelope field equal,
 // and the raw Result payloads equal as JSON values (encoding compacts
 // and HTML-escapes the payload, so its bytes may differ).
@@ -207,6 +266,25 @@ func BenchmarkEncodeResult(b *testing.B) {
 // RunResult, the check journal replay runs on each result file.
 func BenchmarkDecodeRunResult(b *testing.B) {
 	data := goldenBody(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeRunResult(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeRunResultFallback times a body the fast path declines:
+// the golden RunResult with one upper-case key, which the reference
+// decode accepts. It costs one fast-path attempt on top of the
+// reference decode.
+func BenchmarkDecodeRunResultFallback(b *testing.B) {
+	data := bytes.Replace(goldenBody(b), []byte(`"status":`), []byte(`"Status":`), 1)
+	if _, ok := decodeCanonicalResult(data); ok {
+		b.Fatal("the upper-case key took the fast path")
+	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()

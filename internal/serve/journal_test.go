@@ -135,6 +135,7 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 	}{
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
 		{"trailing data", func(b []byte) []byte { return append(b, "{}\n"...) }},
+		{"trailing close bracket", func(b []byte) []byte { return append(b, "}\n"...) }},
 		{"wrong schema_version", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"respin/v1"`), []byte(`"respin/v0"`), 1)
 		}},

@@ -653,13 +653,13 @@ func (c *Controller) State() ControllerState {
 
 // Restore repositions a freshly built controller (same core count and
 // options) to a captured state. The Stats histograms are copied in
-// place so pointers registered with telemetry stay valid.
+// place so pointers registered with telemetry stay valid. A state that
+// breaks an invariant Tick, Submit or the store buffer relies on is
+// refused with an error before anything is written, so the controller
+// is left untouched.
 func (c *Controller) Restore(st ControllerState) error {
-	if len(st.ReadSlots) != len(c.readSlots) {
-		return fmt.Errorf("sharedcache: restore has %d read slots, controller has %d", len(st.ReadSlots), len(c.readSlots))
-	}
-	if len(st.PendingRing) != len(c.pendingRing) {
-		return fmt.Errorf("sharedcache: restore has ring length %d, controller has %d", len(st.PendingRing), len(c.pendingRing))
+	if err := c.checkState(st); err != nil {
+		return err
 	}
 	c.cycle = st.Cycle
 	for i, s := range st.ReadSlots {
@@ -690,5 +690,98 @@ func (c *Controller) Restore(st ControllerState) error {
 	c.Stats.WriteAborts = st.Stats.WriteAborts
 	*c.Stats.ArrivalsPerCycle = *st.Stats.ArrivalsPerCycle
 	*c.Stats.ReadCoreCycles = *st.Stats.ReadCoreCycles
+	return nil
+}
+
+// checkState validates a captured state against this controller's
+// shape and the invariants the live controller keeps.
+func (c *Controller) checkState(st ControllerState) error {
+	if len(st.ReadSlots) != c.nCores {
+		return fmt.Errorf("sharedcache: restore has %d read slots, controller has %d", len(st.ReadSlots), c.nCores)
+	}
+	if len(st.PendingRing) != len(c.pendingRing) {
+		return fmt.Errorf("sharedcache: restore has ring length %d, controller has %d", len(st.PendingRing), len(c.pendingRing))
+	}
+	if len(st.StoreCount) != c.nCores || len(st.ReadBusy) != c.nCores {
+		return fmt.Errorf("sharedcache: restore has %d store counts and %d read-busy flags, controller has %d cores",
+			len(st.StoreCount), len(st.ReadBusy), c.nCores)
+	}
+	if st.Stats.ArrivalsPerCycle == nil || st.Stats.ReadCoreCycles == nil {
+		return errors.New("sharedcache: restore is missing a histogram")
+	}
+	for core, n := range st.StoreCount {
+		if n < 0 || n > c.storeDepth {
+			return fmt.Errorf("sharedcache: restore has %d stores buffered on core %d, depth %d", n, core, c.storeDepth)
+		}
+	}
+	if c.nCores < 64 && st.ActiveMask>>uint(c.nCores) != 0 {
+		return fmt.Errorf("sharedcache: restore's active mask %#x has bits at or above core %d", st.ActiveMask, c.nCores)
+	}
+	active := 0
+	for i, s := range st.ReadSlots {
+		if i < 64 && (st.ActiveMask>>uint(i)&1 == 1) != s.Active {
+			return fmt.Errorf("sharedcache: restore's active mask %#x disagrees with read slot %d", st.ActiveMask, i)
+		}
+		if !s.Active {
+			continue
+		}
+		active++
+		if s.Req.Core != i || s.Req.Write {
+			return fmt.Errorf("sharedcache: restore's read slot %d holds a request from core %d (write %v)", i, s.Req.Core, s.Req.Write)
+		}
+		if err := checkRegister(s); err != nil {
+			return err
+		}
+	}
+	if st.ActiveReads != active {
+		return fmt.Errorf("sharedcache: restore counts %d active reads, its slots hold %d", st.ActiveReads, active)
+	}
+	for _, s := range st.WriteQueue {
+		if !s.Req.Write {
+			return fmt.Errorf("sharedcache: restore's write queue holds a read from core %d", s.Req.Core)
+		}
+		if err := c.checkQueued(s); err != nil {
+			return err
+		}
+	}
+	pending := 0
+	for _, ring := range st.PendingRing {
+		pending += len(ring)
+		for _, s := range ring {
+			if err := c.checkQueued(s); err != nil {
+				return err
+			}
+		}
+	}
+	if st.PendingN != pending {
+		return fmt.Errorf("sharedcache: restore counts %d requests in transit, its ring holds %d", st.PendingN, pending)
+	}
+	return nil
+}
+
+// checkQueued validates a request in transit or in the write queue:
+// from a core of this cluster or a fill, fills being writes, with a
+// loaded priority register.
+func (c *Controller) checkQueued(s SlotState) error {
+	if s.Req.Core == FillCore && !s.Req.Write {
+		return errors.New("sharedcache: restore holds a fill that is not a write")
+	}
+	if s.Req.Core != FillCore && !c.validCore(s.Req.Core) {
+		return fmt.Errorf("sharedcache: restore holds a request from core %d of %d", s.Req.Core, c.nCores)
+	}
+	if !s.Active {
+		return fmt.Errorf("sharedcache: restore holds an inactive queued request from core %d", s.Req.Core)
+	}
+	return checkRegister(s)
+}
+
+// checkRegister bounds an occupied slot's priority register by what
+// Submit can load: at least one bit, at most the widest window less the
+// transit cycles.
+func checkRegister(s SlotState) error {
+	if s.Remaining < 1 || s.Remaining > config.MaxCoreMultiple-config.RequestTransitCacheCycles {
+		return fmt.Errorf("sharedcache: restore has priority register %d on a request from core %d, want 1..%d",
+			s.Remaining, s.Req.Core, config.MaxCoreMultiple-config.RequestTransitCacheCycles)
+	}
 	return nil
 }
