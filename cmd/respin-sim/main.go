@@ -19,13 +19,13 @@
 // same request.
 //
 // -checkpoint writes a crash-recovery checkpoint to f at every epoch
-// boundary that is -checkpoint-every cycles past the previous one;
-// -resume continues an interrupted run from such a file to a result
-// bit-identical to the uninterrupted run. A resumed run takes its
-// identity — configuration, benchmark, seed, quota, fault and endurance
-// knobs — from the checkpoint; the target/run flags are ignored, and
-// the request echoed in the -metrics envelope carries the identity
-// fields the checkpoint records.
+// boundary that is -checkpoint-every cycles past the previous one.
+// When f already holds a checkpoint of the run the flags define — the
+// same configuration, benchmark and every run option — the run resumes
+// from it instead of starting at cycle 0, to a result bit-identical to
+// the uninterrupted run; any other file is overwritten by a fresh run.
+// -resume is an alias of -checkpoint, so an interrupted run is
+// continued by repeating its flags.
 //
 // SIGINT cancels the run; the statistics measured up to the
 // interruption are still reported (marked partial).
@@ -89,6 +89,10 @@ func run() int {
 	if err != nil {
 		return app.Fail(err)
 	}
+	spec, err := app.CheckpointSpec()
+	if err != nil {
+		return app.Fail(err)
+	}
 	if *dieMap {
 		vm := variation.Generate(cfg.VariationSeed, 8, 8, cfg.CoreVdd, variation.DefaultParams())
 		fmt.Println("variation die map (core clock multiples; ---- = cluster boundary):")
@@ -111,43 +115,12 @@ func run() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var res sim.Result
-	var runErr error
-	if app.Resume != "" {
-		// Resume an interrupted run from its checkpoint. The run's
-		// identity (configuration, benchmark, seed, quota) comes from the
-		// checkpoint, not the flags; req is rebuilt from it so the report
-		// header and -metrics envelope describe the run that actually
-		// executed.
-		info, err := sim.CheckpointInfo(app.Resume)
-		if err != nil {
-			return app.Fail(err)
+	if spec.Enabled() {
+		if info, err := sim.CheckpointInfo(spec.Path); err == nil && info.Holds(cfg, req.Bench, opts) {
+			fmt.Fprintf(os.Stderr, "respin-sim: resuming %v/%s from cycle %d\n", cfg.Kind, req.Bench, info.Cycle)
 		}
-		cfg = info.Config
-		req = v1.RunRequest{
-			Config:  cfg.Kind.String(),
-			Bench:   info.Bench,
-			Scale:   cfg.Scale.String(),
-			Cluster: cfg.ClusterSize,
-			Quota:   info.QuotaInstr,
-			Seed:    info.Seed,
-		}
-		if err := req.Normalize(); err != nil {
-			return app.Fail(err)
-		}
-		opts.QuotaInstr = info.QuotaInstr
-		fmt.Fprintf(os.Stderr, "respin-sim: resuming %v/%s from cycle %d\n", cfg.Kind, info.Bench, info.Cycle)
-		s, err := sim.Resume(app.Resume,
-			sim.WithTelemetry(app.Collector()),
-			sim.WithCheckpoint(app.CheckpointSpec()))
-		if err != nil {
-			return app.Fail(err)
-		}
-		res, runErr = s.RunContext(ctx)
-	} else {
-		opts.Checkpoint = app.CheckpointSpec()
-		res, runErr = sim.RunContext(ctx, cfg, req.Bench, opts)
 	}
+	res, runErr := sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
 	doc, err := v1.NewResult(req, res, runErr)
 	if err != nil {
 		return app.Fail(err)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -37,6 +38,10 @@ func run() int {
 	)
 	what := flag.String("what", "trace", "output: trace, histograms")
 	flag.Parse()
+	render, ok := renderers[*what]
+	if !ok {
+		return fail(fmt.Errorf("unknown -what %q (valid: trace, histograms)", *what))
+	}
 	t := c.Target
 
 	cfg, err := t.Config()
@@ -44,6 +49,10 @@ func run() int {
 		return fail(err)
 	}
 	fp, err := c.FaultParams(cfg.NumClusters())
+	if err != nil {
+		return fail(err)
+	}
+	spec, err := c.CheckpointSpec()
 	if err != nil {
 		return fail(err)
 	}
@@ -65,67 +74,56 @@ func run() int {
 	opts.EpochTrace = true
 	opts.Faults = fp
 
-	var res sim.Result
-	if c.Resume != "" {
-		// Continue an interrupted trace run from its checkpoint; the CSV
-		// below comes out identical to an uninterrupted run's.
-		s, err := sim.Resume(c.Resume,
-			sim.WithTelemetry(c.Collector()),
-			sim.WithCheckpoint(c.CheckpointSpec()))
-		if err != nil {
-			return fail(err)
-		}
-		res, err = s.Run()
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		opts.Checkpoint = c.CheckpointSpec()
-		res, err = sim.Run(cfg, t.BenchName, opts)
-		if err != nil {
-			return fail(err)
-		}
+	res, err := sim.RunOrResume(context.Background(), cfg, t.BenchName, opts, spec)
+	if err != nil {
+		return fail(err)
 	}
 
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-	write := func(record []string) {
-		if err := w.Write(record); err != nil {
-			fmt.Fprintf(os.Stderr, "respin-trace: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	switch *what {
-	case "trace":
-		write([]string{"time_us", "active_cores"})
-		for i := range res.Trace.Values {
-			write([]string{
-				strconv.FormatFloat(res.Trace.Times[i], 'f', 3, 64),
-				strconv.FormatFloat(res.Trace.Values[i], 'f', 0, 64),
-			})
-		}
-	case "histograms":
-		write([]string{"histogram", "bucket", "fraction"})
-		for i := 0; i <= 4; i++ {
-			label := strconv.Itoa(i)
-			if i == 4 {
-				label = "4+"
-			}
-			write([]string{"arrivals_per_cycle", label,
-				strconv.FormatFloat(res.ArrivalsPerCycle.Fraction(i), 'f', 6, 64)})
-		}
-		for i := 1; i <= 3; i++ {
-			label := strconv.Itoa(i)
-			if i == 3 {
-				label = "3+"
-			}
-			write([]string{"read_core_cycles", label,
-				strconv.FormatFloat(res.ReadCoreCycles.Fraction(i), 'f', 6, 64)})
-		}
-	default:
-		return fail(fmt.Errorf("unknown -what %q (valid: trace, histograms)", *what))
+	if err := csv.NewWriter(os.Stdout).WriteAll(render(res)); err != nil {
+		return fail(err)
 	}
 	return 0
+}
+
+// renderers maps each -what value to the CSV records it prints.
+var renderers = map[string]func(sim.Result) [][]string{
+	"trace":      traceCSV,
+	"histograms": histogramsCSV,
+}
+
+// traceCSV is the consolidation trace: active cores of cluster 0 per
+// epoch.
+func traceCSV(res sim.Result) [][]string {
+	records := [][]string{{"time_us", "active_cores"}}
+	for i := range res.Trace.Values {
+		records = append(records, []string{
+			strconv.FormatFloat(res.Trace.Times[i], 'f', 3, 64),
+			strconv.FormatFloat(res.Trace.Values[i], 'f', 0, 64),
+		})
+	}
+	return records
+}
+
+// histogramsCSV is the shared-cache arrival and read-service histograms.
+func histogramsCSV(res sim.Result) [][]string {
+	records := [][]string{{"histogram", "bucket", "fraction"}}
+	for i := 0; i <= 4; i++ {
+		label := strconv.Itoa(i)
+		if i == 4 {
+			label = "4+"
+		}
+		records = append(records, []string{"arrivals_per_cycle", label,
+			strconv.FormatFloat(res.ArrivalsPerCycle.Fraction(i), 'f', 6, 64)})
+	}
+	for i := 1; i <= 3; i++ {
+		label := strconv.Itoa(i)
+		if i == 3 {
+			label = "3+"
+		}
+		records = append(records, []string{"read_core_cycles", label,
+			strconv.FormatFloat(res.ReadCoreCycles.Fraction(i), 'f', 6, 64)})
+	}
+	return records
 }
 
 func fail(err error) int {

@@ -91,11 +91,14 @@ type RunRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// EpochTrace records the consolidation trace (Figures 12-14).
 	EpochTrace bool `json:"epoch_trace,omitempty"`
-	// DisableFastForward forces the cycle-exact slow path (results are
-	// bit-identical either way).
+	// DisableFastForward forces the cycle-exact slow path. Results are
+	// bit-identical either way except with a retention model, whose L3
+	// scrubs wait for an epoch boundary (sim.Options.DisableFastForward).
 	DisableFastForward bool `json:"disable_fast_forward,omitempty"`
-	// EpochCycles caps the parallel-scheduler epoch length (debugging
-	// knob; results are invariant).
+	// EpochCycles caps the scheduler's epoch length (debugging knob).
+	// Results are invariant except for work done at epoch boundaries:
+	// the halt-on-uncorrectable machine check and retention scrubs of
+	// the L3 (sim.Options.EpochCycles).
 	EpochCycles uint64 `json:"epoch_cycles,omitempty"`
 	// Faults configures fault injection; nil injects nothing.
 	Faults *FaultSpec `json:"faults,omitempty"`

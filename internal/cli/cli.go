@@ -73,9 +73,10 @@ type Common struct {
 	// WithEnduranceFlags was given; a nil group disables the model).
 	Endurance *endurance.Flags
 	// Checkpoint, CheckpointEvery and Resume are the crash-recovery
-	// flags. Single-run tools treat -checkpoint/-resume as a file;
-	// multi-run tools (respin-sweep, respin-bench) treat them as a
-	// directory holding one checkpoint per run label.
+	// flags; Resume is an alias of Checkpoint (see CheckpointSpec).
+	// Single-run tools treat the path as a file; multi-run tools
+	// (respin-sweep, respin-bench) treat it as a directory holding one
+	// checkpoint per run label.
 	Checkpoint      string
 	CheckpointEvery uint64
 	Resume          string
@@ -155,8 +156,8 @@ func WithEnduranceFlags() Option {
 }
 
 // WithCheckpointFlags registers -checkpoint, -checkpoint-every and
-// -resume. Single-run tools interpret the paths as one checkpoint
-// file; pool tools interpret them as a directory keyed by run label.
+// -resume. Single-run tools interpret the path as one checkpoint file;
+// pool tools interpret it as a directory keyed by run label.
 func WithCheckpointFlags() Option {
 	return func(a *App) { a.groups |= groupCheckpoint }
 }
@@ -209,7 +210,7 @@ func (a *App) register() {
 	if a.groups&groupCheckpoint != 0 {
 		fs.StringVar(&a.Checkpoint, "checkpoint", "", "write periodic crash-recovery checkpoints to this path (file, or directory for sweep tools)")
 		fs.Uint64Var(&a.CheckpointEvery, "checkpoint-every", sim.DefaultCheckpointEvery, "cycles between checkpoint writes")
-		fs.StringVar(&a.Resume, "resume", "", "resume from this checkpoint path instead of starting at cycle 0")
+		fs.StringVar(&a.Resume, "resume", "", "alias of -checkpoint: resume from this path when it holds a checkpoint of the same run")
 	}
 	if a.groups&groupEndurance != 0 {
 		a.Endurance = endurance.BindTo(fs)
@@ -347,6 +348,10 @@ func (c *Common) Apply(opts *sim.Options, r *experiments.Runner) error {
 		}
 	}
 	if r != nil {
+		spec, err := c.CheckpointSpec()
+		if err != nil {
+			return err
+		}
 		if c.Quota != 0 {
 			r.Quota = c.Quota
 		}
@@ -356,7 +361,7 @@ func (c *Common) Apply(opts *sim.Options, r *experiments.Runner) error {
 		r.FaultSeed = c.faultSeed()
 		r.Endurance = c.Endurance.Params(c.faultSeed())
 		r.Jobs = c.Jobs
-		r.CheckpointDir = c.CheckpointDir()
+		r.CheckpointDir = spec.Path
 		r.CheckpointEvery = c.CheckpointEvery
 		if !c.Quiet {
 			r.Progress = os.Stderr
@@ -369,24 +374,25 @@ func (c *Common) Apply(opts *sim.Options, r *experiments.Runner) error {
 	return nil
 }
 
-// CheckpointSpec returns the sim checkpoint spec the flags denote; a
-// zero spec (checkpointing off) when -checkpoint was not given.
-func (c *Common) CheckpointSpec() sim.CheckpointSpec {
-	if c.Checkpoint == "" {
-		return sim.CheckpointSpec{}
+// CheckpointSpec returns the checkpoint spec the flags denote, zero
+// (checkpointing off) when neither -checkpoint nor -resume was given.
+// -resume is an alias of -checkpoint: a run resumes from the path when
+// it holds a checkpoint of the same run and keeps checkpointing to it,
+// so naming two different paths is an error. Single-run tools pass the
+// spec to sim.RunOrResume; pool tools use its path as the runner's
+// checkpoint directory.
+func (c *Common) CheckpointSpec() (sim.CheckpointSpec, error) {
+	path := c.Checkpoint
+	if c.Resume != "" {
+		if path != "" && path != c.Resume {
+			return sim.CheckpointSpec{}, fmt.Errorf("-checkpoint %q and -resume %q name different paths (-resume is an alias of -checkpoint)", path, c.Resume)
+		}
+		path = c.Resume
 	}
-	return sim.CheckpointSpec{Path: c.Checkpoint, EveryCycles: c.CheckpointEvery}
-}
-
-// CheckpointDir resolves the checkpoint directory for pool tools:
-// -checkpoint names it, and -resume is accepted as a synonym (a pool
-// tool's directory both writes checkpoints and resumes from them, so
-// the two flags mean the same thing there).
-func (c *Common) CheckpointDir() string {
-	if c.Checkpoint != "" {
-		return c.Checkpoint
+	if path == "" {
+		return sim.CheckpointSpec{}, nil
 	}
-	return c.Resume
+	return sim.CheckpointSpec{Path: path, EveryCycles: c.CheckpointEvery}, nil
 }
 
 // FaultParams resolves the fault-injection flags for a chip with the

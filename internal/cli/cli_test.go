@@ -307,3 +307,34 @@ func TestTargetResolution(t *testing.T) {
 		t.Fatalf("defaulted config = %+v", cfg2)
 	}
 }
+
+// TestCheckpointSpecResumeIsAlias: -resume names the same spec as
+// -checkpoint, for single-run tools and the runner's directory alike,
+// and two different paths are refused.
+func TestCheckpointSpecResumeIsAlias(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		want    sim.CheckpointSpec
+		wantErr bool
+	}{
+		{nil, sim.CheckpointSpec{}, false},
+		{[]string{"-checkpoint", "a.ckpt"}, sim.CheckpointSpec{Path: "a.ckpt", EveryCycles: sim.DefaultCheckpointEvery}, false},
+		{[]string{"-resume", "a.ckpt", "-checkpoint-every", "500"}, sim.CheckpointSpec{Path: "a.ckpt", EveryCycles: 500}, false},
+		{[]string{"-checkpoint", "a.ckpt", "-resume", "a.ckpt"}, sim.CheckpointSpec{Path: "a.ckpt", EveryCycles: sim.DefaultCheckpointEvery}, false},
+		{[]string{"-checkpoint", "a.ckpt", "-resume", "b.ckpt"}, sim.CheckpointSpec{}, true},
+	} {
+		a, fs := newApp(WithCheckpointFlags())
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.CheckpointSpec()
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("%v: got %+v, %v; want %+v (error %v)", tc.args, got, err, tc.want, tc.wantErr)
+		}
+		var r experiments.Runner
+		err = a.Apply(nil, &r)
+		if (err != nil) != tc.wantErr || (err == nil && r.CheckpointDir != tc.want.Path) {
+			t.Errorf("%v: runner checkpoint dir %q, %v; want %q", tc.args, r.CheckpointDir, err, tc.want.Path)
+		}
+	}
+}

@@ -35,7 +35,7 @@ func (cl *Cluster) NextWake() (wake uint64, ok bool) {
 		wake = min(wake, cl.nextScrubDeadline())
 	}
 	if e, any := cl.events.peek(); any {
-		wake = e.cycle
+		wake = min(wake, e.cycle)
 	}
 	for i := range cl.pcores {
 		p := &cl.pcores[i]

@@ -76,8 +76,8 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Checkpoint = sim.CheckpointSpec{Path: j.ckptPath(key), AtCycle: 2_000}
-	if _, err := sim.Run(cfg, req.Bench, opts); err != nil {
+	spec := sim.CheckpointSpec{Path: j.ckptPath(key), AtCycle: 2_000}
+	if _, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,12 +8,14 @@ package sim
 // The snapshot captures only mutable state; the immutable structure
 // (power model, cache geometry, energy scalars, telemetry
 // registrations) is rebuilt by New from the same config, bench and
-// options, which ride along in the file. Resume is therefore
-// bit-identical to an uninterrupted run.
+// options. Those ride along in the file, so RunOrResume resumes only
+// the run the file holds; a resumed run is therefore bit-identical to
+// an uninterrupted one.
 
 import (
 	"context"
 	"fmt"
+	"reflect"
 
 	"respin/internal/checkpoint"
 	"respin/internal/cluster"
@@ -24,7 +26,6 @@ import (
 	"respin/internal/mem"
 	"respin/internal/power"
 	"respin/internal/stats"
-	"respin/internal/telemetry"
 )
 
 // SnapshotVersion is the checkpoint payload version. Bump it whenever
@@ -40,8 +41,8 @@ import (
 // Older files are refused and their runs restart from cycle 0.
 const SnapshotVersion = 4
 
-// CheckpointSpec configures checkpoint writes during a run. The zero
-// value disables checkpointing.
+// CheckpointSpec configures checkpoint writes during a run; it is the
+// spec argument of RunOrResume. The zero value disables checkpointing.
 type CheckpointSpec struct {
 	// Path is the checkpoint file; each write atomically replaces the
 	// previous one (temp file + rename), so a crash mid-write leaves
@@ -59,6 +60,18 @@ type CheckpointSpec struct {
 // Enabled reports whether the spec requests any checkpointing.
 func (c CheckpointSpec) Enabled() bool { return c.Path != "" }
 
+// validate rejects a path without a trigger and a trigger without a
+// path.
+func (c CheckpointSpec) validate() error {
+	if c.Path != "" && c.EveryCycles == 0 && c.AtCycle == 0 {
+		return fmt.Errorf("sim: checkpoint path %q set without a trigger (EveryCycles or AtCycle)", c.Path)
+	}
+	if c.Path == "" && (c.EveryCycles != 0 || c.AtCycle != 0) {
+		return fmt.Errorf("sim: checkpoint trigger set without a path")
+	}
+	return nil
+}
+
 // DefaultCheckpointEvery is the checkpoint cadence the command-line
 // tools default to: frequent enough that a crash loses at most a few
 // epochs of progress. Writes are not free. BenchmarkCheckpointSave on a
@@ -73,9 +86,8 @@ func (c CheckpointSpec) Enabled() bool { return c.Path != "" }
 const DefaultCheckpointEvery uint64 = 100_000
 
 // optionsWire is the subset of Options that defines the run and rides
-// in the checkpoint. Attachments (Telemetry, Checkpoint) are
-// deliberately absent: they are re-chosen at resume time and must not
-// affect results.
+// in the checkpoint. Telemetry is deliberately absent: it is an
+// attachment re-chosen at resume time and never affects results.
 type optionsWire struct {
 	QuotaInstr         uint64
 	Seed               int64
@@ -87,17 +99,17 @@ type optionsWire struct {
 	EpochCycles        uint64
 }
 
-// options reconstitutes run Options from the wire form.
-func (w optionsWire) options() Options {
-	return Options{
-		QuotaInstr:         w.QuotaInstr,
-		Seed:               w.Seed,
-		MaxCycles:          w.MaxCycles,
-		EpochTrace:         w.EpochTrace,
-		Faults:             w.Faults,
-		Endurance:          w.Endurance,
-		DisableFastForward: w.DisableFastForward,
-		EpochCycles:        w.EpochCycles,
+// wire is the run-defining part of the options.
+func (o Options) wire() optionsWire {
+	return optionsWire{
+		QuotaInstr:         o.QuotaInstr,
+		Seed:               o.Seed,
+		MaxCycles:          o.MaxCycles,
+		EpochTrace:         o.EpochTrace,
+		Faults:             o.Faults,
+		Endurance:          o.Endurance,
+		DisableFastForward: o.DisableFastForward,
+		EpochCycles:        o.EpochCycles,
 	}
 }
 
@@ -154,18 +166,9 @@ type chipSnapshot struct {
 // snapshot captures the chip at cycle now (an epoch-drain boundary).
 func (s *Sim) snapshot(now uint64) (*chipSnapshot, error) {
 	st := &chipSnapshot{
-		Cfg:   s.cfg,
-		Bench: s.bench.Name,
-		Opts: optionsWire{
-			QuotaInstr:         s.opts.QuotaInstr,
-			Seed:               s.opts.Seed,
-			MaxCycles:          s.opts.MaxCycles,
-			EpochTrace:         s.opts.EpochTrace,
-			Faults:             s.opts.Faults,
-			Endurance:          s.opts.Endurance,
-			DisableFastForward: s.opts.DisableFastForward,
-			EpochCycles:        s.opts.EpochCycles,
-		},
+		Cfg:            s.cfg,
+		Bench:          s.bench.Name,
+		Opts:           s.opts.wire(),
 		Now:            now,
 		TelemetrySeq:   s.tel.Emitter().Seq(),
 		L3:             s.l3.Snapshot(),
@@ -267,7 +270,7 @@ func (s *Sim) restore(st *chipSnapshot) error {
 // Snapshotting reads state without mutating it, so a checkpointing run
 // produces results byte-identical to a run without checkpoints.
 func (s *Sim) maybeCheckpoint(now uint64) error {
-	spec := s.opts.Checkpoint
+	spec := s.ckpt
 	if !spec.Enabled() {
 		return nil
 	}
@@ -288,48 +291,13 @@ func (s *Sim) maybeCheckpoint(now uint64) error {
 
 // WriteCheckpoint snapshots the chip at cycle now into path. The sim
 // must be at an epoch-drain boundary (it always is between RunContext
-// iterations; external callers should prefer Options.Checkpoint).
+// iterations; external callers should prefer RunOrResume's spec).
 func (s *Sim) WriteCheckpoint(path string, now uint64) error {
 	st, err := s.snapshot(now)
 	if err != nil {
 		return err
 	}
 	return s.ckptW.Save(path, SnapshotVersion, st)
-}
-
-// ResumeOption adjusts resume-time attachments that are not part of
-// the checkpointed run definition.
-type ResumeOption func(*resumeConfig)
-
-type resumeConfig struct {
-	tel  *telemetry.Collector
-	ckpt CheckpointSpec
-}
-
-// WithTelemetry attaches a telemetry collector to the resumed run. The
-// event stream continues at the checkpoint's sequence number, so
-// concatenating the interrupted run's events before the checkpoint with
-// the resumed run's events reproduces the uninterrupted stream.
-func WithTelemetry(t *telemetry.Collector) ResumeOption {
-	return func(rc *resumeConfig) { rc.tel = t }
-}
-
-// WithCheckpoint re-arms checkpointing on the resumed run, typically at
-// the same path so the run keeps its crash-recovery point current.
-func WithCheckpoint(spec CheckpointSpec) ResumeOption {
-	return func(rc *resumeConfig) { rc.ckpt = spec }
-}
-
-// Resume rebuilds a simulation from a checkpoint file. The returned Sim
-// continues from the captured cycle when run; its Result and telemetry
-// events are byte-identical to what the uninterrupted run would have
-// produced from that point.
-func Resume(path string, ropts ...ResumeOption) (*Sim, error) {
-	st, err := loadSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	return resumeFrom(st, ropts...)
 }
 
 // loadSnapshot reads, verifies and decodes a checkpoint file.
@@ -341,17 +309,45 @@ func loadSnapshot(path string) (*chipSnapshot, error) {
 	return st, nil
 }
 
-// resumeFrom rebuilds a simulation from a decoded snapshot, so a caller
-// that already inspected the snapshot does not decode the file twice.
-func resumeFrom(st *chipSnapshot, ropts ...ResumeOption) (*Sim, error) {
-	var rc resumeConfig
-	for _, o := range ropts {
-		o(&rc)
+// RunOrResume executes one simulation with crash recovery. It is the
+// only way to checkpoint a run and the only way to continue one: when
+// spec.Path holds a checkpoint of this same run (Info.Holds) the run
+// resumes from the captured cycle; otherwise it starts at cycle 0.
+// Either way it writes checkpoints to spec.Path as spec says, so a run
+// interrupted again resumes from its latest checkpoint. A missing,
+// damaged, old-version or other-run checkpoint costs a restart from
+// cycle 0, never an error. The result is bit-identical to an
+// uninterrupted run, so callers (the serve journal, the batch runner,
+// the CLI tools) can re-execute after a crash and converge to the same
+// bytes.
+func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (Result, error) {
+	if err := spec.validate(); err != nil {
+		return Result{}, err
 	}
-	opts := st.Opts.options()
-	opts.Telemetry = rc.tel
-	opts.Checkpoint = rc.ckpt
-	s, err := New(st.Cfg, st.Bench, opts)
+	s, err := resume(spec.Path, cfg, bench, opts)
+	if err != nil {
+		if s, err = New(cfg, bench, opts); err != nil {
+			return Result{}, err
+		}
+	}
+	s.ckpt = spec
+	return s.RunContext(ctx)
+}
+
+// resume builds the run cfg, bench and opts define and repositions it
+// at the cycle of the checkpoint in path. It fails unless path holds a
+// checkpoint of that run. The file is decoded once: the match and the
+// restore share the snapshot. The telemetry collector in opts continues
+// the captured event stream.
+func resume(path string, cfg config.Config, bench string, opts Options) (*Sim, error) {
+	st, err := loadSnapshot(path)
+	if err != nil {
+		return nil, err
+	}
+	if !st.info().Holds(cfg, bench, opts) {
+		return nil, fmt.Errorf("sim: %s holds another run", path)
+	}
+	s, err := New(cfg, bench, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -361,41 +357,37 @@ func resumeFrom(st *chipSnapshot, ropts ...ResumeOption) (*Sim, error) {
 	return s, nil
 }
 
-// RunOrResume executes one simulation with crash recovery: when
-// spec.Path holds a checkpoint written by this same run — identity-
-// checked on benchmark, configuration point, seed and quota — the run
-// resumes from the captured cycle; otherwise it starts fresh with
-// checkpointing armed. A missing, damaged or mismatched checkpoint
-// costs a restart from cycle 0, never an error. Either way the result
-// is bit-identical to an uninterrupted run, so callers (the serve
-// journal, the sweep tools) can re-execute after a crash and converge
-// to the same bytes. The file is decoded once: the identity check and
-// the rebuild share the same snapshot.
-func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (Result, error) {
-	if spec.Enabled() {
-		if st, err := loadSnapshot(spec.Path); err == nil &&
-			st.Bench == bench &&
-			st.Cfg.Kind == cfg.Kind && st.Cfg.Scale == cfg.Scale &&
-			st.Cfg.ClusterSize == cfg.ClusterSize &&
-			st.Opts.Seed == opts.Seed && st.Opts.QuotaInstr == opts.QuotaInstr {
-			s, err := resumeFrom(st, WithTelemetry(opts.Telemetry), WithCheckpoint(spec))
-			if err == nil {
-				return s.RunContext(ctx)
-			}
-		}
-	}
-	opts.Checkpoint = spec
-	return RunContext(ctx, cfg, bench, opts)
-}
-
 // Info describes a checkpoint file without rebuilding the simulation.
 type Info struct {
 	Cycle        uint64
 	Config       config.Config
 	Bench        string
-	Seed         int64
-	QuotaInstr   uint64
 	TelemetrySeq uint64
+
+	opts optionsWire
+}
+
+// Holds reports whether the checkpoint belongs to the run that cfg,
+// bench and opts define. This is the one match rule: the whole
+// configuration, the benchmark and every run-defining option must be
+// equal, compared after the defaulting New applies (Options.resolve).
+// Telemetry is an attachment, not part of the run, and is ignored.
+func (i Info) Holds(cfg config.Config, bench string, opts Options) bool {
+	if opts.resolve(cfg) != nil {
+		return false
+	}
+	return i.Bench == bench && reflect.DeepEqual(i.Config, cfg) && reflect.DeepEqual(i.opts, opts.wire())
+}
+
+// info is the snapshot's identity and position.
+func (st *chipSnapshot) info() Info {
+	return Info{
+		Cycle:        st.Now,
+		Config:       st.Cfg,
+		Bench:        st.Bench,
+		TelemetrySeq: st.TelemetrySeq,
+		opts:         st.Opts,
+	}
 }
 
 // CheckpointInfo reads a checkpoint's identity and position.
@@ -404,12 +396,5 @@ func CheckpointInfo(path string) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	return Info{
-		Cycle:        st.Now,
-		Config:       st.Cfg,
-		Bench:        st.Bench,
-		Seed:         st.Opts.Seed,
-		QuotaInstr:   st.Opts.QuotaInstr,
-		TelemetrySeq: st.TelemetrySeq,
-	}, nil
+	return st.info(), nil
 }

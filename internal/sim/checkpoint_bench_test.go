@@ -19,12 +19,15 @@ var ckptBenchCases = []struct {
 	{config.PRSRAMNT, "ocean"},
 }
 
+// ckptBenchOpts are the checkpoint benchmarks' run options.
+var ckptBenchOpts = Options{QuotaInstr: 10_000, Seed: 1}
+
 // finishedSim runs one case to completion at quota 10000 and returns the
 // finished Sim with its final cycle, the state a journal checkpoint of a
 // short served run captures.
 func finishedSim(b *testing.B, kind config.ArchKind, bench string) (*Sim, uint64) {
 	b.Helper()
-	s, err := New(config.New(kind, config.Medium), bench, Options{QuotaInstr: 10_000, Seed: 1})
+	s, err := New(config.New(kind, config.Medium), bench, ckptBenchOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,8 +73,9 @@ func BenchmarkCheckpointSave(b *testing.B) {
 	}
 }
 
-// BenchmarkResume times Resume from such a checkpoint: load, checksum,
-// gob decode, rebuild the chip with New, and restore its state.
+// BenchmarkResume times the resume half of RunOrResume from such a
+// checkpoint: load, checksum, gob decode, match the run, rebuild the
+// chip with New, and restore its state.
 func BenchmarkResume(b *testing.B) {
 	for _, tc := range ckptBenchCases {
 		b.Run(tc.kind.String()+"/"+tc.bench, func(b *testing.B) {
@@ -83,7 +87,7 @@ func BenchmarkResume(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Resume(path); err != nil {
+				if _, err := resume(path, config.New(tc.kind, config.Medium), tc.bench, ckptBenchOpts); err != nil {
 					b.Fatal(err)
 				}
 			}

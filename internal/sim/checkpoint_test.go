@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -13,35 +15,18 @@ import (
 	"respin/internal/telemetry"
 )
 
-// telRun executes one run with an events-attached collector, optionally
-// arming a single checkpoint at ckptAt, and returns the Result with the
-// raw JSONL event stream.
-func telRun(t *testing.T, cfg config.Config, bench string, optsFn func() Options, ckptPath string, ckptAt uint64) (Result, []byte) {
+// telRun executes one run through RunOrResume with an events-attached
+// collector and the given checkpoint spec (zero for none), and returns
+// the Result with the raw JSONL event stream. Over a path that holds a
+// checkpoint of this run it resumes; otherwise it starts at cycle 0.
+func telRun(t *testing.T, cfg config.Config, bench string, optsFn func() Options, spec CheckpointSpec) (Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	opts := optsFn()
 	opts.Telemetry = telemetry.New(telemetry.WithEvents(&buf))
-	if ckptPath != "" {
-		opts.Checkpoint = CheckpointSpec{Path: ckptPath, AtCycle: ckptAt}
-	}
-	r, err := Run(cfg, bench, opts)
+	r, err := RunOrResume(context.Background(), cfg, bench, opts, spec)
 	if err != nil {
 		t.Fatalf("run %v/%s: %v", cfg.Kind, bench, err)
-	}
-	return r, buf.Bytes()
-}
-
-// resumeRun resumes from a checkpoint with a fresh event collector.
-func resumeRun(t *testing.T, path string) (Result, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	s, err := Resume(path, WithTelemetry(telemetry.New(telemetry.WithEvents(&buf))))
-	if err != nil {
-		t.Fatalf("resume %s: %v", path, err)
-	}
-	r, err := s.Run()
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
 	}
 	return r, buf.Bytes()
 }
@@ -84,8 +69,9 @@ func checkResumeIdentity(t *testing.T, cfg config.Config, bench string, optsFn f
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
-	full, fullEvs := telRun(t, cfg, bench, optsFn, "", 0)
-	ckpt, ckptEvs := telRun(t, cfg, bench, optsFn, path, ckptAt)
+	spec := CheckpointSpec{Path: path, AtCycle: ckptAt}
+	full, fullEvs := telRun(t, cfg, bench, optsFn, CheckpointSpec{})
+	ckpt, ckptEvs := telRun(t, cfg, bench, optsFn, spec)
 	if !reflect.DeepEqual(full, ckpt) || !bytes.Equal(fullEvs, ckptEvs) {
 		t.Fatal("arming a checkpoint perturbed the run")
 	}
@@ -101,7 +87,7 @@ func checkResumeIdentity(t *testing.T, cfg config.Config, bench string, optsFn f
 		t.Fatalf("checkpoint identity %s/%v, want %s/%v", info.Bench, info.Config.Kind, bench, cfg.Kind)
 	}
 
-	res, resEvs := resumeRun(t, path)
+	res, resEvs := telRun(t, cfg, bench, optsFn, spec)
 	if fj, rj := mustJSON(t, full), mustJSON(t, res); !bytes.Equal(fj, rj) {
 		t.Fatalf("resumed Result JSON diverged from uninterrupted run\nfull:    %s\nresumed: %s", fj, rj)
 	}
@@ -115,11 +101,11 @@ func checkResumeIdentity(t *testing.T, cfg config.Config, bench string, optsFn f
 	}
 }
 
-// TestCheckpointResumeIdentity is the contract behind Options.Checkpoint
-// and Resume: checkpointing mid-run and resuming must be bit-identical
-// to the uninterrupted run — same Result JSON, same telemetry event
-// stream — on every Table IV configuration and on the paths with extra
-// state to carry across the checkpoint.
+// TestCheckpointResumeIdentity is the contract behind RunOrResume:
+// checkpointing mid-run and resuming must be bit-identical to the
+// uninterrupted run — same Result JSON, same telemetry event stream —
+// on every Table IV configuration and on the paths with extra state to
+// carry across the checkpoint.
 func TestCheckpointResumeIdentity(t *testing.T) {
 	t.Parallel()
 	for _, kind := range config.AllArchKinds {
@@ -198,15 +184,9 @@ func TestCheckpointPeriodic(t *testing.T) {
 	mk := func() Options {
 		return Options{QuotaInstr: 12_000, Seed: 1, EpochTrace: true}
 	}
-	full, fullEvs := telRun(t, cfg, "fft", mk, "", 0)
-
-	var buf bytes.Buffer
-	opts := mk()
-	opts.Telemetry = telemetry.New(telemetry.WithEvents(&buf))
-	opts.Checkpoint = CheckpointSpec{Path: path, EveryCycles: 3_000}
-	if _, err := Run(cfg, "fft", opts); err != nil {
-		t.Fatal(err)
-	}
+	full, fullEvs := telRun(t, cfg, "fft", mk, CheckpointSpec{})
+	spec := CheckpointSpec{Path: path, EveryCycles: 3_000}
+	telRun(t, cfg, "fft", mk, spec)
 
 	info, err := CheckpointInfo(path)
 	if err != nil {
@@ -215,11 +195,82 @@ func TestCheckpointPeriodic(t *testing.T) {
 	if info.Cycle < 3_000 {
 		t.Fatalf("last periodic checkpoint at %d, want >= 3000", info.Cycle)
 	}
-	res, resEvs := resumeRun(t, path)
+	res, resEvs := telRun(t, cfg, "fft", mk, spec)
 	if !reflect.DeepEqual(full, res) {
 		t.Fatalf("periodic resume diverged:\nfull:    %+v\nresumed: %+v", full, res)
 	}
 	if want := eventsAfter(t, fullEvs, info.TelemetrySeq); !bytes.Equal(want, resEvs) {
 		t.Fatal("periodic resume event stream diverged")
 	}
+}
+
+// TestRunOrResumeMatchesWholeRun: a checkpoint resumes only the run it
+// holds. Over run A's mid-run checkpoint, every run B whose definition
+// differs from A's — in its options, its faults, its epoch trace, or a
+// configuration field beyond kind, scale and cluster size — starts at
+// cycle 0 and equals a fresh B byte for byte, result and event stream.
+// With B = A the call resumes: no run.start event, and the result of
+// the uninterrupted run.
+func TestRunOrResumeMatchesWholeRun(t *testing.T) {
+	t.Parallel()
+	cfgA := config.New(config.SHSTT, config.Medium)
+	optsA := func() Options {
+		return Options{QuotaInstr: 15_000, Seed: 1, Endurance: endurance.Params{BudgetMean: 3_000}}
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	spec := CheckpointSpec{Path: path, AtCycle: 40_000}
+	fullA, evsA := telRun(t, cfgA, "radix", optsA, spec)
+	if !bytes.Contains(evsA, []byte(`"run.start"`)) {
+		t.Fatal("a fresh run emitted no run.start event")
+	}
+	ckptA, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfgB := cfgA
+	cfgB.ConsolidationParams.EPIThreshold *= 2
+	for _, tc := range []struct {
+		name   string
+		cfg    config.Config
+		optsFn func() Options
+	}{
+		{"no-options", cfgA, func() Options { return Options{QuotaInstr: 15_000, Seed: 1} }},
+		{"stt-write-faults", cfgA, func() Options {
+			return Options{QuotaInstr: 15_000, Seed: 1, Faults: faults.Params{STTWriteFailProb: 0.01}}
+		}},
+		{"epoch-trace", cfgA, func() Options {
+			o := optsA()
+			o.EpochTrace = true
+			return o
+		}},
+		{"consolidation-params", cfgB, optsA},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh, freshEvs := telRun(t, tc.cfg, "radix", tc.optsFn, CheckpointSpec{})
+			if err := os.WriteFile(path, ckptA, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, gotEvs := telRun(t, tc.cfg, "radix", tc.optsFn, spec)
+			if fj, gj := mustJSON(t, fresh), mustJSON(t, got); !bytes.Equal(fj, gj) {
+				t.Fatalf("run over another run's checkpoint differs from a fresh run\nfresh: %s\ngot:   %s", fj, gj)
+			}
+			if !bytes.Equal(freshEvs, gotEvs) {
+				t.Fatal("run over another run's checkpoint emitted a different event stream than a fresh run")
+			}
+		})
+	}
+
+	t.Run("same-run", func(t *testing.T) {
+		if err := os.WriteFile(path, ckptA, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, evs := telRun(t, cfgA, "radix", optsA, spec)
+		if fj, gj := mustJSON(t, fullA), mustJSON(t, got); !bytes.Equal(fj, gj) {
+			t.Fatalf("resumed run differs from the uninterrupted run\nfull: %s\ngot:  %s", fj, gj)
+		}
+		if bytes.Contains(evs, []byte(`"run.start"`)) {
+			t.Fatal("the same run started at cycle 0 instead of resuming")
+		}
+	})
 }

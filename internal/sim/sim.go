@@ -59,8 +59,11 @@ type Options struct {
 	Endurance endurance.Params
 	// DisableFastForward forces the cycle-exact slow path: every cache
 	// cycle is ticked even when no cluster has runnable work. Results
-	// are bit-identical either way (the equivalence test enforces it);
-	// the flag exists for that test and for debugging.
+	// are bit-identical either way (the equivalence test enforces it)
+	// unless the endurance model has retention: the L3's scrubs run at
+	// epoch boundaries, and fast-forward moves those boundaries, so
+	// such runs differ slightly (DESIGN §4e). The flag exists for the
+	// equivalence test and for debugging.
 	DisableFastForward bool
 	// Telemetry, when enabled, receives metric registrations from every
 	// subsystem under stable dotted names and streams structured events
@@ -75,12 +78,11 @@ type Options struct {
 	// minimum L3 round trip, itself capped by the barrier release
 	// propagation delay. Values above that cap are clamped down; the
 	// knob exists for the epoch-length invariance tests and for
-	// debugging.
+	// debugging. Results are identical at every epoch length except
+	// where work waits for an epoch boundary: the HaltOnUncorrectable
+	// machine check halts at the first boundary after the upset, and
+	// the L3's retention scrubs run at boundaries (DESIGN §4d).
 	EpochCycles uint64
-	// Checkpoint configures periodic checkpoint writes (see
-	// CheckpointSpec); the zero value disables them. Snapshotting never
-	// mutates state, so results are bit-identical with or without it.
-	Checkpoint CheckpointSpec
 }
 
 // DefaultQuota is the default per-thread instruction budget.
@@ -94,7 +96,8 @@ const maxQuota = ^uint64(0) / 200
 // combinations in one place: zero quota selects DefaultQuota, zero
 // MaxCycles scales to the quota, zero seed selects 1. It does not
 // resolve configuration-dependent fault defaults (the negative
-// SRAMBitFlipPerCell rail derivation needs the config; New does that).
+// SRAMBitFlipPerCell rail derivation needs the config; resolve does
+// that).
 func (o *Options) Normalize() error {
 	if o.QuotaInstr == 0 {
 		o.QuotaInstr = DefaultQuota
@@ -115,14 +118,22 @@ func (o *Options) Normalize() error {
 	if o.Endurance.Seed == 0 {
 		o.Endurance.Seed = o.Faults.Seed
 	}
-	if err := o.Endurance.Normalize(); err != nil {
+	return o.Endurance.Normalize()
+}
+
+// resolve applies every default New applies to the options of a run on
+// cfg: Normalize, then the rail-derived SRAM flip rate. New and the
+// checkpoint match rule (Info.Holds) both call it, so a checkpoint is
+// compared against the run definition New would actually execute.
+func (o *Options) resolve(cfg config.Config) error {
+	if err := o.Normalize(); err != nil {
 		return err
 	}
-	if o.Checkpoint.Path != "" && o.Checkpoint.EveryCycles == 0 && o.Checkpoint.AtCycle == 0 {
-		return fmt.Errorf("sim: checkpoint path %q set without a trigger (EveryCycles or AtCycle)", o.Checkpoint.Path)
-	}
-	if o.Checkpoint.Path == "" && (o.Checkpoint.EveryCycles != 0 || o.Checkpoint.AtCycle != 0) {
-		return fmt.Errorf("sim: checkpoint trigger set without a path")
+	if o.Faults.SRAMBitFlipPerCell < 0 {
+		// Derive the flip rate from the cache rail: zero for STT-RAM
+		// (immune to voltage-dependent upsets), the CellFailProb law
+		// for near-threshold SRAM.
+		o.Faults.SRAMBitFlipPerCell = reliability.CellFailProb(cfg.Tech, cfg.CacheVdd)
 	}
 	return nil
 }
@@ -234,10 +245,12 @@ type Sim struct {
 
 	// Checkpoint/resume state: startCycle is where RunContext begins
 	// (zero unless restored), resumed suppresses the duplicate
-	// run.start event, lastCkpt/ckptAtDone drive CheckpointSpec, and
-	// ckptW sizes each write's buffer from the previous one.
+	// run.start event, ckpt is the spec RunOrResume armed (zero
+	// otherwise), lastCkpt/ckptAtDone drive it, and ckptW sizes each
+	// write's buffer from the previous one.
 	startCycle uint64
 	resumed    bool
+	ckpt       CheckpointSpec
 	lastCkpt   uint64
 	ckptAtDone bool
 	ckptW      checkpoint.Writer
@@ -261,14 +274,8 @@ func New(cfg config.Config, benchName string, opts Options) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.Normalize(); err != nil {
+	if err := opts.resolve(cfg); err != nil {
 		return nil, err
-	}
-	if opts.Faults.SRAMBitFlipPerCell < 0 {
-		// Derive the flip rate from the cache rail: zero for STT-RAM
-		// (immune to voltage-dependent upsets), the CellFailProb law
-		// for near-threshold SRAM.
-		opts.Faults.SRAMBitFlipPerCell = reliability.CellFailProb(cfg.Tech, cfg.CacheVdd)
 	}
 	if err := opts.Faults.Validate(cfg.NumClusters(), cfg.ClusterSize); err != nil {
 		return nil, err
