@@ -3,20 +3,19 @@
 // calls out. Each benchmark regenerates its artifact on a reduced
 // workload (two representative benchmarks, short quotas) so the whole
 // suite completes in minutes on one core, and reports the artifact's
-// headline numbers as custom metrics. cmd/respin-bench runs the
-// full-fidelity versions.
+// headline numbers as custom metrics. The metrics are informational:
+// the experiments package's TestClaims gates every claim exactly.
+// cmd/respin-bench runs the full-fidelity versions.
 package respin
 
 import (
-	"math/rand"
+	"fmt"
+	"strings"
 	"testing"
 
 	"respin/internal/config"
 	"respin/internal/experiments"
-	"respin/internal/power"
-	"respin/internal/sharedcache"
 	"respin/internal/sim"
-	"respin/internal/tech"
 )
 
 // benchRunner builds a reduced experiment runner for benchmark use.
@@ -49,16 +48,15 @@ func BenchmarkTableI(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIII regenerates the technology model against the
+// BenchmarkTableIII regenerates the technology model's rows against the
 // paper's anchors.
 func BenchmarkTableIII(b *testing.B) {
 	b.ReportAllocs()
-	var leakRatio float64
 	for i := 0; i < b.N; i++ {
-		rows := tech.TableIII()
-		leakRatio = rows[2].LeakageMW / rows[3].LeakageMW
+		if experiments.TableIII() == "" {
+			b.Fatal("empty table")
+		}
 	}
-	b.ReportMetric(leakRatio, "SRAM/STT-leak-ratio")
 }
 
 // BenchmarkTableIV echoes the configuration legend.
@@ -212,118 +210,23 @@ func BenchmarkSimThroughput(b *testing.B) {
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// BenchmarkAblationArbitration compares the paper's priority-register
-// arbitration against naive FIFO on half-miss rate under mixed-speed
-// contention (microbenchmark on the controller alone).
-func BenchmarkAblationArbitration(b *testing.B) {
+// BenchmarkAblations runs the design ablations (experiments.Ablations:
+// arbitration, epoch length, back-off, remapper order, level derates
+// and the Table III leakage ratio) on a fresh quick runner per
+// iteration and reports each claim value as a metric.
+func BenchmarkAblations(b *testing.B) {
 	b.ReportAllocs()
-	run := func(policy sharedcache.SelectPolicy) float64 {
-		c := sharedcache.New(16, sharedcache.WithPolicy(policy), sharedcache.WithSeed(11))
-		rng := rand.New(rand.NewSource(13))
-		for i := 0; i < 100_000; i++ {
-			// Moderately loaded: every idle core re-requests with 4%
-			// probability each cycle.
-			for core := 0; core < 16; core++ {
-				if rng.Float64() < 0.04 && c.CanSubmitRead(core) {
-					c.Submit(sharedcache.Request{Core: core, Multiple: 4 + core%3})
-				}
+	var claims []experiments.Claim
+	for i := 0; i < b.N; i++ {
+		claims = experiments.QuickRunner().Ablations()
+	}
+	for _, c := range claims {
+		for j, v := range c.Values {
+			unit := strings.ReplaceAll(c.Metric, " ", "_")
+			if len(c.Values) > 1 {
+				unit += fmt.Sprintf("#%d", j)
 			}
-			c.Tick()
+			b.ReportMetric(v, unit)
 		}
-		return c.HalfMissRate()
 	}
-	var prio, fifo float64
-	for i := 0; i < b.N; i++ {
-		prio = run(sharedcache.SoonestDeadline)
-		fifo = run(sharedcache.FIFO)
-	}
-	b.ReportMetric(prio*100, "priority-halfmiss-%")
-	b.ReportMetric(fifo*100, "fifo-halfmiss-%")
-}
-
-// BenchmarkAblationEpochLength sweeps the consolidation interval around
-// the paper's 160K-instruction choice.
-func BenchmarkAblationEpochLength(b *testing.B) {
-	b.ReportAllocs()
-	base, err := sim.Run(config.New(config.SHSTT, config.Medium), "radix",
-		sim.Options{QuotaInstr: 60_000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, epoch := range []uint64{40_000, 160_000, 640_000} {
-		epoch := epoch
-		b.Run(map[uint64]string{40_000: "40k", 160_000: "160k", 640_000: "640k"}[epoch],
-			func(b *testing.B) {
-				b.ReportAllocs()
-				var norm float64
-				for i := 0; i < b.N; i++ {
-					cfg := config.New(config.SHSTTCC, config.Medium)
-					cfg.ConsolidationParams.EpochInstructions = epoch
-					res, err := sim.Run(cfg, "radix", sim.Options{QuotaInstr: 60_000, Seed: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
-					norm = res.EnergyPJ / base.EnergyPJ
-				}
-				b.ReportMetric(norm, "energy-vs-SH-STT")
-			})
-	}
-}
-
-// BenchmarkAblationBackoff compares the greedy search with and without
-// its exponential back-off.
-func BenchmarkAblationBackoff(b *testing.B) {
-	b.ReportAllocs()
-	run := func(backoff []int) (float64, uint64) {
-		cfg := config.New(config.SHSTTCC, config.Medium)
-		cfg.ConsolidationParams.BackoffEpochs = backoff
-		res, err := sim.Run(cfg, "radix", sim.Options{QuotaInstr: 60_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.EnergyPJ, res.Stats.Migrations
-	}
-	var withE, withoutE float64
-	var withM, withoutM uint64
-	for i := 0; i < b.N; i++ {
-		withE, withM = run(config.DefaultConsolidationParams().BackoffEpochs)
-		withoutE, withoutM = run(nil)
-	}
-	b.ReportMetric(withoutE/withE, "energy-no-backoff-vs-backoff")
-	b.ReportMetric(float64(withoutM)/float64(withM+1), "migrations-ratio")
-}
-
-// BenchmarkAblationLevelDerates verifies the chip-power sensitivity to
-// the L2/L3 leakage derates (a documented calibration choice).
-func BenchmarkAblationLevelDerates(b *testing.B) {
-	b.ReportAllocs()
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		chip := power.NewChip(config.New(config.PRSRAMNT, config.Medium))
-		bd := power.EstimateBreakdown(config.New(config.PRSRAMNT, config.Medium), 0.5)
-		frac = bd.CacheLeakW / (bd.CacheLeakW + float64(chip.CoreLeakW))
-	}
-	b.ReportMetric(frac, "cache-vs-core-leak-share")
-}
-
-// BenchmarkAblationRemapperOrder compares the paper's efficiency-ordered
-// consolidation (gate the slowest cores first) against the inverted
-// policy (gate the fastest first).
-func BenchmarkAblationRemapperOrder(b *testing.B) {
-	b.ReportAllocs()
-	run := func(preferSlow bool) (float64, float64) {
-		cfg := config.New(config.SHSTTCC, config.Medium)
-		cfg.ConsolidationParams.PreferSlowCores = preferSlow
-		res, err := sim.Run(cfg, "radix", sim.Options{QuotaInstr: 60_000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.EnergyPJ, float64(res.Cycles)
-	}
-	var effE, slowE float64
-	for i := 0; i < b.N; i++ {
-		effE, _ = run(false)
-		slowE, _ = run(true)
-	}
-	b.ReportMetric(slowE/effE, "energy-slow-first-vs-efficient-first")
 }

@@ -7,20 +7,16 @@
 //	respin-bench [-quick] [-quota N] [-trace-quota N] [-benches a,b,c]
 //	             [-only fig9] [-seed N] [-fault-seed N] [-jobs N]
 //	             [-cpuprofile f] [-memprofile f] [-metrics f] [-events f]
-//	             [-o out.txt] [-q]
-//	respin-bench -baseline BENCH_baseline.json [-bench-output bench.txt]
+//	             [-o out.txt] [-json claims.json] [-q]
 //
-// The second form checks a `go test -bench` run for metric drift: the
-// bench output (a file, or stdin when -bench-output is "-" or omitted)
-// is parsed and every custom metric — the deterministic reproducibility
-// anchors — is compared against the baseline file. Timings and rate
-// metrics (ns/op, B/op, allocs/op, anything per second) stay
-// informational. Exit status 1 means at least one metric drifted.
-//
-// The full run simulates hundreds of configurations; -jobs spreads them
-// over a worker pool (default: all cores), and -quick runs a
-// four-benchmark subset. SIGINT cancels the evaluation; the sections
-// completed so far are still printed as a partial report.
+// The full run simulates hundreds of configurations (about 8 minutes on 2
+// cores); -jobs spreads them over a worker pool (default: all cores),
+// and -quick runs a four-benchmark subset. SIGINT cancels the
+// evaluation; the sections completed so far are still printed as a
+// partial report. -json writes the paper-vs-measured claims as typed
+// rows (values, format, bands); `-only ablations` prints the design
+// ablations. The bands are checked by the experiments package's
+// TestClaims, not here.
 package main
 
 import (
@@ -31,7 +27,6 @@ import (
 	"os/signal"
 	"strings"
 
-	"respin/internal/benchcheck"
 	"respin/internal/chaos"
 	"respin/internal/cli"
 	"respin/internal/experiments"
@@ -57,14 +52,9 @@ func run() int {
 	benches := flag.String("benches", "", "comma-separated benchmark subset")
 	only := flag.String("only", "", "run a single experiment: "+onlyKeys)
 	out := flag.String("o", "", "also write the report to this file")
-	jsonOut := flag.String("json", "", "write the comparison summary as JSON to this file")
-	baseline := flag.String("baseline", "", "check `go test -bench` output for metric drift against this baseline JSON and exit")
-	benchOutput := flag.String("bench-output", "-", "bench text to check with -baseline (\"-\" reads stdin)")
+	jsonOut := flag.String("json", "", "write the paper-vs-measured claims as JSON to this file")
 	flag.Parse()
 
-	if *baseline != "" {
-		return checkBaseline(*baseline, *benchOutput)
-	}
 	if *only == "chaos" {
 		// The kill-and-resume harness drives real respin-serve processes,
 		// not the in-process runner, so it dispatches before the runner
@@ -145,32 +135,10 @@ func fail(err error) int {
 	return 1
 }
 
-// checkBaseline implements the -baseline mode: parse a `go test -bench`
-// run and gate on the custom-metric reproducibility anchors.
-func checkBaseline(baselinePath, benchPath string) int {
-	in := os.Stdin
-	if benchPath != "" && benchPath != "-" {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	drifts, err := benchcheck.Check(baselinePath, in, os.Stdout)
-	if err != nil {
-		return fail(err)
-	}
-	if len(drifts) > 0 {
-		return 1
-	}
-	return 0
-}
-
 // onlyKeys lists every -only id runOne accepts (aliases after their
 // canonical names); keep it in sync with the switch below.
 const onlyKeys = "fig1,fig2,tab1,tab3,tab4,vmin,area,variation,workloads," +
-	"fig6,fig7,fig8,fig9,sweep,fig10,fig11,fig12,fig13,fig14,faults,endurance,chaos"
+	"fig6,fig7,fig8,fig9,sweep,fig10,fig11,fig12,fig13,fig14,faults,endurance,ablations,chaos"
 
 // runOne dispatches a single experiment by id.
 func runOne(r *experiments.Runner, id string) (string, bool) {
@@ -207,6 +175,8 @@ func runOne(r *experiments.Runner, id string) (string, bool) {
 		return r.FaultSweep().Render(), true
 	case "endurance":
 		return r.EnduranceSweep().Render(), true
+	case "ablations":
+		return experiments.RenderClaims("Design ablations (consolidation rows: radix, 60K instructions per thread)", r.Ablations()), true
 	case "floorplan", "fig2":
 		return experiments.Floorplan(), true
 	case "vmin":

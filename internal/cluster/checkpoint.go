@@ -237,6 +237,17 @@ func (cl *Cluster) Restore(st State) error {
 			return fmt.Errorf("cluster %d: restore vcore %d on pcore %d of %d", cl.id, i, vs.PCore, len(cl.pcores))
 		}
 	}
+	if err := cl.checkEvents(st); err != nil {
+		return err
+	}
+	for _, f := range st.Fills {
+		if f.Key >= st.FillSeq {
+			return fmt.Errorf("cluster %d: restore fill %d not below the fill sequence %d", cl.id, f.Key, st.FillSeq)
+		}
+	}
+	if len(st.PrivStoreMiss) != len(cl.privStoreMiss) {
+		return fmt.Errorf("cluster %d: restore has %d store-miss counters, cluster has %d", cl.id, len(st.PrivStoreMiss), len(cl.privStoreMiss))
+	}
 	cl.now = st.Now
 	for i := range cl.pcores {
 		p, ps := &cl.pcores[i], &st.PCores[i]
@@ -327,5 +338,35 @@ func (cl *Cluster) Restore(st State) error {
 	*lat = *st.Stats.LoadLatency
 	cl.Stats = st.Stats
 	cl.Stats.LoadLatency = lat
+	return nil
+}
+
+// checkEvents validates a captured event heap before Restore installs
+// it: every kind known, every core index inside the cluster (an index
+// past the cores would panic on delivery), no event before the
+// restored clock, and the array in heap order, which the sift loops
+// assume.
+func (cl *Cluster) checkEvents(st State) error {
+	for i := range st.Events {
+		e := &st.Events[i]
+		var badCore bool
+		switch eventKind(e.Kind) {
+		case evCompleteLoad, evCompleteFetch, evResumeBarrier:
+			badCore = e.VCore < 0 || e.VCore >= len(cl.vcores)
+		case evReleaseStore: // VCore carries the physical core id
+			badCore = e.VCore < 0 || e.VCore >= len(cl.pcores)
+		case evSubmitFill, evReleaseBarrier: // VCore is unused
+		default:
+			return fmt.Errorf("cluster %d: restore event %d has unknown kind %d", cl.id, i, e.Kind)
+		}
+		if badCore {
+			return fmt.Errorf("cluster %d: restore event %d (kind %d) names core %d", cl.id, i, e.Kind, e.VCore)
+		}
+		parent := &st.Events[max(i-1, 0)/2]
+		if e.Cycle < st.Now || i > 0 && eventLess(&event{cycle: e.Cycle, seq: e.Seq, chip: e.Chip},
+			&event{cycle: parent.Cycle, seq: parent.Seq, chip: parent.Chip}) {
+			return fmt.Errorf("cluster %d: restore event %d at cycle %d is before the clock %d or its heap parent", cl.id, i, e.Cycle, st.Now)
+		}
+	}
 	return nil
 }

@@ -30,6 +30,32 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 		{"directory owner past the caches", config.PRSRAMNT, func(st *State) { st.Dir.Entries[0].Owner = int8(len(st.Dir.Caches)) }},
 		{"directory owner below -1", config.PRSRAMNT, func(st *State) { st.Dir.Entries[0].Owner = -2 }},
 		{"directory sharer past the caches", config.PRSRAMNT, func(st *State) { st.Dir.Entries[0].Sharers = 1 << uint(len(st.Dir.Caches)) }},
+		{"event for a vcore past the cluster", config.SHSTT, func(st *State) {
+			st.Events = append(st.Events, EventState{Cycle: st.Now, Seq: st.EventSeq, Kind: int(evCompleteLoad), VCore: len(st.VCores)})
+		}},
+		{"event for a negative vcore", config.SHSTT, func(st *State) {
+			st.Events = append(st.Events, EventState{Cycle: st.Now, Seq: st.EventSeq, Kind: int(evResumeBarrier), VCore: -1})
+		}},
+		{"store release past the pcores", config.PRSRAMNT, func(st *State) {
+			st.Events = append(st.Events, EventState{Cycle: st.Now, Seq: st.EventSeq, Kind: int(evReleaseStore), VCore: len(st.PCores)})
+		}},
+		{"event of an unknown kind", config.SHSTT, func(st *State) {
+			st.Events = append(st.Events, EventState{Cycle: st.Now, Seq: st.EventSeq, Kind: int(evReleaseStore) + 1})
+		}},
+		{"event before the clock", config.SHSTT, func(st *State) {
+			st.Events = append([]EventState{{Cycle: st.Now - 1, Seq: st.EventSeq, Kind: int(evReleaseBarrier)}}, st.Events...)
+		}},
+		{"events out of heap order", config.SHSTT, func(st *State) {
+			st.Events = []EventState{
+				{Cycle: st.Now + 2, Seq: st.EventSeq, Kind: int(evReleaseBarrier)},
+				{Cycle: st.Now + 1, Seq: st.EventSeq + 1, Kind: int(evReleaseBarrier)},
+			}
+		}},
+		{"fill at or past the fill sequence", config.SHSTT, func(st *State) {
+			st.Fills = append(st.Fills, FillEntry{Key: st.FillSeq})
+		}},
+		{"short store-miss counters", config.PRSRAMNT, func(st *State) { st.PrivStoreMiss = st.PrivStoreMiss[:len(st.PrivStoreMiss)-1] }},
+		{"store-miss counters on a shared L1", config.SHSTT, func(st *State) { st.PrivStoreMiss = []int{0} }},
 	}
 	snapshot := func(kind config.ArchKind) State {
 		cl, _ := buildCluster(t, kind, "fft", 2_000)
@@ -56,6 +82,11 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 			}
 			c.corrupt(&st)
 			fresh, _ := buildCluster(t, c.kind, "fft", 2_000)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("malformed state panicked: %v", p)
+				}
+			}()
 			if err := fresh.Restore(st); err == nil {
 				t.Fatal("malformed state restored without an error")
 			}

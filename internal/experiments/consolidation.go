@@ -34,6 +34,16 @@ func (r *Runner) ConsolidationTrace(bench string) TraceResult {
 	}
 }
 
+// Claim returns the trace's energy-saving row: Figure 12 for radix,
+// Figure 13 for any other benchmark.
+func (t TraceResult) Claim() Claim {
+	metric := "lu energy saving, greedy vs oracle"
+	if t.Bench == "radix" {
+		metric = "radix energy saving, greedy vs oracle"
+	}
+	return claim(metric, 100*t.GreedySaving, 100*t.OracleSaving)
+}
+
 // Render formats a consolidation trace pair.
 func (t TraceResult) Render() string {
 	var b strings.Builder

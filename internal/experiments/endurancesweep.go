@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"respin/internal/config"
 	"respin/internal/endurance"
@@ -65,7 +66,7 @@ type EnduranceStudy struct {
 // outcome, recorded with its end-of-life cycle.
 func (r *Runner) EnduranceSweep() *EnduranceStudy {
 	bench := r.Benches[0]
-	if contains(r.Benches, "radix") {
+	if slices.Contains(r.Benches, "radix") {
 		bench = "radix"
 	}
 	st := &EnduranceStudy{Bench: bench}

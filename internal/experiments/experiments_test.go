@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"respin/internal/config"
@@ -15,6 +16,18 @@ func tinyRunner() *Runner {
 	r.TraceQuota = 60_000
 	return r
 }
+
+// shapeRunner is the one tinyRunner the *Shape tests share, built on
+// first use: the runs they have in common simulate once and the
+// runner's cache serves the rest. It runs 8 wide, so
+// TestParallelRunnerMatchesSerial compares it against a serial runner.
+// Tests that change a runner's settings or count its runs build their
+// own.
+var shapeRunner = sync.OnceValue(func() *Runner {
+	r := tinyRunner()
+	r.Jobs = 8
+	return r
+})
 
 func TestFigure1Shape(t *testing.T) {
 	f := Figure1()
@@ -46,7 +59,7 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestFigure6And8ShareRunsAndShape(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	f6 := r.Figure6()
 	if len(f6.Rows) != 9 {
 		t.Fatalf("Figure 6 rows = %d, want 9 (3 scales x 3 configs)", len(f6.Rows))
@@ -85,7 +98,7 @@ func TestFigure6And8ShareRunsAndShape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	f7 := r.Figure7()
 	if m := f7.Mean(config.SHSTT); m >= 1 {
 		t.Errorf("SH-STT normalised time = %.3f, want < 1", m)
@@ -102,7 +115,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	f9 := r.Figure9()
 	stt := f9.Mean(config.SHSTT)
 	if stt >= 1 {
@@ -126,7 +139,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestClusterSweepShape(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	sweep := r.ClusterSweep()
 	if len(sweep.Rows) != 4 {
 		t.Fatalf("sweep rows = %d, want 4", len(sweep.Rows))
@@ -154,7 +167,7 @@ func TestClusterSweepShape(t *testing.T) {
 }
 
 func TestFigure10And11Shape(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	f10 := r.Figure10()
 	if f10.Mean.Total() == 0 {
 		t.Fatal("no arrival observations")
@@ -176,7 +189,7 @@ func TestFigure10And11Shape(t *testing.T) {
 }
 
 func TestConsolidationTraceShape(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	tr := r.ConsolidationTrace("radix")
 	if tr.Greedy.Len() == 0 || tr.Oracle.Len() == 0 {
 		t.Fatal("empty traces")
@@ -193,7 +206,7 @@ func TestConsolidationTraceShape(t *testing.T) {
 }
 
 func TestFigure14Shape(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	f14 := r.Figure14()
 	if len(f14.Rows) != len(r.Benches) {
 		t.Fatalf("rows = %d, want %d", len(f14.Rows), len(r.Benches))
@@ -224,19 +237,39 @@ func TestRunnerCaches(t *testing.T) {
 	}
 }
 
+// TestSuiteReport checks the report of the quick reproduction that
+// TestClaims gates: the paper-vs-measured table holds the rows All
+// measured, each once and in claimTable order, and every section
+// follows it.
 func TestSuiteReport(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full suite is slow")
+		t.Skip("builds a quick reproduction")
 	}
-	r := tinyRunner()
-	s := r.All()
-	if len(s.Comparisons) < 15 {
-		t.Errorf("only %d comparisons", len(s.Comparisons))
-	}
+	s, _ := quickReproduction()
 	rep := s.Report()
 	for _, want := range []string{"Paper vs measured", "Figure 6", "Figure 9", "Figure 14", "cluster-size sweep"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+	for _, sec := range s.Sections {
+		if !strings.Contains(rep, sec) {
+			t.Errorf("report missing section %.40q", sec)
+		}
+	}
+	order := make(map[string]int, len(claimTable))
+	for i, c := range claimTable {
+		order[c.Metric] = i
+	}
+	last := -1
+	for _, c := range s.Claims {
+		i, ok := order[c.Metric]
+		if !ok || i <= last {
+			t.Errorf("%s %q out of claimTable order", c.Artifact, c.Metric)
+		}
+		last = i
+		if !strings.Contains(rep, c.Measured()) {
+			t.Errorf("%s %q: %q missing from the report", c.Artifact, c.Metric, c.Measured())
 		}
 	}
 }
@@ -286,16 +319,16 @@ func TestVariationStudy(t *testing.T) {
 
 func TestSuiteJSON(t *testing.T) {
 	s := &Suite{
-		Comparisons: []Comparison{{ID: "fig9", Metric: "m", Paper: "1", Measured: "2"}},
-		Sections:    []string{"sec"},
+		Claims:   []Claim{claim("SH-STT energy", 0.76)},
+		Sections: []string{"sec"},
 	}
 	data, err := s.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig9", "comparisons", "sections"} {
+	for _, want := range []string{`"claims"`, `"sections"`, `"values": [`, `"bands"`, `"lo": 0.72`, `"format": "%.2f"`} {
 		if !strings.Contains(string(data), want) {
-			t.Errorf("JSON missing %q", want)
+			t.Errorf("JSON missing %q:\n%s", want, data)
 		}
 	}
 }
@@ -343,7 +376,7 @@ func TestFloorplan(t *testing.T) {
 }
 
 func TestWorkloadTable(t *testing.T) {
-	r := tinyRunner()
+	r := shapeRunner()
 	w := r.WorkloadTable()
 	if len(w.Rows) != len(r.Benches) {
 		t.Fatalf("rows = %d, want %d", len(w.Rows), len(r.Benches))

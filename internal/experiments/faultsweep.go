@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"respin/internal/config"
 	"respin/internal/faults"
@@ -47,7 +48,7 @@ type FaultStudy struct {
 //     die at cycle 20k and the VCM remaps their threads onto survivors.
 func (r *Runner) FaultSweep() *FaultStudy {
 	bench := r.Benches[0]
-	if contains(r.Benches, "radix") {
+	if slices.Contains(r.Benches, "radix") {
 		bench = "radix"
 	}
 	st := &FaultStudy{Bench: bench}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"respin/internal/config"
-	"respin/internal/power"
 	"respin/internal/report"
 )
 
@@ -280,9 +279,4 @@ func (f ClusterSweepResult) Best() int {
 		}
 	}
 	return best
-}
-
-// powerOf reproduces the Figure 6 split for one run (helper for tests).
-func powerOf(res power.Meter, ps int64) (leakW, dynW float64) {
-	return res.LeakagePJ() / float64(ps), res.DynamicPJ() / float64(ps)
 }

@@ -1,6 +1,10 @@
 package experiments
 
-import "respin/internal/config"
+import (
+	"slices"
+
+	"respin/internal/config"
+)
 
 // This file enumerates each figure driver's run set. Drivers
 // prefetch their set before consuming results, and All prefetches the
@@ -21,30 +25,27 @@ func (r *Runner) figure6Runs() []Run {
 	return runs
 }
 
-// figure7Runs covers Figure 7: the baseline plus figure7Kinds at the
-// default point.
-func (r *Runner) figure7Runs() []Run {
+// defaultPointRuns covers kinds at the default point, benchmark by
+// benchmark.
+func (r *Runner) defaultPointRuns(kinds ...config.ArchKind) []Run {
 	var runs []Run
 	for _, bench := range r.Benches {
-		runs = append(runs, r.mediumPoint(config.PRSRAMNT, bench))
-		for _, kind := range figure7Kinds {
+		for _, kind := range kinds {
 			runs = append(runs, r.mediumPoint(kind, bench))
 		}
 	}
 	return runs
 }
 
+// figure7Runs covers Figure 7: the baseline plus figure7Kinds.
+func (r *Runner) figure7Runs() []Run {
+	return r.defaultPointRuns(append([]config.ArchKind{config.PRSRAMNT}, figure7Kinds...)...)
+}
+
 // figure9Runs covers Figure 9: the baseline plus every Table IV
-// configuration at the default point.
+// configuration.
 func (r *Runner) figure9Runs() []Run {
-	var runs []Run
-	for _, bench := range r.Benches {
-		runs = append(runs, r.mediumPoint(config.PRSRAMNT, bench))
-		for _, kind := range figure9Kinds {
-			runs = append(runs, r.mediumPoint(kind, bench))
-		}
-	}
-	return runs
+	return r.defaultPointRuns(append([]config.ArchKind{config.PRSRAMNT}, figure9Kinds...)...)
 }
 
 // Figure9Runs exposes the Figure 9 run set (the baseline plus every
@@ -67,16 +68,6 @@ func (r *Runner) clusterSweepRuns() []Run {
 	return runs
 }
 
-// sharedStatsRuns covers Figures 10 and 11 (both reuse the SH-STT
-// default runs).
-func (r *Runner) sharedStatsRuns() []Run {
-	var runs []Run
-	for _, bench := range r.Benches {
-		runs = append(runs, r.mediumPoint(config.SHSTT, bench))
-	}
-	return runs
-}
-
 // traceRuns covers one consolidation trace (Figures 12/13).
 func (r *Runner) traceRuns(bench string) []Run {
 	return []Run{
@@ -95,28 +86,19 @@ func (r *Runner) figure14Runs() []Run {
 	return runs
 }
 
-// workloadRuns covers the workload characterisation table.
-func (r *Runner) workloadRuns() []Run {
-	var runs []Run
-	for _, bench := range r.Benches {
-		runs = append(runs, r.mediumPoint(config.PRSRAMNT, bench))
-	}
-	return runs
-}
-
 // EvalRuns returns the full evaluation's deduplicated run set in the
 // order All consumes it. All prefetches this so the pool never drains
 // between figures.
 func (r *Runner) EvalRuns() []Run {
 	var runs []Run
-	runs = append(runs, r.workloadRuns()...)
+	runs = append(runs, r.defaultPointRuns(config.PRSRAMNT)...) // workload table
 	runs = append(runs, r.figure6Runs()...)
 	runs = append(runs, r.figure7Runs()...)
 	runs = append(runs, r.figure9Runs()...)
 	runs = append(runs, r.clusterSweepRuns()...)
-	runs = append(runs, r.sharedStatsRuns()...)
+	runs = append(runs, r.defaultPointRuns(config.SHSTT)...) // Figures 10 and 11
 	for _, bench := range []string{"radix", "lu"} {
-		if contains(r.Benches, bench) {
+		if slices.Contains(r.Benches, bench) {
 			runs = append(runs, r.traceRuns(bench)...)
 		}
 	}

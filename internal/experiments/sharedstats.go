@@ -19,7 +19,7 @@ type Figure10Result struct {
 // Figure10 measures how many requests arrive at the shared L1D per cache
 // cycle under SH-STT (medium, 16-core clusters).
 func (r *Runner) Figure10() Figure10Result {
-	r.Prefetch(r.sharedStatsRuns()...)
+	r.Prefetch(r.defaultPointRuns(config.SHSTT)...)
 	out := Figure10Result{PerBench: map[string]*stats.Histogram{}, Mean: stats.NewHistogram(4)}
 	for _, bench := range r.Benches {
 		res := r.medium(config.SHSTT, bench)
@@ -50,7 +50,7 @@ type Figure11Result struct {
 
 // Figure11 measures shared-L1D read service latency in core cycles.
 func (r *Runner) Figure11() Figure11Result {
-	r.Prefetch(r.sharedStatsRuns()...)
+	r.Prefetch(r.defaultPointRuns(config.SHSTT)...)
 	out := Figure11Result{PerBench: map[string]*stats.Histogram{}, Mean: stats.NewHistogram(3)}
 	var hm float64
 	for _, bench := range r.Benches {
