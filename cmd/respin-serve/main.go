@@ -6,7 +6,7 @@
 // Usage:
 //
 //	respin-serve [-addr 127.0.0.1:8080] [-queue N] [-grace 60s]
-//	             [-jobs N] [-q]
+//	             [-jobs N] [-q] [-quick] [-journal dir]
 //	             [-cpuprofile f] [-memprofile f] [-metrics f] [-events f]
 //
 // A served /v1/run response is byte-identical to `respin-sim -metrics`
@@ -14,6 +14,15 @@
 // listener closes, in-flight runs finish (bounded by -grace), and the
 // process exits 0; -metrics then holds the final server registry
 // snapshot.
+//
+// With -journal DIR the service keeps its runs in a run store there
+// (internal/runstore, the same store respin-bench and respin-sweep use
+// for -checkpoint): each accepted request is recorded before it runs,
+// runs checkpoint every 20000 simulated cycles, and each complete or
+// wear-out body is committed. A server restarted over DIR serves the
+// committed bodies without re-running them and resumes the interrupted
+// runs from their checkpoints; entries written by another simulation
+// model version are ignored and their requests run again.
 package main
 
 import (
@@ -48,7 +57,6 @@ func run() int {
 	grace := flag.Duration("grace", 60*time.Second, "drain grace period for in-flight runs on shutdown")
 	quiet := flag.Bool("q", false, "suppress per-run progress lines")
 	journalDir := flag.String("journal", "", "directory for the crash-safe run journal (restart replays completed runs and resumes interrupted ones)")
-	journalEvery := flag.Uint64("journal-every", 0, "checkpoint cadence in simulated cycles for journaled runs (0 = 20000)")
 	quick := flag.Bool("quick", false, "use the reduced evaluation runner (short quotas, four benchmarks)")
 	flag.Parse()
 
@@ -71,11 +79,10 @@ func run() int {
 		r.Progress = os.Stderr
 	}
 	s, err := serve.New(serve.Options{
-		Runner:                  r,
-		Queue:                   *queue,
-		Telemetry:               app.Collector(),
-		Journal:                 *journalDir,
-		JournalCheckpointCycles: *journalEvery,
+		Runner:    r,
+		Queue:     *queue,
+		Telemetry: app.Collector(),
+		Journal:   *journalDir,
 	})
 	if err != nil {
 		return app.Fail(err)

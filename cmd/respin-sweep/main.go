@@ -15,10 +15,13 @@
 // telemetry lands under the Runner's "run.<label>." prefix. A failed
 // point does not stop the others: every point runs, the failures are
 // reported in sweep order, no table is printed and the exit status is 1.
-// With -checkpoint DIR each point keeps a crash-recovery checkpoint
-// named after its label there: a re-invoked sweep resumes unfinished
-// points, a point with a recorded outcome removes its file, and a
-// failed point keeps it.
+// With -checkpoint DIR the points live in a run store there
+// (internal/runstore), keyed by the simulation model version and each
+// point's whole run definition: a point with a recorded outcome
+// commits it and drops its checkpoint, a failed or interrupted point
+// keeps its checkpoint, and a re-invoked sweep recalls committed
+// points without simulating them and resumes the rest. A second
+// invocation over a finished directory prints the same table at once.
 package main
 
 import (

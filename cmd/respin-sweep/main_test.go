@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"respin/internal/runstore"
+	"respin/internal/sim"
+	"respin/internal/telemetry"
 )
 
 // TestFailedPointsReportedAfterCleanup: a sweep whose SRAM points halt
@@ -102,13 +108,18 @@ func TestOutputIndependentOfJobs(t *testing.T) {
 }
 
 // TestCheckpointFilesFollowOutcomes: with -checkpoint, a point whose
-// outcome is recorded removes its file and a failed point keeps its
-// file, so a re-invoked sweep resumes exactly the failed points.
+// outcome is recorded leaves its committed result and no checkpoint,
+// and a failed point keeps its checkpoint, so a re-invoked sweep starts
+// exactly the failed points and recalls the rest.
 func TestCheckpointFilesFollowOutcomes(t *testing.T) {
 	dir := t.TempDir()
-	code, _, stderr := sweep(t, "-sweep", "scale", "-quota", "2000", "-q",
+	// Both invocations attach a collector (-metrics): whether a run
+	// carries metrics is part of its store key.
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	args := []string{"-sweep", "scale", "-quota", "2000", "-q",
 		"-sram-bitflip", "0.00001", "-ecc", "parity", "-halt-uncorrectable",
-		"-checkpoint", dir, "-checkpoint-every", "500")
+		"-checkpoint", dir, "-checkpoint-every", "500", "-metrics", metrics}
+	code, _, stderr := sweep(t, args...)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
 	}
@@ -116,12 +127,42 @@ func TestCheckpointFilesFollowOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
+	var results int
+	var failed []string
 	for _, e := range entries {
-		got = append(got, e.Name())
+		name := e.Name()
+		switch {
+		case strings.HasSuffix(name, runstore.ResultSuffix):
+			results++
+		case strings.HasSuffix(name, runstore.CheckpointSuffix):
+			info, err := sim.CheckpointInfo(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed = append(failed, fmt.Sprintf("%v.%v", info.Config.Kind, info.Config.Scale))
+		}
 	}
-	want := []string{"PR-SRAM-NT.large.ckpt", "PR-SRAM-NT.medium.ckpt", "PR-SRAM-NT.small.ckpt"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("checkpoint dir holds %v, want the failed points' files %v", got, want)
+	sort.Strings(failed)
+	want := []string{"PR-SRAM-NT.large", "PR-SRAM-NT.medium", "PR-SRAM-NT.small"}
+	if results != 3 || strings.Join(failed, " ") != strings.Join(want, " ") {
+		t.Fatalf("store holds %d results and checkpoints of %v; want the 3 STT points' results and the failed points' checkpoints %v",
+			results, failed, want)
+	}
+
+	if code, _, stderr := sweep(t, args...); code != 1 {
+		t.Fatalf("second invocation: exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metrics telemetry.Snapshot `json:"metrics"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if started, hits := doc.Metrics.Value("runner.runs_started"), doc.Metrics.Value("runner.cache_hits"); started != 3 || hits != 3 {
+		t.Fatalf("second invocation started %v runs with %v cache hits, want the 3 failed points started and 3 recalled", started, hits)
 	}
 }

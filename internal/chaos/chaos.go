@@ -1,10 +1,11 @@
 // Package chaos is the kill-and-resume harness: it proves, against real
-// processes, that the crash-safety stack (write-ahead run journal +
-// epoch-boundary checkpoints + resume) converges to byte-identical
-// results after a hard kill.
+// processes, that the crash-safety stack (the run store's write-ahead
+// requests, epoch-boundary checkpoints and atomic result commits, plus
+// resume) converges to byte-identical results after a hard kill, for
+// the service and for the batch tools alike.
 //
-// The harness builds cmd/respin-serve, then plays two servers against
-// each other:
+// The harness builds cmd/respin-serve and cmd/respin-sweep. The serve
+// phase plays two servers against each other:
 //
 //  1. Baseline: a server over a fresh journal runs the quick "fig9"
 //     sweep uninterrupted; its response bytes are the ground truth.
@@ -15,10 +16,14 @@
 //     resume interrupted ones from their checkpoints, and produce a
 //     response byte-identical to the baseline.
 //
-// The kill point is deliberately random (seeded, reported, and
-// reproducible via Options.Seed): across runs it lands before the first
-// commit, between commits, and after the last one, so every recovery
-// path gets exercised. cmd/respin-bench exposes the harness as
+// The batch phase SIGKILLs a `respin-sweep -checkpoint DIR` the same
+// way; invoked again it must print the uninterrupted table and start no
+// point committed before the kill, and a third time start nothing.
+//
+// The kill points are deliberately random (seeded, reported, and
+// reproducible via Options.Seed): across runs they land before the
+// first commit, between commits, and after the last one, so every
+// recovery path gets exercised. cmd/respin-bench exposes the harness as
 // `respin-bench -only chaos`; CI runs it as the chaos-smoke job.
 package chaos
 
@@ -39,6 +44,7 @@ import (
 	"time"
 
 	"respin/internal/retry"
+	"respin/internal/runstore"
 )
 
 // sweepBody is the workload both servers run: the quick Figure 9 sweep
@@ -49,8 +55,9 @@ const sweepBody = `{"schema_version":"respin/v1","preset":"fig9"}`
 type Options struct {
 	// Progress receives the harness narration; nil discards it.
 	Progress io.Writer
-	// Dir is the scratch directory for the binary and both journals;
-	// empty selects a temporary directory removed on success.
+	// Dir is the scratch directory for the binaries, both journals and
+	// the batch phase's run store; empty selects a temporary directory
+	// removed when the harness returns.
 	Dir string
 	// Seed drives the randomized kill point; zero seeds from the clock.
 	// The chosen seed is always reported, so a failing run can be
@@ -69,7 +76,8 @@ func (o Options) progress() io.Writer {
 }
 
 // Run executes the harness once. A nil return means the restarted
-// server converged to the uninterrupted baseline byte-for-byte.
+// server and the re-invoked sweep both converged to their uninterrupted
+// baselines byte-for-byte.
 func Run(ctx context.Context, o Options) error {
 	p := o.progress()
 	scratch := o.Dir
@@ -84,9 +92,13 @@ func Run(ctx context.Context, o Options) error {
 	bin := o.Binary
 	if bin == "" {
 		var err error
-		if bin, err = buildServer(ctx, scratch); err != nil {
+		if bin, err = build(ctx, scratch, "respin-serve"); err != nil {
 			return err
 		}
+	}
+	sweepBin, err := build(ctx, scratch, "respin-sweep")
+	if err != nil {
+		return err
 	}
 	seed := o.Seed
 	if seed == 0 {
@@ -110,72 +122,53 @@ func Run(ctx context.Context, o Options) error {
 			len(got), len(baseline))
 	}
 	fmt.Fprintf(p, "chaos: restarted server converged to the uninterrupted bytes (%d bytes)\n", len(got))
-	return nil
+	return batchKillAndResume(ctx, p, sweepBin, scratch, rng)
 }
 
 // runBaseline captures the ground truth: the sweep response of a server
 // that is never interrupted.
 func runBaseline(ctx context.Context, p io.Writer, bin, journal string) ([]byte, error) {
-	srv, err := startServer(ctx, bin, journal)
+	srv, err := startServer(ctx, p, "baseline", bin, journal)
 	if err != nil {
 		return nil, err
 	}
 	defer srv.kill()
-	if err := srv.waitHealthy(ctx); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(p, "chaos: baseline server on %s\n", srv.addr)
 	return postSweep(ctx, srv.url())
 }
 
 // killAndResume is the chaos act: sweep, SIGKILL at a random point,
 // restart over the surviving journal, sweep again.
 func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *rand.Rand) ([]byte, error) {
-	srv, err := startServer(ctx, bin, journal)
+	srv, err := startServer(ctx, p, "victim", bin, journal)
 	if err != nil {
 		return nil, err
 	}
 	defer srv.kill()
-	if err := srv.waitHealthy(ctx); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(p, "chaos: victim server on %s\n", srv.addr)
 
 	// Fire the sweep; its response dies with the process, which is the
 	// point — only the journal survives.
 	go func() { _, _ = postSweep(ctx, srv.url()) }()
 
-	// Kill once the journal shows accepted work, plus a random delay so
-	// the kill lands at a different point in the sweep every run.
-	if err := waitForJournalEntry(ctx, journal); err != nil {
+	delay, err := killAfterFirstEntry(ctx, journal, rng, 750*time.Millisecond, srv.kill)
+	if err != nil {
 		return nil, err
 	}
-	delay := time.Duration(rng.Int63n(int64(750 * time.Millisecond)))
-	select {
-	case <-time.After(delay):
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	srv.kill()
 	committed, pending := journalCounts(journal)
 	fmt.Fprintf(p, "chaos: SIGKILL %v after first journal entry (%d committed, %d in flight)\n",
 		delay.Round(time.Millisecond), committed, pending)
 
 	// Restart over the same journal and re-request the sweep: committed
 	// points come from disk, interrupted ones resume from checkpoints.
-	srv2, err := startServer(ctx, bin, journal)
+	srv2, err := startServer(ctx, p, "restarted", bin, journal)
 	if err != nil {
 		return nil, err
 	}
 	defer srv2.kill()
-	if err := srv2.waitHealthy(ctx); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(p, "chaos: restarted server on %s\n", srv2.addr)
 	return postSweep(ctx, srv2.url())
 }
 
-// server is one respin-serve child process.
+// server is one child process: a respin-serve, or the batch phase's
+// respin-sweep victim (which has no address).
 type server struct {
 	cmd      *exec.Cmd
 	addr     string
@@ -184,8 +177,9 @@ type server struct {
 }
 
 // startServer launches bin on an ephemeral port over the given journal
-// directory and waits for it to report its resolved address.
-func startServer(ctx context.Context, bin, journal string) (*server, error) {
+// directory, waits until it answers /v1/healthz, and reports it to p
+// under role.
+func startServer(ctx context.Context, p io.Writer, role, bin, journal string) (*server, error) {
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-quick", "-journal", journal)
 	cmd.Stdout = io.Discard
 	stderr, err := cmd.StderrPipe()
@@ -211,7 +205,13 @@ func startServer(ctx context.Context, bin, journal string) (*server, error) {
 	go func() { done <- cmd.Wait() }()
 	select {
 	case addr := <-addrCh:
-		return &server{cmd: cmd, addr: addr, done: done}, nil
+		srv := &server{cmd: cmd, addr: addr, done: done}
+		if err := srv.waitHealthy(ctx); err != nil {
+			srv.kill()
+			return nil, err
+		}
+		fmt.Fprintf(p, "chaos: %s server on %s\n", role, addr)
+		return srv, nil
 	case err := <-done:
 		return nil, fmt.Errorf("chaos: server exited before listening: %v", err)
 	case <-time.After(30 * time.Second):
@@ -282,8 +282,8 @@ func postSweep(ctx context.Context, base string) ([]byte, error) {
 	return data, nil
 }
 
-// waitForJournalEntry blocks until the journal directory holds at least
-// one entry — proof the server accepted work, so a kill lands
+// waitForJournalEntry blocks until the run-store directory holds at
+// least one entry — proof the process accepted work, so a kill lands
 // mid-sweep rather than before it.
 func waitForJournalEntry(ctx context.Context, dir string) error {
 	deadline := time.Now().Add(60 * time.Second)
@@ -303,8 +303,25 @@ func waitForJournalEntry(ctx context.Context, dir string) error {
 	}
 }
 
+// killAfterFirstEntry waits until the run store in dir shows accepted
+// work, then for a random delay below within, so the kill lands at a
+// different point every run, and calls kill. It returns the delay.
+func killAfterFirstEntry(ctx context.Context, dir string, rng *rand.Rand, within time.Duration, kill func()) (time.Duration, error) {
+	if err := waitForJournalEntry(ctx, dir); err != nil {
+		return 0, err
+	}
+	delay := time.Duration(rng.Int63n(int64(within)))
+	select {
+	case <-time.After(delay):
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+	kill()
+	return delay, nil
+}
+
 // journalCounts reports how many committed results and in-flight
-// requests the journal directory holds right now.
+// requests the run-store directory holds right now.
 func journalCounts(dir string) (committed, pending int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -312,23 +329,23 @@ func journalCounts(dir string) (committed, pending int) {
 	}
 	for _, e := range entries {
 		switch {
-		case strings.HasSuffix(e.Name(), ".result.json"):
+		case strings.HasSuffix(e.Name(), runstore.ResultSuffix):
 			committed++
-		case strings.HasSuffix(e.Name(), ".req.json"):
+		case strings.HasSuffix(e.Name(), runstore.RequestSuffix):
 			pending++
 		}
 	}
 	return committed, pending
 }
 
-// buildServer compiles cmd/respin-serve from the enclosing module.
-func buildServer(ctx context.Context, scratch string) (string, error) {
+// build compiles cmd/<name> from the enclosing module into scratch.
+func build(ctx context.Context, scratch, name string) (string, error) {
 	root, err := moduleRoot()
 	if err != nil {
 		return "", err
 	}
-	bin := filepath.Join(scratch, "respin-serve")
-	cmd := exec.CommandContext(ctx, "go", "build", "-o", bin, "./cmd/respin-serve")
+	bin := filepath.Join(scratch, name)
+	cmd := exec.CommandContext(ctx, "go", "build", "-o", bin, "./cmd/"+name)
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
 		return "", fmt.Errorf("chaos: go build: %v\n%s", err, out)

@@ -15,12 +15,14 @@
 //	20      32    SHA-256 of the payload bytes
 //	52      n     gob-encoded payload
 //
-// Writes are crash-safe: the file is assembled in a temporary sibling
-// and renamed into place, so a reader never observes a half-written
-// checkpoint — it sees either the previous complete file or the new
-// one. The checksum catches the remaining failure modes (torn storage,
-// truncation, bit rot); Load refuses a corrupt file with a structured
-// error rather than handing gob a poisoned stream.
+// Writes are crash-safe: WriteFile, the one atomic writer of the
+// repository's on-disk state, assembles the file in a temporary
+// sibling, syncs it and renames it into place, so a reader never
+// observes a half-written file — it sees either the previous complete
+// file or the new one. The checksum catches the remaining failure modes
+// (torn storage, truncation, bit rot); Load and Decode refuse a corrupt
+// container with a structured error rather than handing gob a poisoned
+// stream.
 package checkpoint
 
 import (
@@ -29,7 +31,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -67,7 +68,7 @@ func (e *ErrVersion) Error() string {
 }
 
 // Save gob-encodes payload and writes the container to path atomically
-// (temporary file in the same directory, fsync, rename).
+// (see WriteFile).
 func Save(path string, version uint32, payload any) error {
 	var w Writer
 	return w.Save(path, version, payload)
@@ -84,28 +85,47 @@ type Writer struct {
 // Save is the package-level Save with the buffer sized from the
 // previous write.
 func (w *Writer) Save(path string, version uint32, payload any) error {
-	body := bytes.NewBuffer(make([]byte, 0, w.last+w.last/16))
-	if err := gob.NewEncoder(body).Encode(payload); err != nil {
-		return fmt.Errorf("checkpoint %s: encode: %w", path, err)
+	data, err := w.encode(version, payload)
+	if err != nil {
+		return fmt.Errorf("checkpoint %s: %w", path, err)
 	}
-	w.last = body.Len()
-	sum := sha256.Sum256(body.Bytes())
+	return WriteFile(path, data)
+}
 
-	var hdr [headerLen]byte
-	copy(hdr[0:8], magic)
-	binary.BigEndian.PutUint32(hdr[8:12], version)
-	binary.BigEndian.PutUint64(hdr[12:20], uint64(body.Len()))
-	copy(hdr[20:], sum[:])
+// encode assembles the container in one buffer: the header is reserved
+// up front and filled once the payload's length and checksum are known.
+func (w *Writer) encode(version uint32, payload any) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, headerLen, headerLen+w.last+w.last/16))
+	if err := gob.NewEncoder(buf).Encode(payload); err != nil {
+		return nil, fmt.Errorf("encode: %w", err)
+	}
+	data := buf.Bytes()
+	body := data[headerLen:]
+	w.last = len(body)
+	sum := sha256.Sum256(body)
+	copy(data[0:8], magic)
+	binary.BigEndian.PutUint32(data[8:12], version)
+	binary.BigEndian.PutUint64(data[12:20], uint64(len(body)))
+	copy(data[20:headerLen], sum[:])
+	return data, nil
+}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// Encode returns the container bytes Save would write for payload.
+func Encode(version uint32, payload any) ([]byte, error) {
+	var w Writer
+	return w.encode(version, payload)
+}
+
+// WriteFile writes data to path atomically: it is written to a
+// temporary sibling, synced and renamed into place, so a crash mid-write
+// leaves either the previous file or the new one, never a torn file.
+func WriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(hdr[:]); err == nil {
-		_, err = tmp.Write(body.Bytes())
-	}
+	_, err = tmp.Write(data)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -124,53 +144,38 @@ func (w *Writer) Save(path string, version uint32, payload any) error {
 // Load reads the container at path, verifies magic, version and
 // checksum, and gob-decodes the payload into out (a pointer).
 func Load(path string, version uint32, out any) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return &ErrCorrupt{Path: path, Reason: "truncated header"}
-	}
-	if string(hdr[0:8]) != magic {
-		return &ErrCorrupt{Path: path, Reason: "bad magic"}
-	}
-	if got := binary.BigEndian.Uint32(hdr[8:12]); got != version {
-		return &ErrVersion{Path: path, Got: got, Want: version}
-	}
-	n := binary.BigEndian.Uint64(hdr[12:20])
-	if n > maxPayload {
-		return &ErrCorrupt{Path: path, Reason: fmt.Sprintf("implausible payload length %d", n)}
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(f, body); err != nil {
-		return &ErrCorrupt{Path: path, Reason: "truncated payload"}
-	}
-	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], hdr[20:]) {
-		return &ErrCorrupt{Path: path, Reason: "checksum mismatch"}
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(out); err != nil {
-		return fmt.Errorf("checkpoint %s: decode: %w", path, err)
-	}
-	return nil
+	return Decode(path, data, version, out)
 }
 
-// ReadVersion returns the version field of the container at path
-// without decoding the payload.
-func ReadVersion(path string) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+// Decode is Load over container bytes already in memory; name labels
+// its errors.
+func Decode(name string, data []byte, version uint32, out any) error {
+	if len(data) < headerLen {
+		return &ErrCorrupt{Path: name, Reason: "truncated header"}
 	}
-	defer f.Close()
-	var hdr [20]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, &ErrCorrupt{Path: path, Reason: "truncated header"}
+	if string(data[0:8]) != magic {
+		return &ErrCorrupt{Path: name, Reason: "bad magic"}
 	}
-	if string(hdr[0:8]) != magic {
-		return 0, &ErrCorrupt{Path: path, Reason: "bad magic"}
+	if got := binary.BigEndian.Uint32(data[8:12]); got != version {
+		return &ErrVersion{Path: name, Got: got, Want: version}
 	}
-	return binary.BigEndian.Uint32(hdr[8:12]), nil
+	n := binary.BigEndian.Uint64(data[12:20])
+	if n > maxPayload {
+		return &ErrCorrupt{Path: name, Reason: fmt.Sprintf("implausible payload length %d", n)}
+	}
+	if n > uint64(len(data)-headerLen) {
+		return &ErrCorrupt{Path: name, Reason: "truncated payload"}
+	}
+	body := data[headerLen : headerLen+int(n)]
+	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], data[20:headerLen]) {
+		return &ErrCorrupt{Path: name, Reason: "checksum mismatch"}
+	}
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(out); err != nil {
+		return fmt.Errorf("checkpoint %s: decode: %w", name, err)
+	}
+	return nil
 }

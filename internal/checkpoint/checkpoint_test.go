@@ -26,9 +26,6 @@ func TestRoundTrip(t *testing.T) {
 	if out.Name != in.Name || out.Cycle != in.Cycle || len(out.Vals) != 3 || out.Vals[2] != 3 {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
-	if v, err := ReadVersion(path); err != nil || v != 7 {
-		t.Fatalf("ReadVersion = %d, %v", v, err)
-	}
 }
 
 func TestVersionMismatch(t *testing.T) {

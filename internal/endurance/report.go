@@ -11,12 +11,12 @@ type ArrayReport struct {
 	// MaxWearFracPct is the most-consumed way's budget percentage (100
 	// once a way retired); 0 when wear tracking is off.
 	MaxWearFracPct  float64 `json:"max_wear_frac_pct"`
-	RetiredWays     int    `json:"retired_ways"`
-	Scrubs          uint64 `json:"scrubs,omitempty"`
-	ScrubRefreshes  uint64 `json:"scrub_refreshes,omitempty"`
-	RetentionLosses uint64 `json:"retention_losses,omitempty"`
-	RetentionDirty  uint64 `json:"retention_losses_dirty,omitempty"`
-	Rotations       uint64 `json:"rotations,omitempty"`
+	RetiredWays     int     `json:"retired_ways"`
+	Scrubs          uint64  `json:"scrubs,omitempty"`
+	ScrubRefreshes  uint64  `json:"scrub_refreshes,omitempty"`
+	RetentionLosses uint64  `json:"retention_losses,omitempty"`
+	RetentionDirty  uint64  `json:"retention_losses_dirty,omitempty"`
+	Rotations       uint64  `json:"rotations,omitempty"`
 }
 
 // Report is the chip-wide endurance summary embedded in sim.Result.

@@ -19,16 +19,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"respin/internal/checkpoint"
 	"respin/internal/config"
 	"respin/internal/endurance"
 	"respin/internal/flight"
+	"respin/internal/runstore"
 	"respin/internal/sim"
 	"respin/internal/stats"
 	"respin/internal/telemetry"
@@ -66,14 +65,12 @@ type Runner struct {
 	// Jobs bounds how many simulations run concurrently. Zero selects
 	// GOMAXPROCS; one reproduces the serial runner.
 	Jobs int
-	// CheckpointDir, when non-empty, gives every simulation the runner
-	// executes a crash-recovery checkpoint file under this directory,
-	// keyed by run label: an interrupted evaluation re-invoked over the
-	// same directory resumes each unfinished run from its last
-	// epoch-boundary checkpoint (bit-identical to an uninterrupted run)
-	// instead of starting it over. Runs with a recorded outcome remove
-	// their file, so a finished evaluation leaves the directory empty;
-	// a failed run keeps its file for the next invocation.
+	// CheckpointDir, when non-empty, is the run store
+	// (internal/runstore) the runner keeps its simulations in, keyed by
+	// sim.RunKey: a run with a committed outcome there is recalled, not
+	// simulated, and an unfinished one resumes from its last checkpoint
+	// (bit-identical to an uninterrupted run). A failed or cancelled run
+	// keeps its checkpoint for the next invocation.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in cycles; zero selects
 	// sim.DefaultCheckpointEvery.
@@ -97,12 +94,14 @@ type Runner struct {
 	telOnce   sync.Once
 	started   atomic.Uint64
 	completed atomic.Uint64
+	recalled  atomic.Uint64 // runs answered from the store
 }
 
-// Run is one simulation of a batch. Its Label is the run's single
-// identity: the singleflight key, the "run.<label>." metric prefix, the
-// event scope and the checkpoint file name — so two runs with equal
-// labels must describe the same simulation.
+// Run is one simulation of a batch. Its Label is the run's identity
+// within one Runner: the singleflight key, the "run.<label>." metric
+// prefix and the event scope — so two runs with equal labels must
+// describe the same simulation. On disk a run is keyed by its whole
+// definition (sim.RunKey), which the label omits parts of.
 type Run struct {
 	Label  string
 	Config config.Config
@@ -182,8 +181,8 @@ func (r *Runner) Normalize() error {
 		r.FaultSeed = 1
 	}
 	if r.CheckpointDir != "" {
-		if err := os.MkdirAll(r.CheckpointDir, 0o755); err != nil {
-			return fmt.Errorf("experiments: checkpoint dir: %w", err)
+		if _, err := runstore.Open(r.CheckpointDir, r.CheckpointEvery); err != nil {
+			return fmt.Errorf("experiments: %w", err)
 		}
 	}
 	if len(r.Benches) == 0 {
@@ -256,11 +255,14 @@ func (r *Runner) Prefetch(runs ...Run) {
 	}
 }
 
-// do executes (or recalls, or joins) one run.
+// do executes (or recalls, or joins) one run and absorbs its metric
+// snapshot under "run.<label>.".
 func (r *Runner) do(run Run) (sim.Result, error) {
 	r.registerTelemetry()
 	return r.flights.Do(context.Background(), run.Label, func() (sim.Result, error) {
-		return r.execute(run.Label, func() (sim.Result, error) { return r.simulate(run) })
+		res, err := r.simulate(run)
+		r.Telemetry.Absorb("run."+run.Label, res.Metrics)
+		return res, err
 	})
 }
 
@@ -301,12 +303,7 @@ func (r *Runner) execute(label string, fn func() (sim.Result, error)) (sim.Resul
 		return res, err
 	}
 	r.completed.Add(1)
-	var wear *endurance.WearOutError
-	if errors.As(err, &wear) {
-		r.progressf("ran %-40s: wore out at %d kcycles (%s set %d)\n", label, wear.Cycle/1000, wear.Array, wear.Set)
-	} else {
-		r.progressf("ran %-40s: %8d kcycles, %s\n", label, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
-	}
+	r.progressLine("ran", label, res, err)
 	if r.Telemetry.Enabled() {
 		r.Telemetry.Emit("run.progress", 0, map[string]any{
 			"key":        label,
@@ -316,6 +313,17 @@ func (r *Runner) execute(label string, fn func() (sim.Result, error)) (sim.Resul
 		})
 	}
 	return res, err
+}
+
+// progressLine writes the progress line of a run with a recorded
+// outcome; verb says how the runner answered it.
+func (r *Runner) progressLine(verb, label string, res sim.Result, err error) {
+	var wear *endurance.WearOutError
+	if errors.As(err, &wear) {
+		r.progressf("%s %-40s: wore out at %d kcycles (%s set %d)\n", verb, label, wear.Cycle/1000, wear.Array, wear.Set)
+	} else {
+		r.progressf("%s %-40s: %8d kcycles, %s\n", verb, label, res.Cycles/1000, fmtEnergy(res.EnergyPJ))
+	}
 }
 
 // guard calls fn, turning a panic into an error naming label.
@@ -346,7 +354,7 @@ func (r *Runner) CacheHits() uint64 {
 	r.mu.Lock()
 	front := r.frontHits
 	r.mu.Unlock()
-	n := r.flights.Hits()
+	n := r.flights.Hits() + r.recalled.Load()
 	if front != nil {
 		n += front()
 	}
@@ -399,15 +407,12 @@ func (r *Runner) medium(kind config.ArchKind, bench string) sim.Result {
 	return r.result(r.mediumPoint(kind, bench))
 }
 
-// simulate executes one run, attaching a detached per-run collector
-// when the runner has telemetry enabled. The per-run collector shares
-// the runner's event emitter (scoped by label) but has its own metric
-// namespace, so concurrent simulations never collide; its final
-// snapshot is absorbed into the runner's collector under "run.<label>."
-// once the run returns. With a checkpoint directory the run resumes
-// from, and keeps current, the checkpoint file named after its label;
-// a recorded outcome retires the file, so a later invocation must not
-// resume from it, while a failed run keeps it.
+// simulate answers one run: recalled from the run store when it holds
+// the run's outcome, otherwise executed on a worker-pool slot. With
+// telemetry enabled the run gets a detached collector that shares the
+// runner's event emitter (scoped by label) but has its own metric
+// namespace, so concurrent simulations never collide. The store key is
+// taken from the options as the run executes them.
 func (r *Runner) simulate(run Run) (sim.Result, error) {
 	opts := run.Opts
 	if !opts.Endurance.Enabled() {
@@ -419,49 +424,79 @@ func (r *Runner) simulate(run Run) (sim.Result, error) {
 			telemetry.WithScope(run.Label),
 		)
 	}
-	var res sim.Result
-	var err error
-	if spec := r.checkpointSpec(run.Label); spec.Enabled() {
-		res, err = sim.RunOrResume(r.ctx(), run.Config, run.Bench, opts, spec)
-		if flight.Recorded(err) {
-			os.Remove(spec.Path)
-		}
-	} else {
-		res, err = sim.RunContext(r.ctx(), run.Config, run.Bench, opts)
-	}
-	r.Telemetry.Absorb("run."+run.Label, res.Metrics)
-	return res, err
-}
-
-// checkpointSpec resolves the per-label crash-recovery checkpoint spec;
-// the zero spec (checkpointing off) when the runner has no checkpoint
-// directory.
-func (r *Runner) checkpointSpec(label string) sim.CheckpointSpec {
 	if r.CheckpointDir == "" {
-		return sim.CheckpointSpec{}
+		return r.execute(run.Label, func() (sim.Result, error) {
+			return sim.RunContext(r.ctx(), run.Config, run.Bench, opts)
+		})
 	}
-	every := r.CheckpointEvery
-	if every == 0 {
-		every = sim.DefaultCheckpointEvery
+	st, err := runstore.Open(r.CheckpointDir, r.CheckpointEvery)
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("experiments: %w", err)
 	}
-	return sim.CheckpointSpec{
-		Path:        filepath.Join(r.CheckpointDir, ckptName(label)),
-		EveryCycles: every,
+	key, err := sim.RunKey(run.Config, run.Bench, opts)
+	if err != nil {
+		return sim.Result{}, err
 	}
+	if o, ok := recall(st, key); ok {
+		r.recalled.Add(1)
+		r.progressLine("kept", run.Label, o.Result, o.err())
+		return o.Result, o.err()
+	}
+	return r.execute(run.Label, func() (sim.Result, error) {
+		spec, err := st.Begin(key, []byte(key))
+		if err != nil {
+			return sim.Result{}, err
+		}
+		res, err := sim.RunOrResume(r.ctx(), run.Config, run.Bench, opts, spec)
+		if flight.Recorded(err) {
+			if cerr := commit(st, key, res, err); cerr != nil {
+				return res, cerr
+			}
+		}
+		return res, err
+	})
 }
 
-// ckptName maps a run label to its checkpoint file name, replacing
-// anything a filesystem might object to.
-func ckptName(label string) string {
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.' || r == '-' || r == '_':
-			return r
-		}
-		return '_'
-	}, label)
-	return safe + ".ckpt"
+// outcome is a recorded outcome as the run store keeps it, in the
+// checkpoint container: its key, the result and the wear-out, if any.
+type outcome struct {
+	Key     string
+	Result  sim.Result
+	WearOut *endurance.WearOutError
+}
+
+// err is the run's error: its wear-out, or nil.
+func (o outcome) err() error {
+	if o.WearOut == nil {
+		return nil
+	}
+	return o.WearOut
+}
+
+// outcomeVersion is the container version of outcome; bump it when the
+// shape of outcome or sim.Result changes incompatibly.
+const outcomeVersion = 1
+
+// commit records a recorded outcome in st under key.
+func commit(st *runstore.Store, key string, res sim.Result, err error) error {
+	o := outcome{Key: key, Result: res}
+	errors.As(err, &o.WearOut)
+	data, err := checkpoint.Encode(outcomeVersion, o)
+	if err != nil {
+		return err
+	}
+	return st.Commit(key, data)
+}
+
+// recall returns the outcome st holds for key, if it holds one. A
+// missing, damaged or foreign entry is none: its run executes again and
+// commits over it.
+func recall(st *runstore.Store, key string) (o outcome, ok bool) {
+	data, err := st.Result(key)
+	if err != nil || checkpoint.Decode("stored outcome", data, outcomeVersion, &o) != nil {
+		return outcome{}, false
+	}
+	return o, o.Key == key
 }
 
 func fmtEnergy(pj float64) string {

@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
 	v1 "respin/internal/api/v1"
 	"respin/internal/checkpoint"
 	"respin/internal/experiments"
+	"respin/internal/runstore"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
 )
@@ -61,22 +64,17 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 
 	// Fabricate the interrupted state: WAL entry + a checkpoint from a
 	// run cut off after cycle 2000.
-	j, pending, err := openJournal(dir, 0, noSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 0 {
-		t.Fatalf("fresh journal has %d pending runs", len(pending))
+	j := openStore(t, dir)
+	if _, pending, err := j.Replay(resultKey, requestKey); err != nil || len(pending) != 0 {
+		t.Fatalf("fresh journal has %d pending runs (%v)", len(pending), err)
 	}
 	key := req.Key()
-	if err := j.logRequest(key, req); err != nil {
-		t.Fatal(err)
-	}
+	ckpt := beginRequest(t, j, req)
 	cfg, opts, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sim.CheckpointSpec{Path: j.ckptPath(key), AtCycle: 2_000}
+	spec := sim.CheckpointSpec{Path: ckpt.Path, AtCycle: 2_000}
 	if _, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +84,7 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 	r := &experiments.Runner{Quota: 2_000, Seed: 1}
 	s, ts := testServer(t, Options{Runner: r, Journal: dir})
 	awaitRecovery(t, s)
-	got, err := os.ReadFile(j.resultPath(key))
+	got, err := j.Result(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +101,31 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 	}
 }
 
-// noSeed discards replayed results, for tests that open a journal only
-// to fabricate its files.
-func noSeed(string, []byte) {}
+// openStore opens the run store of a journal directory, for tests that
+// fabricate its files.
+func openStore(t *testing.T, dir string) *runstore.Store {
+	t.Helper()
+	st, err := runstore.Open(dir, journalEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// beginRequest journals req as the server does before running it and
+// returns the checkpoint spec its run executes under.
+func beginRequest(t *testing.T, st *runstore.Store, req v1.RunRequest) sim.CheckpointSpec {
+	t.Helper()
+	data, err := v1.EncodeBytes(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := st.Begin(req.Key(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
 
 // awaitRecovery waits until the server's body store holds a recorded
 // outcome: a background recovery finished and committed.
@@ -149,12 +169,9 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			j, _, err := openJournal(dir, 0, noSeed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			j := openStore(t, dir)
 			damaged := c.damage(bytes.Clone(want))
-			if err := os.WriteFile(j.resultPath(key), damaged, 0o644); err != nil {
+			if err := j.Commit(key, damaged); err != nil {
 				t.Fatal(err)
 			}
 			s, ts := testServer(t, Options{Journal: dir})
@@ -171,7 +188,7 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 			if started := metricsSnapshot(t, ts).Value("run.runs_started"); started != 1 {
 				t.Fatalf("run.runs_started = %v, want 1", started)
 			}
-			if file, err := os.ReadFile(j.resultPath(key)); err != nil || !bytes.Equal(file, want) {
+			if file, err := j.Result(key); err != nil || !bytes.Equal(file, want) {
 				t.Fatalf("result.json not replaced by the fresh result (err %v)", err)
 			}
 		})
@@ -200,15 +217,9 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 	}
 	want := cliBytes(t, req)
 
-	j, _, err := openJournal(dir, 0, noSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openStore(t, dir)
 	key := req.Key()
-	if err := j.logRequest(key, req); err != nil {
-		t.Fatal(err)
-	}
-	path := j.ckptPath(key)
+	path := beginRequest(t, j, req).Path
 	writeOld := func() {
 		t.Helper()
 		old := struct {
@@ -236,7 +247,7 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 		t.Fatal(err)
 	}
 	opts.Telemetry = telemetry.New()
-	spec := sim.CheckpointSpec{Path: path, EveryCycles: j.every}
+	spec := sim.CheckpointSpec{Path: path, EveryCycles: journalEvery}
 	res, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +273,7 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 		t.Fatal(err)
 	}
 	awaitRecovery(t, s)
-	got, err := os.ReadFile(j.resultPath(key))
+	got, err := j.Result(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,5 +346,46 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 	if len(seen) < 5 {
 		t.Fatalf("hints not spread by jitter: %v", seen)
+	}
+}
+
+// TestJournalIgnoresOtherModelResults: a committed result whose file
+// was written under another sim.ModelVersion is never served, even
+// though it decodes as a recorded outcome for the same request. The
+// request re-executes once and converges to the current model's bytes.
+func TestJournalIgnoresOtherModelResults(t *testing.T) {
+	req := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
+	want := cliBytes(t, req)
+	key := mustKey(t, req)
+	// The other model's numbers: same request, different cycle count.
+	stale := regexp.MustCompile(`"cycles": \d+`).ReplaceAll(bytes.Clone(want), []byte(`"cycles": 1`))
+	if bytes.Equal(stale, want) {
+		t.Fatal("test setup: the stale body equals the fresh one")
+	}
+	if k, err := resultKey(stale); err != nil || k != key {
+		t.Fatalf("test setup: the stale body does not decode as the request's result (%v)", err)
+	}
+	for _, version := range []int{sim.ModelVersion - 1, sim.ModelVersion + 1} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, runstore.Name(version, key)+runstore.ResultSuffix)
+			if err := os.WriteFile(path, stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, ts := testServer(t, Options{Journal: dir})
+			if n := s.bodies.Len(); n != 0 {
+				t.Fatalf("another model's result was replayed into the store (%d entries)", n)
+			}
+			resp, got := postRun(t, ts, `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":2000}`, nil)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("re-POST: status %d, %d bytes (want %d fresh bytes)", resp.StatusCode, len(got), len(want))
+			}
+			if started := metricsSnapshot(t, ts).Value("run.runs_started"); started != 1 {
+				t.Fatalf("run.runs_started = %v, want 1", started)
+			}
+			if file, err := openStore(t, dir).Result(key); err != nil || !bytes.Equal(file, want) {
+				t.Fatalf("the fresh result was not committed under the current model (err %v)", err)
+			}
+		})
 	}
 }

@@ -21,8 +21,14 @@
 //
 // The body store keeps one copy of each recorded result, in wire form:
 // request key → the canonical v1.RunResult bytes. A miss encodes its
-// result once, and that slice is the response, the journal's
-// result.json and the store entry; a hit is a lookup and one Write.
+// result once, and that slice is the response, the journal's committed
+// result and the store entry; a hit is a lookup and one Write.
+//
+// With Options.Journal the runs go through a runstore.Store keyed by the
+// v1 request key, committing each recorded outcome's canonical body. New
+// replays it: committed bodies that pass the strict v1 decode seed the
+// body store as they are, and interrupted requests re-execute in the
+// background from their checkpoints; a re-POST joins that flight.
 //
 // Concurrency and robustness: admission is a bounded token queue —
 // when full, the server answers 429 with Retry-After instead of
@@ -36,6 +42,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -50,6 +57,7 @@ import (
 	v1 "respin/internal/api/v1"
 	"respin/internal/experiments"
 	"respin/internal/flight"
+	"respin/internal/runstore"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
 )
@@ -74,16 +82,15 @@ type Options struct {
 	// LogCapacity bounds how many finished run event logs are kept for
 	// /v1/runs/{id}/events replay; 0 selects 128.
 	LogCapacity int
-	// Journal, when non-empty, is the directory of the crash-safe run
-	// journal: accepted requests are journaled before execution,
-	// long runs checkpoint periodically, and on restart completed runs
-	// are served from disk while interrupted ones resume from their
-	// last checkpoint (see journal.go).
+	// Journal, when non-empty, is the run-store directory of the
+	// crash-safe run journal: on restart completed runs are served from
+	// disk and interrupted ones resume from their last checkpoint.
 	Journal string
-	// JournalCheckpointCycles is the checkpoint cadence (simulated
-	// cycles) for journaled runs; 0 selects 20000.
-	JournalCheckpointCycles uint64
 }
+
+// journalEvery is the checkpoint cadence, in simulated cycles, of
+// journaled runs.
+const journalEvery = 20_000
 
 // Server is the /v1 evaluation service. Create with New, expose with
 // Handler, stop by draining (BeginDrain + http.Server.Shutdown).
@@ -93,7 +100,7 @@ type Server struct {
 	tele    *telemetry.Collector
 	logs    *logRegistry
 	mux     *http.ServeMux
-	journal *journal
+	journal *runstore.Store
 
 	// bodies maps a request key to the canonical RunResult body of its
 	// recorded outcome (complete or wear-out), and deduplicates runs in
@@ -164,29 +171,61 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 
 	if opts.Journal != "" {
-		jr, pending, err := openJournal(opts.Journal, opts.JournalCheckpointCycles, s.bodies.Seed)
+		st, err := runstore.Open(opts.Journal, journalEvery)
 		if err != nil {
 			return nil, err
 		}
-		s.journal = jr
+		results, pending, err := st.Replay(resultKey, requestKey)
+		if err != nil {
+			return nil, err
+		}
+		s.journal = st
+		for key, body := range results {
+			s.bodies.Seed(key, body)
+		}
 		// With the journal on, every recorded body is committed to disk,
 		// so a recall is a journal hit and the store size its count.
 		tele.RegisterCounter("journal.hits", s.bodies.Recalls)
 		tele.RegisterCounter("journal.recovered", s.journalRecovered.Load)
 		tele.RegisterGauge("journal.completed", func() float64 { return float64(s.bodies.Len()) })
-		for _, req := range pending {
-			go s.recoverRun(req)
+		for _, data := range pending {
+			go s.recoverRun(data)
 		}
 	}
 	return s, nil
 }
 
-// recoverRun re-executes one journaled request that a previous process
-// left unfinished. It runs through the same execute path a re-POSTed
-// request would take — resuming from the journal checkpoint and
-// joining the body store's singleflight — so a client retrying the
-// request shares the recovery flight instead of racing it.
-func (s *Server) recoverRun(req v1.RunRequest) {
+// resultKey is the request key of a committed body. The strict decode
+// is the only gate before those bytes are served verbatim, and only a
+// recorded outcome may be served.
+func resultKey(body []byte) (string, error) {
+	doc, err := v1.DecodeRunResult(bytes.NewReader(body))
+	if err != nil {
+		return "", err
+	}
+	if !doc.Recorded() {
+		return "", fmt.Errorf("serve: journaled result has status %q", doc.Status)
+	}
+	return doc.Request.Key(), nil
+}
+
+// requestKey is the key of a journaled request.
+func requestKey(data []byte) (string, error) {
+	req, err := v1.DecodeRunRequest(bytes.NewReader(data))
+	return req.Key(), err
+}
+
+// recoverRun re-executes one journaled request (its replayed bytes)
+// that a previous process left unfinished. It runs through the same
+// execute path a re-POSTed request would take — resuming from the
+// journal checkpoint and joining the body store's singleflight — so a
+// client retrying the request shares the recovery flight instead of
+// racing it.
+func (s *Server) recoverRun(data []byte) {
+	req, err := v1.DecodeRunRequest(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
 	ctx, cancel := s.runCtx(req)
 	defer cancel()
 	if _, err := s.execute(ctx, req, nil); err == nil {
@@ -321,10 +360,14 @@ func (s *Server) run(ctx context.Context, key string, req v1.RunRequest, log *ru
 	if s.journal != nil {
 		// Journal the request write-ahead and checkpoint while running,
 		// so a crash resumes the run instead of restarting it.
-		if err := s.journal.logRequest(key, req); err != nil {
+		data, err := v1.EncodeBytes(req)
+		if err != nil {
 			return nil, err
 		}
-		spec := sim.CheckpointSpec{Path: s.journal.ckptPath(key), EveryCycles: s.journal.every}
+		spec, err := s.journal.Begin(key, data)
+		if err != nil {
+			return nil, err
+		}
 		simulate = func(ctx context.Context) (sim.Result, error) {
 			return sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
 		}
@@ -335,7 +378,7 @@ func (s *Server) run(ctx context.Context, key string, req v1.RunRequest, log *ru
 		return nil, err
 	}
 	if s.journal != nil && flight.Recorded(runErr) {
-		if err := s.journal.commit(key, body); err != nil {
+		if err := s.journal.Commit(key, body); err != nil {
 			return nil, err
 		}
 	}

@@ -14,6 +14,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 
@@ -31,15 +32,15 @@ import (
 // SnapshotVersion is the checkpoint payload version. Bump it whenever
 // chipSnapshot or any nested state structure changes incompatibly; old
 // files are then refused with a structured version error instead of
-// being mis-decoded. Version 2 made the cache arrays sparse
-// (mem.CacheState lists only the ways a run touched). Version 3 encodes
-// the cache arrays, the coherence directory, statistics and energy
-// meters as flat binary records instead of reflective gob, and drops
-// the debug-only load fields from cluster.VCoreState. Version 4 stores
-// each cache way's LRU rank instead of a 64-bit stamp and the cache's
-// stamp clock, and write stamps only for arrays that model retention.
-// Older files are refused and their runs restart from cycle 0.
+// being mis-decoded, and their runs restart from cycle 0. DESIGN §4h
+// keeps the history of the versions.
 const SnapshotVersion = 4
+
+// ModelVersion names the simulation model. Bump it by hand in any
+// change that moves a simulated byte (TestModelVersionCanary fails
+// until then): checkpoints and stored results are used only under the
+// version that wrote them.
+const ModelVersion = 1
 
 // CheckpointSpec configures checkpoint writes during a run; it is the
 // spec argument of RunOrResume. The zero value disables checkpointing.
@@ -74,15 +75,9 @@ func (c CheckpointSpec) validate() error {
 
 // DefaultCheckpointEvery is the checkpoint cadence the command-line
 // tools default to: frequent enough that a crash loses at most a few
-// epochs of progress. Writes are not free. BenchmarkCheckpointSave on a
-// 2-core Xeon host, medium chip finished at quota 10000, medians of 5,
-// measures one write at 6.3 ms and 0.72 MB for SH-STT/fft and 13.2 ms
-// and 1.2 MB for PR-SRAM-NT/ocean. Snapshot version 2 (full-column
-// scans, reflective gob) cost 18.4 ms / 0.92 MB and 41.1 ms / 1.8 MB on
-// the same host; dense arrays (version 1) cost 43–45 ms / 6.5 MB and
-// 52–56 ms / 7.1 MB. The host simulates 100000 SH-STT/fft cycles in
-// about 0.2 s, so at this cadence a write adds roughly 3%; at the serve
-// journal's 20000 cycles, roughly 15%.
+// epochs of progress. Writes are not free: one SH-STT/fft write costs
+// about 6.3 ms on a 2-core Xeon host (BenchmarkCheckpointSave, DESIGN
+// §4h), roughly 3% of the 100000 cycles it follows.
 const DefaultCheckpointEvery uint64 = 100_000
 
 // optionsWire is the subset of Options that defines the run and rides
@@ -132,6 +127,9 @@ type runnerState struct {
 
 // chipSnapshot is the full checkpoint payload.
 type chipSnapshot struct {
+	// Model is the ModelVersion that wrote the snapshot; files written
+	// before it existed decode as 0 and never resume.
+	Model int
 	Cfg   config.Config
 	Bench string
 	Opts  optionsWire
@@ -166,6 +164,7 @@ type chipSnapshot struct {
 // snapshot captures the chip at cycle now (an epoch-drain boundary).
 func (s *Sim) snapshot(now uint64) (*chipSnapshot, error) {
 	st := &chipSnapshot{
+		Model:          ModelVersion,
 		Cfg:            s.cfg,
 		Bench:          s.bench.Name,
 		Opts:           s.opts.wire(),
@@ -311,27 +310,50 @@ func loadSnapshot(path string) (*chipSnapshot, error) {
 
 // RunOrResume executes one simulation with crash recovery. It is the
 // only way to checkpoint a run and the only way to continue one: when
-// spec.Path holds a checkpoint of this same run (Info.Holds) the run
-// resumes from the captured cycle; otherwise it starts at cycle 0.
-// Either way it writes checkpoints to spec.Path as spec says, so a run
-// interrupted again resumes from its latest checkpoint. A missing,
-// damaged, old-version or other-run checkpoint costs a restart from
-// cycle 0, never an error. The result is bit-identical to an
-// uninterrupted run, so callers (the serve journal, the batch runner,
-// the CLI tools) can re-execute after a crash and converge to the same
-// bytes.
+// spec.Path holds a checkpoint of this same run under this model
+// (Info.Holds) the run resumes from the captured cycle; otherwise it
+// starts at cycle 0. Either way it writes checkpoints to spec.Path as
+// spec says, so a run interrupted again resumes from its latest
+// checkpoint. A missing, damaged, old-version, other-model or other-run
+// checkpoint costs a restart from cycle 0, never an error; so does one
+// whose restored state makes the simulator panic. The result is
+// bit-identical to an uninterrupted run, so callers (the run store's
+// users, the CLI tools) can re-execute after a crash and converge to
+// the same bytes.
 func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (Result, error) {
 	if err := spec.validate(); err != nil {
 		return Result{}, err
 	}
-	s, err := resume(spec.Path, cfg, bench, opts)
+	seq := opts.Telemetry.Emitter().Seq()
+	if res, ok, err := resumeAndRun(ctx, cfg, bench, opts, spec); ok {
+		return res, err
+	}
+	opts.Telemetry.Emitter().SetSeq(seq)
+	s, err := New(cfg, bench, opts)
 	if err != nil {
-		if s, err = New(cfg, bench, opts); err != nil {
-			return Result{}, err
-		}
+		return Result{}, err
 	}
 	s.ckpt = spec
 	return s.RunContext(ctx)
+}
+
+// resumeAndRun resumes the run from the checkpoint in spec.Path and
+// runs it to the end; ok is false when there is nothing to resume or
+// the restored state makes the simulator panic (a valid checksum over
+// parts that contradict each other is a damaged checkpoint too).
+func resumeAndRun(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (res Result, ok bool, err error) {
+	defer func() {
+		if recover() != nil {
+			res, ok, err = Result{}, false, nil
+		}
+	}()
+	s, err := resume(spec.Path, cfg, bench, opts)
+	if err != nil {
+		return Result{}, false, nil
+	}
+	s.ckpt = spec
+	res, err = s.RunContext(ctx)
+	return res, true, err
 }
 
 // resume builds the run cfg, bench and opts define and repositions it
@@ -364,19 +386,36 @@ type Info struct {
 	Bench        string
 	TelemetrySeq uint64
 
-	opts optionsWire
+	model int
+	opts  optionsWire
 }
 
 // Holds reports whether the checkpoint belongs to the run that cfg,
-// bench and opts define. This is the one match rule: the whole
-// configuration, the benchmark and every run-defining option must be
-// equal, compared after the defaulting New applies (Options.resolve).
-// Telemetry is an attachment, not part of the run, and is ignored.
+// bench and opts define under the current model. This is the one match
+// rule: the model version, the whole configuration, the benchmark and
+// every run-defining option must be equal, compared after the
+// defaulting New applies (Options.resolve). Telemetry is an attachment,
+// not part of the run, and is ignored.
 func (i Info) Holds(cfg config.Config, bench string, opts Options) bool {
-	if opts.resolve(cfg) != nil {
+	if i.model != ModelVersion || opts.resolve(cfg) != nil {
 		return false
 	}
 	return i.Bench == bench && reflect.DeepEqual(i.Config, cfg) && reflect.DeepEqual(i.opts, opts.wire())
+}
+
+// RunKey is the identity, as JSON text, of the run cfg, bench and opts
+// define: what Holds compares, plus whether a telemetry collector is
+// attached, which decides whether Result.Metrics is present. Equal keys
+// give equal results under one ModelVersion.
+func RunKey(cfg config.Config, bench string, opts Options) (string, error) {
+	if err := opts.resolve(cfg); err != nil {
+		return "", err
+	}
+	key, err := json.Marshal([]any{cfg, bench, opts.wire(), opts.Telemetry.Enabled()})
+	if err != nil {
+		return "", fmt.Errorf("sim: run key: %w", err)
+	}
+	return string(key), nil
 }
 
 // info is the snapshot's identity and position.
@@ -386,6 +425,7 @@ func (st *chipSnapshot) info() Info {
 		Config:       st.Cfg,
 		Bench:        st.Bench,
 		TelemetrySeq: st.TelemetrySeq,
+		model:        st.Model,
 		opts:         st.Opts,
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"respin/internal/checkpoint"
 	"respin/internal/config"
 	"respin/internal/endurance"
 	"respin/internal/faults"
@@ -273,4 +274,42 @@ func TestRunOrResumeMatchesWholeRun(t *testing.T) {
 			t.Fatal("the same run started at cycle 0 instead of resuming")
 		}
 	})
+}
+
+// TestCheckpointOfAnotherModelRestarts: a checkpoint that differs from
+// a resumable one only in its model version — 0 is what files written
+// before the version existed decode as — is not resumed. The run starts
+// at cycle 0, emits run.start, and equals a fresh run byte for byte,
+// result and event stream.
+func TestCheckpointOfAnotherModelRestarts(t *testing.T) {
+	t.Parallel()
+	cfg := config.New(config.SHSTT, config.Medium)
+	mk := func() Options { return Options{QuotaInstr: 12_000, Seed: 1} }
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	spec := CheckpointSpec{Path: path, AtCycle: 2_000}
+	fresh, freshEvs := telRun(t, cfg, "fft", mk, CheckpointSpec{})
+	telRun(t, cfg, "fft", mk, spec)
+	st, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.info().Holds(cfg, "fft", mk()) {
+		t.Fatal("test setup: the checkpoint does not hold its own run")
+	}
+	for _, model := range []int{0, ModelVersion + 1} {
+		st.Model = model
+		if err := checkpoint.Save(path, SnapshotVersion, st); err != nil {
+			t.Fatal(err)
+		}
+		got, evs := telRun(t, cfg, "fft", mk, spec)
+		if !bytes.Contains(evs, []byte(`"run.start"`)) {
+			t.Fatalf("model %d: the run resumed another model's checkpoint", model)
+		}
+		if fj, gj := mustJSON(t, fresh), mustJSON(t, got); !bytes.Equal(fj, gj) {
+			t.Fatalf("model %d: result differs from a fresh run\nfresh: %s\ngot:   %s", model, fj, gj)
+		}
+		if !bytes.Equal(freshEvs, evs) {
+			t.Fatalf("model %d: event stream differs from a fresh run", model)
+		}
+	}
 }
