@@ -88,7 +88,7 @@ func run() int {
 	if *benches != "" {
 		r.Benches = strings.Split(*benches, ",")
 	}
-	if err := c.Apply(nil, r); err != nil {
+	if err := c.Apply(r); err != nil {
 		return fail(err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

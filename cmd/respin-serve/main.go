@@ -17,12 +17,12 @@
 //
 // With -journal DIR the service keeps its runs in a run store there
 // (internal/runstore, the same store respin-bench and respin-sweep use
-// for -checkpoint): each accepted request is recorded before it runs,
-// runs checkpoint every 20000 simulated cycles, and each complete or
-// wear-out body is committed. A server restarted over DIR serves the
-// committed bodies without re-running them and resumes the interrupted
-// runs from their checkpoints; entries written by another simulation
-// model version are ignored and their requests run again.
+// for -checkpoint): runs checkpoint every 20000 simulated cycles, and
+// each complete or wear-out body is committed. A server restarted over
+// DIR reads an entry only when its request arrives: it serves a
+// committed body without re-running it and resumes an interrupted run
+// from its checkpoint; entries written by another simulation model
+// version are never read and their requests run again.
 package main
 
 import (
@@ -56,7 +56,7 @@ func run() int {
 	queue := flag.Int("queue", 0, "admission queue capacity (0 = 2x job slots)")
 	grace := flag.Duration("grace", 60*time.Second, "drain grace period for in-flight runs on shutdown")
 	quiet := flag.Bool("q", false, "suppress per-run progress lines")
-	journalDir := flag.String("journal", "", "directory for the crash-safe run journal (restart replays completed runs and resumes interrupted ones)")
+	journalDir := flag.String("journal", "", "directory for the crash-safe run journal (after a restart, a re-requested run is served from disk or resumes from its checkpoint)")
 	quick := flag.Bool("quick", false, "use the reduced evaluation runner (short quotas, four benchmarks)")
 	flag.Parse()
 

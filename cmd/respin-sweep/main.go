@@ -84,7 +84,7 @@ func run(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	}()
 
 	r := &experiments.Runner{}
-	if err := c.Apply(nil, r); err != nil {
+	if err := c.Apply(r); err != nil {
 		return fail(err)
 	}
 	if r.Progress != nil { // progress lines, unless -q, go to run's stderr

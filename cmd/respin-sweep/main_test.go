@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -110,16 +111,17 @@ func TestOutputIndependentOfJobs(t *testing.T) {
 // TestCheckpointFilesFollowOutcomes: with -checkpoint, a point whose
 // outcome is recorded leaves its committed result and no checkpoint,
 // and a failed point keeps its checkpoint, so a re-invoked sweep starts
-// exactly the failed points and recalls the rest.
+// exactly the failed points and recalls the rest. Telemetry is not part
+// of the store key: the first invocation runs without -metrics, the
+// second with it, and a recalled point's metrics equal those of a sweep
+// that keeps no store.
 func TestCheckpointFilesFollowOutcomes(t *testing.T) {
 	dir := t.TempDir()
-	// Both invocations attach a collector (-metrics): whether a run
-	// carries metrics is part of its store key.
 	metrics := filepath.Join(t.TempDir(), "m.json")
 	args := []string{"-sweep", "scale", "-quota", "2000", "-q",
-		"-sram-bitflip", "0.00001", "-ecc", "parity", "-halt-uncorrectable",
-		"-checkpoint", dir, "-checkpoint-every", "500", "-metrics", metrics}
-	code, _, stderr := sweep(t, args...)
+		"-sram-bitflip", "0.00001", "-ecc", "parity", "-halt-uncorrectable"}
+	stored := append(args[:len(args):len(args)], "-checkpoint", dir, "-checkpoint-every", "500")
+	code, _, stderr := sweep(t, stored...)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
 	}
@@ -149,10 +151,38 @@ func TestCheckpointFilesFollowOutcomes(t *testing.T) {
 			results, failed, want)
 	}
 
-	if code, _, stderr := sweep(t, args...); code != 1 {
+	if code, _, stderr := sweep(t, append(stored, "-metrics", metrics)...); code != 1 {
 		t.Fatalf("second invocation: exit %d, want 1; stderr:\n%s", code, stderr)
 	}
-	data, err := os.ReadFile(metrics)
+	second := readMetrics(t, metrics)
+	if started, hits := second.Value("runner.runs_started"), second.Value("runner.cache_hits"); started != 3 || hits != 3 {
+		t.Fatalf("second invocation started %v runs with %v cache hits, want the 3 failed points started and 3 recalled", started, hits)
+	}
+
+	unstored := filepath.Join(t.TempDir(), "m.json")
+	if code, _, stderr := sweep(t, append(args, "-metrics", unstored)...); code != 1 {
+		t.Fatalf("sweep without a store: exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	fresh := readMetrics(t, unstored)
+	var recalled int
+	for _, m := range fresh.Metrics {
+		if !strings.HasPrefix(m.Name, "run.SH-STT.") {
+			continue
+		}
+		recalled++
+		if got, ok := second.Get(m.Name); !ok || !reflect.DeepEqual(got, m) {
+			t.Fatalf("recalled metric %s = %+v, want %+v as a sweep without a store reports it", m.Name, got, m)
+		}
+	}
+	if recalled == 0 {
+		t.Fatal("the sweep reports no metrics of the STT points")
+	}
+}
+
+// readMetrics reads the metric snapshot of a -metrics document.
+func readMetrics(t *testing.T, path string) *telemetry.Snapshot {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +192,5 @@ func TestCheckpointFilesFollowOutcomes(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if started, hits := doc.Metrics.Value("runner.runs_started"), doc.Metrics.Value("runner.cache_hits"); started != 3 || hits != 3 {
-		t.Fatalf("second invocation started %v runs with %v cache hits, want the 3 failed points started and 3 recalled", started, hits)
-	}
+	return &doc.Metrics
 }

@@ -42,13 +42,12 @@ func run() int {
 	if !ok {
 		return fail(fmt.Errorf("unknown -what %q (valid: trace, histograms)", *what))
 	}
-	t := c.Target
-
-	cfg, err := t.Config()
+	req, err := c.Request()
 	if err != nil {
 		return fail(err)
 	}
-	fp, err := c.FaultParams(cfg.NumClusters())
+	req.EpochTrace = true
+	cfg, opts, err := req.Resolve()
 	if err != nil {
 		return fail(err)
 	}
@@ -67,14 +66,10 @@ func run() int {
 		}
 	}()
 
-	var opts sim.Options
-	if err := c.Apply(&opts, nil); err != nil {
-		return fail(err)
-	}
-	opts.EpochTrace = true
-	opts.Faults = fp
+	c.LimitJobs()
+	opts.Telemetry = c.Collector()
 
-	res, err := sim.RunOrResume(context.Background(), cfg, t.BenchName, opts, spec)
+	res, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec)
 	if err != nil {
 		return fail(err)
 	}

@@ -104,7 +104,7 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 }
 
 // FuzzDecodeRunResult: the strict result decoder — the only gate before
-// replayed journal bytes are served verbatim — never panics, and a
+// journaled bytes are served verbatim — never panics, and a
 // result it accepts re-decodes from its canonical encoding to an equal
 // document.
 func FuzzDecodeRunResult(f *testing.F) {
@@ -263,7 +263,8 @@ func BenchmarkEncodeResult(b *testing.B) {
 }
 
 // BenchmarkDecodeRunResult times the strict decode of the golden
-// RunResult, the check journal replay runs on each result file.
+// RunResult, the check the service runs on each result it reads from
+// its journal.
 func BenchmarkDecodeRunResult(b *testing.B) {
 	data := goldenBody(b)
 	b.SetBytes(int64(len(data)))

@@ -62,8 +62,8 @@ func batchKillAndResume(ctx context.Context, p io.Writer, bin, scratch string, r
 
 // sweepCmd is one respin-sweep invocation of the batch workload: the
 // six-point cache-scale sweep at a quota that keeps it near a second,
-// over the run store in store ("" for none). Every invocation attaches
-// a metrics collector, so all of them share one store key per point.
+// over the run store in store ("" for none). Every invocation writes
+// -metrics, whose runner.runs_started the checks read.
 func sweepCmd(ctx context.Context, bin, store, metrics string) *exec.Cmd {
 	args := []string{"-sweep", "scale", "-quota", "20000", "-q", "-metrics", metrics}
 	if store != "" {

@@ -1,8 +1,8 @@
 // Package chaos is the kill-and-resume harness: it proves, against real
-// processes, that the crash-safety stack (the run store's write-ahead
-// requests, epoch-boundary checkpoints and atomic result commits, plus
-// resume) converges to byte-identical results after a hard kill, for
-// the service and for the batch tools alike.
+// processes, that the crash-safety stack (the run store's epoch-boundary
+// checkpoints and atomic result commits, plus resume) converges to
+// byte-identical results after a hard kill, for the service and for the
+// batch tools alike.
 //
 // The harness builds cmd/respin-serve and cmd/respin-sweep. The serve
 // phase plays two servers against each other:
@@ -320,8 +320,8 @@ func killAfterFirstEntry(ctx context.Context, dir string, rng *rand.Rand, within
 	return delay, nil
 }
 
-// journalCounts reports how many committed results and in-flight
-// requests the run-store directory holds right now.
+// journalCounts reports how many committed results and in-flight runs
+// (checkpoints) the run-store directory holds right now.
 func journalCounts(dir string) (committed, pending int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -331,7 +331,7 @@ func journalCounts(dir string) (committed, pending int) {
 		switch {
 		case strings.HasSuffix(e.Name(), runstore.ResultSuffix):
 			committed++
-		case strings.HasSuffix(e.Name(), runstore.RequestSuffix):
+		case strings.HasSuffix(e.Name(), runstore.CheckpointSuffix):
 			pending++
 		}
 	}

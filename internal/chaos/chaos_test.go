@@ -32,7 +32,7 @@ func TestModuleRoot(t *testing.T) {
 
 func TestJournalCounts(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"a.result", "b.result", "c.req", "c.ckpt", "d.result.tmp123"} {
+	for _, name := range []string{"a.result", "b.result", "c.ckpt", "d.result.tmp123", "e.ckpt.tmp456"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
 			t.Fatal(err)
 		}

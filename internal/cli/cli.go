@@ -17,7 +17,7 @@
 //	cleanup, err := app.Start()      // profiling + telemetry outputs
 //	defer cleanup()
 //	req, err := app.Request()        // the v1.RunRequest the flags denote
-//	// ... or app.Apply(&opts, nil) / app.Apply(nil, runner)
+//	// ... or app.Apply(runner) for the batch tools
 //
 // A group that was not requested registers no flags and costs nothing;
 // its accessors degrade gracefully (nil fault flags inject nothing, a
@@ -34,7 +34,6 @@ import (
 	"runtime"
 
 	v1 "respin/internal/api/v1"
-	"respin/internal/config"
 	"respin/internal/endurance"
 	"respin/internal/experiments"
 	"respin/internal/faults"
@@ -332,46 +331,30 @@ func (c *Common) LimitJobs() {
 	}
 }
 
-// Apply transfers the parsed flag values onto a simulation Options
-// and/or an experiments Runner (either may be nil) and normalizes the
-// receiver it filled in. Call after Start so the telemetry collector
-// exists.
-func (c *Common) Apply(opts *sim.Options, r *experiments.Runner) error {
-	if opts != nil {
-		opts.QuotaInstr = c.Quota
-		opts.Seed = c.Seed
-		opts.Telemetry = c.collector
-		opts.Endurance = c.Endurance.Params(c.faultSeed())
-		c.LimitJobs()
-		if err := opts.Normalize(); err != nil {
-			return err
-		}
+// Apply transfers the parsed flag values onto an experiments Runner and
+// normalizes it. Call after Start so the telemetry collector exists.
+// Single-run tools build their run from Request instead.
+func (c *Common) Apply(r *experiments.Runner) error {
+	spec, err := c.CheckpointSpec()
+	if err != nil {
+		return err
 	}
-	if r != nil {
-		spec, err := c.CheckpointSpec()
-		if err != nil {
-			return err
-		}
-		if c.Quota != 0 {
-			r.Quota = c.Quota
-		}
-		if c.Seed != 0 {
-			r.Seed = c.Seed
-		}
-		r.FaultSeed = c.faultSeed()
-		r.Endurance = c.Endurance.Params(c.faultSeed())
-		r.Jobs = c.Jobs
-		r.CheckpointDir = spec.Path
-		r.CheckpointEvery = c.CheckpointEvery
-		if !c.Quiet {
-			r.Progress = os.Stderr
-		}
-		r.Telemetry = c.collector
-		if err := r.Normalize(); err != nil {
-			return err
-		}
+	if c.Quota != 0 {
+		r.Quota = c.Quota
 	}
-	return nil
+	if c.Seed != 0 {
+		r.Seed = c.Seed
+	}
+	r.FaultSeed = c.faultSeed()
+	r.Endurance = c.Endurance.Params(c.faultSeed())
+	r.Jobs = c.Jobs
+	r.CheckpointDir = spec.Path
+	r.CheckpointEvery = c.CheckpointEvery
+	if !c.Quiet {
+		r.Progress = os.Stderr
+	}
+	r.Telemetry = c.collector
+	return r.Normalize()
 }
 
 // CheckpointSpec returns the checkpoint spec the flags denote, zero
@@ -451,34 +434,6 @@ func (t *Target) Register(fs *flag.FlagSet, which TargetFlags) {
 	if which&TCluster != 0 {
 		fs.IntVar(&t.Cluster, "cluster", t.Cluster, "cores per cluster (4, 8, 16, 32)")
 	}
-}
-
-// Kind resolves -config against the Table IV mnemonics; an unknown name
-// errors listing every valid one.
-func (t *Target) Kind() (config.ArchKind, error) {
-	return config.KindByName(t.ConfigName)
-}
-
-// Scale resolves -scale; an empty name selects medium, an unknown one
-// errors listing the valid scales.
-func (t *Target) Scale() (config.CacheScale, error) {
-	return config.ScaleByName(t.ScaleName)
-}
-
-// Config resolves the full target into a chip configuration.
-func (t *Target) Config() (config.Config, error) {
-	kind, err := t.Kind()
-	if err != nil {
-		return config.Config{}, err
-	}
-	scale, err := t.Scale()
-	if err != nil {
-		return config.Config{}, err
-	}
-	if t.Cluster == 0 {
-		return config.New(kind, scale), nil
-	}
-	return config.NewWithCluster(kind, scale, t.Cluster), nil
 }
 
 // Fail is the shared error epilogue of the respin mains: report the

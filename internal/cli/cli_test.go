@@ -139,30 +139,11 @@ func TestRequestMatchesFlags(t *testing.T) {
 	}
 }
 
-func TestApplyToOptions(t *testing.T) {
-	var c Common
-	c.Quota = 9_000
-	c.Seed = 5
-	var opts sim.Options
-	if err := c.Apply(&opts, nil); err != nil {
-		t.Fatal(err)
-	}
-	if opts.QuotaInstr != 9_000 || opts.Seed != 5 {
-		t.Fatalf("applied options = %+v", opts)
-	}
-	if opts.MaxCycles == 0 {
-		t.Fatal("Apply did not normalize the options")
-	}
-	if opts.Telemetry.Enabled() {
-		t.Fatal("collector enabled without Start/-metrics/-events")
-	}
-}
-
 func TestApplyToRunner(t *testing.T) {
 	c := Common{Quota: 7_000, Seed: 3, Jobs: 2, Quiet: true,
 		Faults: flagDefaults().Faults}
 	r := &experiments.Runner{}
-	if err := c.Apply(nil, r); err != nil {
+	if err := c.Apply(r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Quota != 7_000 || r.Seed != 3 || r.Jobs != 2 || r.FaultSeed != 1 {
@@ -178,7 +159,7 @@ func TestApplyToRunner(t *testing.T) {
 	// Zero quota/seed mean "keep the runner's own values".
 	keep := experiments.QuickRunner()
 	z := Common{Faults: flagDefaults().Faults}
-	if err := z.Apply(nil, keep); err != nil {
+	if err := z.Apply(keep); err != nil {
 		t.Fatal(err)
 	}
 	if keep.Quota != 40_000 || keep.Seed != 1 {
@@ -197,7 +178,7 @@ func flagDefaults() Common {
 func TestApplyRejectsInvalid(t *testing.T) {
 	c := flagDefaults()
 	c.Jobs = -1
-	if err := c.Apply(nil, &experiments.Runner{}); err == nil {
+	if err := c.Apply(&experiments.Runner{}); err == nil {
 		t.Fatal("negative jobs accepted")
 	}
 }
@@ -266,62 +247,80 @@ func TestStartWithoutTelemetryIsNil(t *testing.T) {
 }
 
 func TestTargetResolution(t *testing.T) {
-	fs := newFlagSet()
-	tg := Target{ConfigName: "SH-STT", BenchName: "fft", ScaleName: "medium", Cluster: 16}
-	tg.Register(fs, TAll)
+	a, fs := newApp(WithTarget(Target{ConfigName: "SH-STT", BenchName: "fft", ScaleName: "medium", Cluster: 16}, TAll))
 	if err := fs.Parse([]string{"-config", "pr-stt-cc", "-scale", "LARGE", "-cluster", "8", "-bench", "lu"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := tg.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := resolve(t, a)
 	if cfg.Kind != config.PRSTTCC || cfg.Scale != config.Large || cfg.ClusterSize != 8 {
 		t.Fatalf("resolved config = %+v", cfg)
 	}
-	if tg.BenchName != "lu" {
-		t.Fatalf("bench = %q", tg.BenchName)
+	if a.Target.BenchName != "lu" {
+		t.Fatalf("bench = %q", a.Target.BenchName)
 	}
 
-	bad := Target{ConfigName: "nope"}
-	if _, err := bad.Config(); err == nil || !strings.Contains(err.Error(), "SH-STT") {
-		t.Fatalf("unknown config error does not list valid values: %v", err)
-	}
-	bad = Target{ConfigName: "SH-STT", ScaleName: "tiny"}
-	if _, err := bad.Config(); err == nil || !strings.Contains(err.Error(), "small, medium, large") {
-		t.Fatalf("unknown scale error does not list valid values: %v", err)
+	for _, tc := range []struct {
+		target Target
+		want   string
+	}{
+		{Target{ConfigName: "nope", BenchName: "fft"}, "SH-STT"},
+		{Target{ConfigName: "SH-STT", BenchName: "fft", ScaleName: "tiny"}, "small, medium, large"},
+	} {
+		bad, fs := newApp(WithTarget(tc.target, TAll))
+		if err := fs.Parse(nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bad.Request(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: error %v does not list the valid values", tc.target, err)
+		}
 	}
 
 	// Partial registration declares only the requested flags.
-	fs2 := newFlagSet()
-	tg2 := Target{ConfigName: "SH-STT-CC", BenchName: "radix"}
-	tg2.Register(fs2, TConfig|TBench)
+	a2, fs2 := newApp(WithTarget(Target{ConfigName: "SH-STT-CC", BenchName: "radix"}, TConfig|TBench))
 	if fs2.Lookup("scale") != nil || fs2.Lookup("cluster") != nil {
 		t.Fatal("unrequested target flags registered")
 	}
-	cfg2, err := tg2.Config()
-	if err != nil {
+	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
+	cfg2 := resolve(t, a2)
 	if cfg2.Scale != config.Medium || cfg2.ClusterSize != config.New(config.SHSTTCC, config.Medium).ClusterSize {
 		t.Fatalf("defaulted config = %+v", cfg2)
 	}
+}
+
+// resolve resolves the configuration of the run a's flags denote.
+func resolve(t *testing.T, a *App) config.Config {
+	t.Helper()
+	req, err := a.Request()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // TestCheckpointSpecResumeIsAlias: -resume names the same spec as
 // -checkpoint, for single-run tools and the runner's directory alike,
 // and two different paths are refused.
 func TestCheckpointSpecResumeIsAlias(t *testing.T) {
+	// The runner creates its directory, so the paths live under the
+	// test's temporary directory.
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
 	for _, tc := range []struct {
 		args    []string
 		want    sim.CheckpointSpec
 		wantErr bool
 	}{
 		{nil, sim.CheckpointSpec{}, false},
-		{[]string{"-checkpoint", "a.ckpt"}, sim.CheckpointSpec{Path: "a.ckpt", EveryCycles: sim.DefaultCheckpointEvery}, false},
-		{[]string{"-resume", "a.ckpt", "-checkpoint-every", "500"}, sim.CheckpointSpec{Path: "a.ckpt", EveryCycles: 500}, false},
-		{[]string{"-checkpoint", "a.ckpt", "-resume", "a.ckpt"}, sim.CheckpointSpec{Path: "a.ckpt", EveryCycles: sim.DefaultCheckpointEvery}, false},
-		{[]string{"-checkpoint", "a.ckpt", "-resume", "b.ckpt"}, sim.CheckpointSpec{}, true},
+		{[]string{"-checkpoint", a}, sim.CheckpointSpec{Path: a, EveryCycles: sim.DefaultCheckpointEvery}, false},
+		{[]string{"-resume", a, "-checkpoint-every", "500"}, sim.CheckpointSpec{Path: a, EveryCycles: 500}, false},
+		{[]string{"-checkpoint", a, "-resume", a}, sim.CheckpointSpec{Path: a, EveryCycles: sim.DefaultCheckpointEvery}, false},
+		{[]string{"-checkpoint", a, "-resume", b}, sim.CheckpointSpec{}, true},
 	} {
 		a, fs := newApp(WithCheckpointFlags())
 		if err := fs.Parse(tc.args); err != nil {
@@ -332,7 +331,7 @@ func TestCheckpointSpecResumeIsAlias(t *testing.T) {
 			t.Errorf("%v: got %+v, %v; want %+v (error %v)", tc.args, got, err, tc.want, tc.wantErr)
 		}
 		var r experiments.Runner
-		err = a.Apply(nil, &r)
+		err = a.Apply(&r)
 		if (err != nil) != tc.wantErr || (err == nil && r.CheckpointDir != tc.want.Path) {
 			t.Errorf("%v: runner checkpoint dir %q, %v; want %q", tc.args, r.CheckpointDir, err, tc.want.Path)
 		}

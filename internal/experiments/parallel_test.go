@@ -89,15 +89,19 @@ func TestCancelledRunNotCached(t *testing.T) {
 	if !r.Aborted() {
 		t.Error("runner not marked aborted after cancelled run")
 	}
-	if n := r.flights.Len(); n != 0 {
-		t.Errorf("cache holds %d entries after cancellation, want 0 (partial results must not be cached)", n)
-	}
 	// The partial result is still handed back (All uses it to truncate
 	// gracefully), it just must not be mistaken for a full run.
 	full := tinyRunner().medium(config.SHSTT, "fft")
 	if res.Cycles >= full.Cycles {
 		t.Errorf("cancelled run reports %d cycles, complete run %d — cancellation had no effect",
 			res.Cycles, full.Cycles)
+	}
+	// Partial results must not be cached: asked again without the
+	// cancellation, the point runs again to the full result.
+	r.Ctx = nil
+	if again := r.medium(config.SHSTT, "fft"); again.Cycles != full.Cycles || r.RunsStarted() != 2 {
+		t.Errorf("after cancellation the point gave %d cycles with %d runs started, want %d and 2 (the partial result was cached)",
+			again.Cycles, r.RunsStarted(), full.Cycles)
 	}
 }
 

@@ -70,7 +70,9 @@ type Runner struct {
 	// sim.RunKey: a run with a committed outcome there is recalled, not
 	// simulated, and an unfinished one resumes from its last checkpoint
 	// (bit-identical to an uninterrupted run). A failed or cancelled run
-	// keeps its checkpoint for the next invocation.
+	// keeps its checkpoint for the next invocation. Stored outcomes
+	// always carry their metrics; without Telemetry the runner drops
+	// them from the results it returns, as an unstored run has none.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in cycles; zero selects
 	// sim.DefaultCheckpointEvery.
@@ -429,6 +431,19 @@ func (r *Runner) simulate(run Run) (sim.Result, error) {
 			return sim.RunContext(r.ctx(), run.Config, run.Bench, opts)
 		})
 	}
+	res, err := r.stored(run, opts)
+	if !r.Telemetry.Enabled() {
+		res.Metrics = nil
+	}
+	return res, err
+}
+
+// stored answers one run from the run store in CheckpointDir: recalled
+// when the store holds its outcome, otherwise executed there, resuming
+// from its checkpoint. Every stored outcome carries its metrics, so
+// whether the caller attaches telemetry is not part of the key: a run
+// without a collector of its own gets a private one.
+func (r *Runner) stored(run Run, opts sim.Options) (sim.Result, error) {
 	st, err := runstore.Open(r.CheckpointDir, r.CheckpointEvery)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %w", err)
@@ -442,12 +457,11 @@ func (r *Runner) simulate(run Run) (sim.Result, error) {
 		r.progressLine("kept", run.Label, o.Result, o.err())
 		return o.Result, o.err()
 	}
+	if !opts.Telemetry.Enabled() {
+		opts.Telemetry = telemetry.New()
+	}
 	return r.execute(run.Label, func() (sim.Result, error) {
-		spec, err := st.Begin(key, []byte(key))
-		if err != nil {
-			return sim.Result{}, err
-		}
-		res, err := sim.RunOrResume(r.ctx(), run.Config, run.Bench, opts, spec)
+		res, err := sim.RunOrResume(r.ctx(), run.Config, run.Bench, opts, st.Begin(key))
 		if flight.Recorded(err) {
 			if cerr := commit(st, key, res, err); cerr != nil {
 				return res, cerr

@@ -21,7 +21,9 @@ import (
 // TestCheckpointDirResume: a run cancelled after its first checkpoint
 // write resumes from the runner's run store — it does not restart — to
 // the result of an uninterrupted run, and the finished run leaves its
-// committed result in the store and no checkpoint or request.
+// committed result in the store and no checkpoint. The cancelled
+// invocation has no telemetry and the resuming one does: telemetry is
+// not part of the store key.
 func TestCheckpointDirResume(t *testing.T) {
 	dir := t.TempDir()
 	ckptRunner := func() *Runner {
@@ -35,9 +37,6 @@ func TestCheckpointDirResume(t *testing.T) {
 	defer cancel()
 	r := ckptRunner()
 	r.Ctx = ctx
-	// Telemetry is part of the run's store key (it decides whether the
-	// result carries metrics), so both invocations attach a collector.
-	r.Telemetry = telemetry.New()
 	go func() { // cancel as soon as the first checkpoint lands
 		for ctx.Err() == nil {
 			if len(storeFiles(t, dir, runstore.CheckpointSuffix)) > 0 {
@@ -115,8 +114,10 @@ func labelled(snap *telemetry.Snapshot, prefix string) []telemetry.Metric {
 // TestCheckpointDirRecallsFinishedRuns: a runner over a finished run
 // store simulates nothing. Every run, an epoch trace and a wear-out
 // among them, is recalled as a cache hit with a result deep-equal to the simulated
-// one and the same metrics absorbed under its label. The same store
-// under another seed starts every run.
+// one and the same metrics absorbed under its label. A runner without
+// telemetry recalls them too, and gets the results of a runner that
+// keeps no store: no metrics. The same store under another seed starts
+// every run.
 func TestCheckpointDirRecallsFinishedRuns(t *testing.T) {
 	dir := t.TempDir()
 	storeRunner := func(seed int64) (*Runner, []Run, *telemetry.Collector) {
@@ -161,6 +162,18 @@ func TestCheckpointDirRecallsFinishedRuns(t *testing.T) {
 		if len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("metrics under %s: recalled %d, simulated %d, or their values differ", prefix, len(got), len(want))
 		}
+	}
+
+	quiet, runs, _ := storeRunner(1)
+	quiet.Telemetry = nil
+	recalled, errs := quiet.Do(runs...)
+	unstored := tinyRunner()
+	want, wantErrs := unstored.Do(runs...)
+	if n := quiet.RunsStarted(); n != 0 {
+		t.Fatalf("a runner without telemetry over a finished store started %d runs", n)
+	}
+	if !reflect.DeepEqual(recalled, want) || !reflect.DeepEqual(errs, wantErrs) {
+		t.Fatal("without telemetry, recalled outcomes differ from those of a runner without a store")
 	}
 
 	r3, runs, _ := storeRunner(2)

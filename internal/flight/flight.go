@@ -38,9 +38,7 @@ type Group[V any] struct {
 	mu    sync.Mutex
 	calls map[string]*call[V]
 
-	stored  atomic.Int64
-	hits    atomic.Uint64
-	recalls atomic.Uint64
+	hits atomic.Uint64
 }
 
 // call is one key's flight. done closes once val and err are final.
@@ -64,9 +62,9 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V,
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		g.hits.Add(1)
+		// A finished flight answers even when ctx is already done.
 		select {
 		case <-c.done:
-			g.recalls.Add(1)
 			return c.val, c.err
 		default:
 		}
@@ -94,9 +92,7 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V,
 	}()
 	c.val, c.err = fn()
 	returned = true
-	if Recorded(c.err) {
-		g.stored.Add(1)
-	} else {
+	if !Recorded(c.err) {
 		g.forget(key)
 	}
 	close(c.done)
@@ -109,30 +105,6 @@ func (g *Group[V]) forget(key string) {
 	g.mu.Unlock()
 }
 
-// Seed records v as key's outcome, as if a run had just completed with
-// it; a key that already has an outcome or a flight keeps it.
-func (g *Group[V]) Seed(key string, v V) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.calls == nil {
-		g.calls = make(map[string]*call[V])
-	}
-	if _, ok := g.calls[key]; ok {
-		return
-	}
-	c := &call[V]{done: make(chan struct{}), val: v}
-	close(c.done)
-	g.calls[key] = c
-	g.stored.Add(1)
-}
-
-// Len reports how many recorded outcomes the group holds.
-func (g *Group[V]) Len() int { return int(g.stored.Load()) }
-
 // Hits reports how many Do calls joined a flight or recalled an outcome
 // instead of running fn.
 func (g *Group[V]) Hits() uint64 { return g.hits.Load() }
-
-// Recalls reports the hits that found a recorded outcome rather than a
-// flight under way.
-func (g *Group[V]) Recalls() uint64 { return g.recalls.Load() }

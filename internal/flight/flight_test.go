@@ -53,24 +53,26 @@ func TestGroupRecordsOnlyFinalOutcomes(t *testing.T) {
 	if _, err := g.Do(context.Background(), "cancel", func() (int, error) { return 1, context.Canceled }); err == nil {
 		t.Fatal("cancelled run lost its error")
 	}
-	if g.Len() != 2 {
-		t.Fatalf("group keeps %d outcomes, want 2 (success and wear-out)", g.Len())
+	if v, _ := g.Do(context.Background(), "ok", func() (int, error) { t.Fatal("recorded key ran again"); return 0, nil }); v != 42 {
+		t.Fatalf("recalled success = %d", v)
+	}
+	// A recorded outcome answers a requester whose context is done.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		if v, err := g.Do(done, "ok", func() (int, error) { return 0, nil }); v != 42 || err != nil {
+			t.Fatalf("recall under a done context = %d, %v; want 42, nil", v, err)
+		}
 	}
 	if v, _ := g.Do(context.Background(), "cancel", func() (int, error) { return 2, nil }); v != 2 {
 		t.Fatalf("cancelled outcome was recalled (%d) instead of run again", v)
 	}
-	recalls := g.Recalls()
+	hits := g.Hits()
 	if v, _ := g.Do(context.Background(), "wear", func() (int, error) { t.Fatal("recorded key ran again"); return 0, nil }); v != 7 {
 		t.Fatalf("recalled wear-out = %d", v)
 	}
-	if g.Recalls() != recalls+1 {
-		t.Fatal("recall not counted")
-	}
-
-	g.Seed("seeded", 9)
-	g.Seed("seeded", 10)
-	if v, _ := g.Do(context.Background(), "seeded", func() (int, error) { return 0, nil }); v != 9 {
-		t.Fatalf("seeded key = %d, want the first seed 9", v)
+	if g.Hits() != hits+1 {
+		t.Fatal("recall not counted as a hit")
 	}
 }
 
@@ -102,7 +104,7 @@ func TestGroupLeaderPanic(t *testing.T) {
 	if err := <-joined; !errors.Is(err, errLeaderPanicked) {
 		t.Fatalf("joiner got %v, want errLeaderPanicked", err)
 	}
-	if g.Len() != 0 {
-		t.Fatal("panicked key kept an outcome")
+	if v, _ := g.Do(context.Background(), "k", func() (int, error) { return 5, nil }); v != 5 {
+		t.Fatalf("panicked key kept an outcome (%d) instead of running again", v)
 	}
 }

@@ -97,26 +97,10 @@ func (p Policy) Delay(attempt int) time.Duration {
 	return time.Duration(p.rand()() * bound)
 }
 
-// permanentError marks an error that must not be retried.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Do stops retrying and returns it (unwrapped)
-// immediately — for failures more attempts cannot fix, like a 4xx
-// response or an unknown run id.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// Do invokes fn until it succeeds, fails permanently, exhausts the
-// attempt budget, or ctx is cancelled. The error returned is the last
-// attempt's (joined with the context's when cancellation cut the loop
-// short), so callers see what kept failing, not just that time ran out.
+// Do invokes fn until it succeeds, exhausts the attempt budget, or ctx
+// is cancelled. The error returned is the last attempt's (joined with
+// the context's when cancellation cut the loop short), so callers see
+// what kept failing, not just that time ran out.
 func Do(ctx context.Context, p Policy, fn func() error) error {
 	var err error
 	attempts := p.attempts()
@@ -129,10 +113,6 @@ func Do(ctx context.Context, p Policy, fn func() error) error {
 		err = fn()
 		if err == nil {
 			return nil
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			return perm.err
 		}
 		if ctx.Err() != nil {
 			return errors.Join(err, ctx.Err())

@@ -96,20 +96,6 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestDoPermanentStopsImmediately(t *testing.T) {
-	clk := &fakeClock{}
-	p := Policy{Attempts: 5, Sleep: clk.sleep, Rand: fullJitter}
-	calls := 0
-	sentinel := errors.New("bad request")
-	err := Do(context.Background(), p, func() error { calls++; return Permanent(sentinel) })
-	if err != sentinel {
-		t.Fatalf("Do = %v, want unwrapped sentinel", err)
-	}
-	if calls != 1 || len(clk.slept) != 0 {
-		t.Fatalf("permanent error retried: %d calls, %d sleeps", calls, len(clk.slept))
-	}
-}
-
 func TestDoContextCancelDuringSleep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	clk := &fakeClock{cancelAfter: 1, cancel: cancel}

@@ -1,12 +1,13 @@
 // Package runstore is the one on-disk store of simulation runs, shared
 // by the service's journal (serve.Options.Journal) and the batch
-// runner's CheckpointDir (DESIGN §4h). An entry is three files named
-// Name(sim.ModelVersion, key), the key being the whole run definition:
-// <name>.req, the request, written before the run executes; <name>.ckpt,
-// its checkpoint; and <name>.result, the recorded outcome, committed
-// atomically, after which the other two are removed. An entry of another
-// model version is invisible, so its run executes again. Payloads are
-// the callers'; the store reads them only through Replay's key functions.
+// runner's CheckpointDir (DESIGN §4h). An entry is named
+// Name(sim.ModelVersion, key), the key being the whole run definition,
+// and is one file at a time: <name>.ckpt, the checkpoint, while its run
+// is unfinished, and <name>.result, the recorded outcome, once it is
+// committed (atomically; the checkpoint is then removed). An entry is
+// read only when its key is asked for, and one of another model version
+// is never asked for, so its run executes again. Payloads are the
+// callers', and so is the check that a result's bytes hold its key.
 package runstore
 
 import (
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"respin/internal/checkpoint"
 	"respin/internal/sim"
@@ -23,7 +23,6 @@ import (
 
 // The suffixes of an entry's files.
 const (
-	RequestSuffix    = ".req"
 	CheckpointSuffix = ".ckpt"
 	ResultSuffix     = ".result"
 )
@@ -59,24 +58,20 @@ func (s *Store) path(key, suffix string) string {
 	return filepath.Join(s.dir, Name(sim.ModelVersion, key)+suffix)
 }
 
-// Begin records key's request before its run executes and returns the
-// checkpoint spec the run executes under (sim.RunOrResume), so an
-// interrupted run resumes from its entry's checkpoint.
-func (s *Store) Begin(key string, request []byte) (sim.CheckpointSpec, error) {
-	if err := checkpoint.WriteFile(s.path(key, RequestSuffix), request); err != nil {
-		return sim.CheckpointSpec{}, fmt.Errorf("runstore: %w", err)
-	}
-	return sim.CheckpointSpec{Path: s.path(key, CheckpointSuffix), EveryCycles: s.every}, nil
+// Begin returns the checkpoint spec key's run executes under
+// (sim.RunOrResume), so an interrupted run resumes from its entry's
+// checkpoint.
+func (s *Store) Begin(key string) sim.CheckpointSpec {
+	return sim.CheckpointSpec{Path: s.path(key, CheckpointSuffix), EveryCycles: s.every}
 }
 
 // Commit records result as key's outcome and removes the entry's
-// request and checkpoint.
+// checkpoint.
 func (s *Store) Commit(key string, result []byte) error {
 	if err := checkpoint.WriteFile(s.path(key, ResultSuffix), result); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	os.Remove(s.path(key, CheckpointSuffix))
-	os.Remove(s.path(key, RequestSuffix))
 	return nil
 }
 
@@ -84,45 +79,4 @@ func (s *Store) Commit(key string, result []byte) error {
 // os.ErrNotExist when there is none.
 func (s *Store) Result(key string) ([]byte, error) {
 	return os.ReadFile(s.path(key, ResultSuffix))
-}
-
-// Replay reads the whole store: the committed results by key, and the
-// requests without one (runs a previous process left unfinished).
-// resultKey and requestKey return the key a file belongs to. A file they refuse, or
-// whose name is not its key's under the current model, is skipped, so a
-// damaged or stale entry costs an execution, never an error. A request
-// whose result is committed missed its cleanup and is removed.
-func (s *Store) Replay(resultKey, requestKey func([]byte) (string, error)) (results map[string][]byte, requests [][]byte, err error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("runstore: %w", err)
-	}
-	done := make(map[string]bool)
-	scan := func(suffix string, keyOf func([]byte) (string, error), keep func(stem, key string, data []byte)) {
-		for _, e := range entries {
-			stem, ok := strings.CutSuffix(e.Name(), suffix)
-			if !ok {
-				continue
-			}
-			path := filepath.Join(s.dir, e.Name())
-			if done[stem] {
-				os.Remove(path)
-				continue
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			if key, err := keyOf(data); err == nil && Name(sim.ModelVersion, key) == stem {
-				keep(stem, key, data)
-			}
-		}
-	}
-	results = make(map[string][]byte)
-	scan(ResultSuffix, resultKey, func(stem, key string, data []byte) {
-		done[stem] = true
-		results[key] = data
-	})
-	scan(RequestSuffix, requestKey, func(_, _ string, data []byte) { requests = append(requests, data) })
-	return results, requests, nil
 }

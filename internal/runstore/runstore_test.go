@@ -6,23 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"respin/internal/sim"
 )
-
-// keyOf is the test payloads' key function: a payload is "key=<key>",
-// anything else is damaged.
-func keyOf(data []byte) (string, error) {
-	key, ok := strings.CutPrefix(string(data), "key=")
-	if !ok {
-		return "", errors.New("damaged")
-	}
-	return key, nil
-}
-
-func payload(key string) []byte { return []byte("key=" + key) }
 
 func openStore(t *testing.T) (*Store, string) {
 	t.Helper()
@@ -64,27 +51,28 @@ func TestName(t *testing.T) {
 	}
 }
 
-// TestLifecycle: Begin records the request and hands out the entry's
-// checkpoint path; Commit writes the result and removes the request
-// and checkpoint; Result reads the result back.
+// TestLifecycle: Begin hands out the entry's checkpoint path and
+// writes nothing; while the run is unfinished the entry is its
+// checkpoint alone; Commit writes the result and removes the
+// checkpoint; Result reads the result back.
 func TestLifecycle(t *testing.T) {
 	st, dir := openStore(t)
 	stem := Name(sim.ModelVersion, "k")
 	if _, err := st.Result("k"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Result before a commit: %v, want ErrNotExist", err)
 	}
-	spec, err := st.Begin("k", payload("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := st.Begin("k")
 	if spec.Path != filepath.Join(dir, stem+CheckpointSuffix) || spec.EveryCycles != 500 {
 		t.Fatalf("Begin spec %+v", spec)
+	}
+	if got := files(t, dir); len(got) != 0 {
+		t.Fatalf("Begin wrote %v, want nothing", got)
 	}
 	if err := os.WriteFile(spec.Path, []byte("ckpt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := files(t, dir), []string{stem + CheckpointSuffix, stem + RequestSuffix}; strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("running entry holds %v, want %v", got, want)
+	if got := files(t, dir); len(got) != 1 || got[0] != stem+CheckpointSuffix {
+		t.Fatalf("running entry holds %v, want its checkpoint alone", got)
 	}
 	if err := st.Commit("k", []byte("result")); err != nil {
 		t.Fatal(err)
@@ -97,44 +85,31 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
-// TestReplay: committed results and unfinished requests come back by
-// key; damaged files, entries of another model version, files misnamed
-// for their key and temporary files are skipped; a request whose result
-// is committed is removed.
-func TestReplay(t *testing.T) {
+// TestResultReadsOnlyItsEntry: Result reads the committed result of its
+// key under the current model and nothing else: not the key's entry
+// under another model version, not its checkpoint, not a temporary file
+// an interrupted commit left, and not another key's result.
+func TestResultReadsOnlyItsEntry(t *testing.T) {
 	st, dir := openStore(t)
-	write := func(name string, data []byte) {
+	write := func(name string) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Commit("done", payload("done")); err != nil {
+	write(Name(sim.ModelVersion-1, "k") + ResultSuffix)
+	write(Name(sim.ModelVersion+1, "k") + ResultSuffix)
+	write(Name(sim.ModelVersion, "k") + CheckpointSuffix)
+	write(Name(sim.ModelVersion, "k") + ResultSuffix + ".tmp123")
+	write(Name(sim.ModelVersion, "other") + ResultSuffix)
+	if got, err := st.Result("k"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Result(k) with no committed entry = %q, %v; want ErrNotExist", got, err)
+	}
+	if err := st.Commit("k", []byte("mine")); err != nil {
 		t.Fatal(err)
 	}
-	write(Name(sim.ModelVersion, "done")+RequestSuffix, payload("done")) // missed its cleanup
-	if _, err := st.Begin("open", payload("open")); err != nil {
-		t.Fatal(err)
-	}
-	write(Name(sim.ModelVersion, "damaged")+ResultSuffix, []byte("torn"))
-	write(Name(sim.ModelVersion, "damaged")+RequestSuffix, []byte("torn"))
-	write(Name(sim.ModelVersion+1, "stale")+ResultSuffix, payload("stale"))
-	write(Name(sim.ModelVersion+1, "stale")+RequestSuffix, payload("stale"))
-	write(Name(sim.ModelVersion, "other")+ResultSuffix, payload("misnamed"))
-	write(Name(sim.ModelVersion, "x")+ResultSuffix+".tmp123", payload("x"))
-
-	results, requests, err := st.Replay(keyOf, keyOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || !bytes.Equal(results["done"], payload("done")) {
-		t.Fatalf("replayed results %q, want done alone", results)
-	}
-	if len(requests) != 1 || !bytes.Equal(requests[0], payload("open")) {
-		t.Fatalf("replayed requests %q, want open alone", requests)
-	}
-	if _, err := os.Stat(filepath.Join(dir, Name(sim.ModelVersion, "done")+RequestSuffix)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("the committed entry's leftover request was kept: %v", err)
+	if got, err := st.Result("k"); err != nil || !bytes.Equal(got, []byte("mine")) {
+		t.Fatalf("Result(k) = %q, %v; want its own commit", got, err)
 	}
 }
 
@@ -143,7 +118,7 @@ func TestOpenDefaultsCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec, err := st.Begin("k", payload("k")); err != nil || spec.EveryCycles != sim.DefaultCheckpointEvery {
-		t.Fatalf("zero cadence: spec %+v, %v; want sim.DefaultCheckpointEvery", spec, err)
+	if spec := st.Begin("k"); spec.EveryCycles != sim.DefaultCheckpointEvery {
+		t.Fatalf("zero cadence: spec %+v; want sim.DefaultCheckpointEvery", spec)
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,8 +24,10 @@ import (
 )
 
 // TestJournalServesCommittedAcrossRestart: a completed run's response
-// is rehydrated from the journal by a fresh process and served
-// byte-identically without re-executing the simulation.
+// is read from the journal by a fresh process when it is requested and
+// served byte-identically without re-executing the simulation. The body
+// read from disk counts as a cache hit and a journal hit; a repeat is
+// an in-memory hit.
 func TestJournalServesCommittedAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":2000}`
@@ -37,12 +41,18 @@ func TestJournalServesCommittedAcrossRestart(t *testing.T) {
 	// "Restart": a new server + runner over the same journal directory.
 	r2 := &experiments.Runner{Quota: 2_000, Seed: 1}
 	_, ts2 := testServer(t, Options{Runner: r2, Journal: dir})
-	resp, second := postRun(t, ts2, body, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replayed run: status %d: %s", resp.StatusCode, second)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("journal-replayed response differs from the original (%d vs %d bytes)", len(first), len(second))
+	for i, wantHits := range []float64{1, 2} {
+		resp, second := postRun(t, ts2, body, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d after the restart: status %d: %s", i, resp.StatusCode, second)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("request %d after the restart differs from the original (%d vs %d bytes)", i, len(first), len(second))
+		}
+		m := metricsSnapshot(t, ts2)
+		if hits, journal := m.Value("run.cache_hits"), m.Value("journal.hits"); hits != wantHits || journal != 1 {
+			t.Fatalf("request %d: run.cache_hits %v, journal.hits %v; want %v and 1", i, hits, journal, wantHits)
+		}
 	}
 	if started := r2.RunsStarted(); started != 0 {
 		t.Fatalf("restarted server re-executed %d runs for a journaled result", started)
@@ -50,54 +60,77 @@ func TestJournalServesCommittedAcrossRestart(t *testing.T) {
 }
 
 // TestJournalResumesInterruptedRun reconstructs the crash state a
-// SIGKILL leaves behind — a journaled request plus a mid-run
-// checkpoint, no result — and verifies a fresh server recovers it in
-// the background, converging to the exact bytes an uninterrupted serve
-// would have produced.
+// SIGKILL leaves behind — a mid-run checkpoint, no result — and
+// verifies that a fresh server, asked for the request again, resumes
+// the run from the checkpoint (its event log has no run.start) and
+// converges to the exact bytes an uninterrupted serve would have
+// produced, committing them in place of the checkpoint.
 func TestJournalResumesInterruptedRun(t *testing.T) {
 	dir := t.TempDir()
 	req := v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000}
-	if err := req.Normalize(); err != nil {
-		t.Fatal(err)
-	}
 	want := cliBytes(t, req)
-
-	// Fabricate the interrupted state: WAL entry + a checkpoint from a
-	// run cut off after cycle 2000.
 	j := openStore(t, dir)
-	if _, pending, err := j.Replay(resultKey, requestKey); err != nil || len(pending) != 0 {
-		t.Fatalf("fresh journal has %d pending runs (%v)", len(pending), err)
-	}
-	key := req.Key()
-	ckpt := beginRequest(t, j, req)
-	cfg, opts, err := req.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sim.CheckpointSpec{Path: ckpt.Path, AtCycle: 2_000}
-	if _, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec); err != nil {
-		t.Fatal(err)
-	}
+	ckpt := interrupt(t, j, req)
 
-	// A server opened over this journal recovers the run in the
-	// background (resuming from the checkpoint, not from cycle 0).
 	r := &experiments.Runner{Quota: 2_000, Seed: 1}
-	s, ts := testServer(t, Options{Runner: r, Journal: dir})
-	awaitRecovery(t, s)
-	got, err := j.Result(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("recovered result differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
-	}
-	// The recovered body is now a hit, served without another run.
-	resp, served := postRun(t, ts, `{"schema_version":"respin/v1","config":"SH-STT","bench":"radix","quota":12000}`, nil)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(served, want) {
-		t.Fatalf("re-POST of the recovered run: status %d, %d bytes (want %d identical)", resp.StatusCode, len(served), len(want))
+	_, ts := testServer(t, Options{Runner: r, Journal: dir})
+	const id = "resumed"
+	resp, got := postRun(t, ts, `{"schema_version":"respin/v1","config":"SH-STT","bench":"radix","quota":12000}`,
+		map[string]string{"Respin-Run-Id": id})
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("re-POST of the interrupted run: status %d, %d bytes (want %d identical)", resp.StatusCode, len(got), len(want))
 	}
 	if started := r.RunsStarted(); started != 1 {
-		t.Fatalf("recovery started %d runs, want 1", started)
+		t.Fatalf("re-POST started %d runs, want 1", started)
+	}
+	types := eventTypes(t, ts, id)
+	if len(types) == 0 || types[len(types)-1] != "run.end" {
+		t.Fatalf("event log %v does not end the run", types)
+	}
+	for _, typ := range types {
+		if typ == "run.start" {
+			t.Fatal("the run started at cycle 0 instead of resuming from its checkpoint")
+		}
+	}
+	if file, err := j.Result(mustKey(t, req)); err != nil || !bytes.Equal(file, want) {
+		t.Fatalf("the resumed result was not committed (err %v)", err)
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the checkpoint outlived the commit: %v", err)
+	}
+}
+
+// TestJournalOpenReadsNothing: opening a server over a journal that
+// holds a committed result, a damaged result and an interrupted
+// checkpoint reads none of them and starts no run. The interrupted run
+// executes only once its request arrives.
+func TestJournalOpenReadsNothing(t *testing.T) {
+	dir := t.TempDir()
+	j := openStore(t, dir)
+	done := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
+	if err := j.Commit(mustKey(t, done), cliBytes(t, done)); err != nil {
+		t.Fatal(err)
+	}
+	damaged := v1.RunRequest{Config: "SH-STT", Bench: "lu", Quota: 2_000}
+	if err := j.Commit(mustKey(t, damaged), []byte(`{"schema_version":`)); err != nil {
+		t.Fatal(err)
+	}
+	interrupted := v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000}
+	interrupt(t, j, interrupted)
+
+	r := &experiments.Runner{Quota: 2_000, Seed: 1}
+	_, ts := testServer(t, Options{Runner: r, Journal: dir})
+	time.Sleep(200 * time.Millisecond)
+	m := metricsSnapshot(t, ts)
+	if started, hits := m.Value("run.runs_started"), m.Value("journal.hits"); started != 0 || hits != 0 {
+		t.Fatalf("before any request: run.runs_started %v, journal.hits %v; want 0 and 0", started, hits)
+	}
+	resp, got := postRun(t, ts, `{"schema_version":"respin/v1","config":"SH-STT","bench":"radix","quota":12000}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("interrupted request: status %d: %s", resp.StatusCode, got)
+	}
+	if started := r.RunsStarted(); started != 1 {
+		t.Fatalf("after its request: %d runs started, want 1", started)
 	}
 }
 
@@ -112,38 +145,54 @@ func openStore(t *testing.T, dir string) *runstore.Store {
 	return st
 }
 
-// beginRequest journals req as the server does before running it and
-// returns the checkpoint spec its run executes under.
-func beginRequest(t *testing.T, st *runstore.Store, req v1.RunRequest) sim.CheckpointSpec {
+// interrupt leaves in st the state a crash leaves of req's journaled
+// run: a checkpoint taken at cycle 2000, no result. It returns the
+// checkpoint's path.
+func interrupt(t *testing.T, st *runstore.Store, req v1.RunRequest) string {
 	t.Helper()
-	data, err := v1.EncodeBytes(req)
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	cfg, opts, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := st.Begin(req.Key(), data)
-	if err != nil {
+	spec := sim.CheckpointSpec{Path: st.Begin(req.Key()).Path, AtCycle: 2_000}
+	if _, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec); err != nil {
 		t.Fatal(err)
 	}
-	return spec
+	if _, err := st.Result(req.Key()); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the interrupted run has a result: %v", err)
+	}
+	return spec.Path
 }
 
-// awaitRecovery waits until the server's body store holds a recorded
-// outcome: a background recovery finished and committed.
-func awaitRecovery(t *testing.T, s *Server) {
+// eventTypes returns the types of the events in run id's log, in order.
+func eventTypes(t *testing.T, ts *httptest.Server, id string) []string {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for s.bodies.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("interrupted run was not recovered")
+	resp, stream := httpGet(t, ts, "/v1/runs/"+id+"/events")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events of %s: status %d", id, resp.StatusCode)
+	}
+	var types []string
+	for _, line := range strings.Split(string(stream), "\n") {
+		if payload, ok := strings.CutPrefix(line, "data: "); ok && payload != "{}" {
+			evs, err := telemetry.ParseEvents([]byte(payload))
+			if err != nil {
+				t.Fatalf("bad event line %q: %v", line, err)
+			}
+			for _, ev := range evs {
+				types = append(types, ev.Type)
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	return types
 }
 
-// TestJournalSkipsDamagedResults: a result.json that fails the strict
-// decode, or holds an outcome that is not recorded, is skipped on
-// replay rather than served. A re-POST simulates once and returns the
-// CLI bytes, which replace the damaged file.
+// TestJournalSkipsDamagedResults: a committed result that fails the
+// strict decode, or holds an outcome that is not recorded, is not
+// served. Its request simulates once and returns the CLI bytes, which
+// replace the damaged file.
 func TestJournalSkipsDamagedResults(t *testing.T) {
 	req := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
 	want := cliBytes(t, req)
@@ -174,10 +223,7 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 			if err := j.Commit(key, damaged); err != nil {
 				t.Fatal(err)
 			}
-			s, ts := testServer(t, Options{Journal: dir})
-			if n := s.bodies.Len(); n != 0 {
-				t.Fatalf("damaged result.json replayed into the store (%d entries)", n)
-			}
+			_, ts := testServer(t, Options{Journal: dir})
 			resp, got := postRun(t, ts, body, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("re-POST: status %d: %s", resp.StatusCode, got)
@@ -185,20 +231,22 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("re-POST body differs from CLI output (%d vs %d bytes)", len(got), len(want))
 			}
-			if started := metricsSnapshot(t, ts).Value("run.runs_started"); started != 1 {
-				t.Fatalf("run.runs_started = %v, want 1", started)
+			m := metricsSnapshot(t, ts)
+			if started, hits := m.Value("run.runs_started"), m.Value("journal.hits"); started != 1 || hits != 0 {
+				t.Fatalf("run.runs_started %v, journal.hits %v; want 1 and 0", started, hits)
 			}
 			if file, err := j.Result(key); err != nil || !bytes.Equal(file, want) {
-				t.Fatalf("result.json not replaced by the fresh result (err %v)", err)
+				t.Fatalf("the damaged result was not replaced by the fresh one (err %v)", err)
 			}
 		})
 	}
 }
 
 // TestJournalOldLayoutCheckpointRestartsFresh: a checkpoint left by an
-// older snapshot layout at a pending request's .ckpt path is refused
-// with ErrVersion, and both sim.RunOrResume and the journal recovery
-// fall back to a fresh run that converges to the uninterrupted bytes.
+// older snapshot layout at an interrupted request's .ckpt path is
+// refused with ErrVersion, and both sim.RunOrResume and the re-POSTed
+// request fall back to a fresh run that converges to the uninterrupted
+// bytes.
 // Version 1 held dense cache arrays; version 2 encoded the sparse
 // arrays, the directory and the statistics through reflective gob;
 // version 3 held 64-bit LRU stamps and write stamps for every way.
@@ -219,7 +267,7 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 
 	j := openStore(t, dir)
 	key := req.Key()
-	path := beginRequest(t, j, req).Path
+	path := j.Begin(key).Path
 	writeOld := func() {
 		t.Helper()
 		old := struct {
@@ -265,29 +313,25 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 	}
 
 	// The run above re-armed checkpointing at the same path; put the
-	// old file back and let a restarted server recover the request.
+	// old file back and re-POST the request to a restarted server.
 	writeOld()
 	r := &experiments.Runner{Quota: 2_000, Seed: 1}
-	s, err := New(Options{Runner: r, Journal: dir})
-	if err != nil {
-		t.Fatal(err)
+	_, ts := testServer(t, Options{Runner: r, Journal: dir})
+	resp, served := postRun(t, ts, `{"schema_version":"respin/v1","config":"SH-STT","bench":"radix","quota":12000}`, nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(served, want) {
+		t.Fatalf("re-POST: status %d, %d bytes (want %d identical)", resp.StatusCode, len(served), len(want))
 	}
-	awaitRecovery(t, s)
-	got, err := j.Result(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("committed result.json differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	if got, err := j.Result(key); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("committed result differs from an uninterrupted run (err %v)", err)
 	}
 	if started := r.RunsStarted(); started != 1 {
-		t.Fatalf("recovery started %d runs, want 1", started)
+		t.Fatalf("re-POST started %d runs, want 1", started)
 	}
 }
 
 // TestWearOutRoundTripsThroughJournal: a wear-out is a recorded
 // outcome; its StatusWearOut envelope must survive a restart and be
-// served from the journal without re-running the simulation.
+// read from the journal without re-running the simulation.
 func TestWearOutRoundTripsThroughJournal(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":30000,
@@ -310,10 +354,10 @@ func TestWearOutRoundTripsThroughJournal(t *testing.T) {
 	_, ts2 := testServer(t, Options{Runner: r2, Journal: dir})
 	resp, second := postRun(t, ts2, body, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replayed wear-out: status %d: %s", resp.StatusCode, second)
+		t.Fatalf("wear-out after the restart: status %d: %s", resp.StatusCode, second)
 	}
 	if !bytes.Equal(first, second) {
-		t.Fatal("replayed wear-out envelope differs from the original")
+		t.Fatal("wear-out envelope after the restart differs from the original")
 	}
 	if started := r2.RunsStarted(); started != 0 {
 		t.Fatalf("restarted server re-ran a recorded wear-out (%d runs)", started)
@@ -350,7 +394,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 }
 
 // TestJournalIgnoresOtherModelResults: a committed result whose file
-// was written under another sim.ModelVersion is never served, even
+// was written under another sim.ModelVersion is never read, even
 // though it decodes as a recorded outcome for the same request. The
 // request re-executes once and converges to the current model's bytes.
 func TestJournalIgnoresOtherModelResults(t *testing.T) {
@@ -372,10 +416,7 @@ func TestJournalIgnoresOtherModelResults(t *testing.T) {
 			if err := os.WriteFile(path, stale, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s, ts := testServer(t, Options{Journal: dir})
-			if n := s.bodies.Len(); n != 0 {
-				t.Fatalf("another model's result was replayed into the store (%d entries)", n)
-			}
+			_, ts := testServer(t, Options{Journal: dir})
 			resp, got := postRun(t, ts, `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":2000}`, nil)
 			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 				t.Fatalf("re-POST: status %d, %d bytes (want %d fresh bytes)", resp.StatusCode, len(got), len(want))

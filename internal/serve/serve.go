@@ -25,10 +25,11 @@
 // result and the store entry; a hit is a lookup and one Write.
 //
 // With Options.Journal the runs go through a runstore.Store keyed by the
-// v1 request key, committing each recorded outcome's canonical body. New
-// replays it: committed bodies that pass the strict v1 decode seed the
-// body store as they are, and interrupted requests re-execute in the
-// background from their checkpoints; a re-POST joins that flight.
+// v1 request key, committing each recorded outcome's canonical body. The
+// store is read only when a key is asked for: a body-store miss first
+// reads the key's committed body, serves it as it is when it passes the
+// strict v1 decode, and otherwise runs the request, resuming from the
+// entry's checkpoint when a previous process left one.
 //
 // Concurrency and robustness: admission is a bounded token queue —
 // when full, the server answers 429 with Retry-After instead of
@@ -83,8 +84,9 @@ type Options struct {
 	// /v1/runs/{id}/events replay; 0 selects 128.
 	LogCapacity int
 	// Journal, when non-empty, is the run-store directory of the
-	// crash-safe run journal: on restart completed runs are served from
-	// disk and interrupted ones resume from their last checkpoint.
+	// crash-safe run journal: after a restart a completed run is served
+	// from disk and an interrupted one resumes from its last checkpoint
+	// when it is requested again.
 	Journal string
 }
 
@@ -114,8 +116,7 @@ type Server struct {
 	httpRejected atomic.Uint64
 	httpPanics   atomic.Uint64
 	sseStreams   atomic.Uint64
-
-	journalRecovered atomic.Uint64
+	journalHits  atomic.Uint64 // bodies read from the journal
 }
 
 // New builds the service around a persistent runner.
@@ -152,9 +153,9 @@ func New(opts Options) (*Server, error) {
 		tokens: make(chan struct{}, queue),
 	}
 	// The runner only executes for the service; its cache_hits are the
-	// store's.
-	r.CountHitsOf(s.bodies.Hits)
-	tele.RegisterCounter("run.cache_hits", s.bodies.Hits)
+	// store's, counting the bodies read from the journal.
+	r.CountHitsOf(s.cacheHits)
+	tele.RegisterCounter("run.cache_hits", s.cacheHits)
 	tele.RegisterCounter("run.runs_started", r.RunsStarted)
 	tele.RegisterCounter("run.runs_completed", r.RunsCompleted)
 	tele.RegisterCounter("http.requests", s.httpRequests.Load)
@@ -175,25 +176,15 @@ func New(opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, pending, err := st.Replay(resultKey, requestKey)
-		if err != nil {
-			return nil, err
-		}
 		s.journal = st
-		for key, body := range results {
-			s.bodies.Seed(key, body)
-		}
-		// With the journal on, every recorded body is committed to disk,
-		// so a recall is a journal hit and the store size its count.
-		tele.RegisterCounter("journal.hits", s.bodies.Recalls)
-		tele.RegisterCounter("journal.recovered", s.journalRecovered.Load)
-		tele.RegisterGauge("journal.completed", func() float64 { return float64(s.bodies.Len()) })
-		for _, data := range pending {
-			go s.recoverRun(data)
-		}
+		tele.RegisterCounter("journal.hits", s.journalHits.Load)
 	}
 	return s, nil
 }
+
+// cacheHits counts the requests answered without a run: the body
+// store's hits plus the bodies read from the journal.
+func (s *Server) cacheHits() uint64 { return s.bodies.Hits() + s.journalHits.Load() }
 
 // resultKey is the request key of a committed body. The strict decode
 // is the only gate before those bytes are served verbatim, and only a
@@ -207,30 +198,6 @@ func resultKey(body []byte) (string, error) {
 		return "", fmt.Errorf("serve: journaled result has status %q", doc.Status)
 	}
 	return doc.Request.Key(), nil
-}
-
-// requestKey is the key of a journaled request.
-func requestKey(data []byte) (string, error) {
-	req, err := v1.DecodeRunRequest(bytes.NewReader(data))
-	return req.Key(), err
-}
-
-// recoverRun re-executes one journaled request (its replayed bytes)
-// that a previous process left unfinished. It runs through the same
-// execute path a re-POSTed request would take — resuming from the
-// journal checkpoint and joining the body store's singleflight — so a
-// client retrying the request shares the recovery flight instead of
-// racing it.
-func (s *Server) recoverRun(data []byte) {
-	req, err := v1.DecodeRunRequest(bytes.NewReader(data))
-	if err != nil {
-		return
-	}
-	ctx, cancel := s.runCtx(req)
-	defer cancel()
-	if _, err := s.execute(ctx, req, nil); err == nil {
-		s.journalRecovered.Add(1)
-	}
 }
 
 // Handler returns the service's HTTP handler: the /v1 mux behind the
@@ -320,9 +287,9 @@ func (s *Server) runCtx(req v1.RunRequest) (context.Context, context.CancelFunc)
 
 // execute answers one resolved request with the canonical bytes of its
 // v1.RunResult: recalled from the body store when the key has a
-// recorded outcome, shared when the key is in flight, and otherwise run
-// once (log receives the run's event stream; nil for sweep points and
-// recoveries, which are not individually followable).
+// recorded outcome, shared when the key is in flight, and otherwise
+// read from the journal or run once (log receives the run's event
+// stream; nil for sweep points, which are not individually followable).
 func (s *Server) execute(ctx context.Context, req v1.RunRequest, log *runLog) ([]byte, error) {
 	key := req.Key()
 	body, err := s.bodies.Do(ctx, key, func() ([]byte, error) { return s.run(ctx, key, req, log) })
@@ -338,13 +305,23 @@ func (s *Server) execute(ctx context.Context, req v1.RunRequest, log *runLog) ([
 	return nil, err
 }
 
-// run executes one request on the runner's pool and encodes its outcome
-// once. The telemetry collector mirrors what respin-sim attaches for
-// -metrics — same registry, so the body is byte-identical. The error
+// run answers a body-store miss. A body the journal committed for key
+// is served as it is once it passes the strict gate (resultKey);
+// otherwise the request executes on the runner's pool and its outcome is
+// encoded once. The telemetry collector mirrors what respin-sim attaches
+// for -metrics — same registry, so the body is byte-identical. The error
 // returned beside a body is the simulation's own (nil, a wear-out, or a
 // deadline), which decides whether the store keeps the body; a failure
 // returns no body.
 func (s *Server) run(ctx context.Context, key string, req v1.RunRequest, log *runLog) ([]byte, error) {
+	if s.journal != nil {
+		if body, err := s.journal.Result(key); err == nil {
+			if k, err := resultKey(body); err == nil && k == key {
+				s.journalHits.Add(1)
+				return body, nil
+			}
+		}
+	}
 	cfg, opts, err := req.Resolve()
 	if err != nil {
 		return nil, err
@@ -358,16 +335,9 @@ func (s *Server) run(ctx context.Context, key string, req v1.RunRequest, log *ru
 		return sim.RunContext(ctx, cfg, req.Bench, opts)
 	}
 	if s.journal != nil {
-		// Journal the request write-ahead and checkpoint while running,
-		// so a crash resumes the run instead of restarting it.
-		data, err := v1.EncodeBytes(req)
-		if err != nil {
-			return nil, err
-		}
-		spec, err := s.journal.Begin(key, data)
-		if err != nil {
-			return nil, err
-		}
+		// Checkpoint while running, so a crash resumes the run when it
+		// is requested again instead of restarting it.
+		spec := s.journal.Begin(key)
 		simulate = func(ctx context.Context) (sim.Result, error) {
 			return sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
 		}

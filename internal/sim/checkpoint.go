@@ -404,14 +404,14 @@ func (i Info) Holds(cfg config.Config, bench string, opts Options) bool {
 }
 
 // RunKey is the identity, as JSON text, of the run cfg, bench and opts
-// define: what Holds compares, plus whether a telemetry collector is
-// attached, which decides whether Result.Metrics is present. Equal keys
-// give equal results under one ModelVersion.
+// define: exactly what Holds compares besides the model version. Equal
+// keys give equal results under one ModelVersion, but for
+// Result.Metrics, which is present only when a collector is attached.
 func RunKey(cfg config.Config, bench string, opts Options) (string, error) {
 	if err := opts.resolve(cfg); err != nil {
 		return "", err
 	}
-	key, err := json.Marshal([]any{cfg, bench, opts.wire(), opts.Telemetry.Enabled()})
+	key, err := json.Marshal([]any{cfg, bench, opts.wire()})
 	if err != nil {
 		return "", fmt.Errorf("sim: run key: %w", err)
 	}
