@@ -15,14 +15,17 @@
 // process exits 0; -metrics then holds the final server registry
 // snapshot.
 //
-// With -journal DIR the service keeps its runs in a run store there
-// (internal/runstore, the same store respin-bench and respin-sweep use
-// for -checkpoint): runs checkpoint every 20000 simulated cycles, and
-// each complete or wear-out body is committed. A server restarted over
-// DIR reads an entry only when its request arrives: it serves a
-// committed body without re-running it and resumes an interrupted run
-// from its checkpoint; entries written by another simulation model
-// version are never read and their requests run again.
+// With -journal DIR the service keeps its runs in a run store there,
+// the same store, in the same form, that respin-bench and respin-sweep
+// keep with -checkpoint (internal/runstore): an entry is keyed by the
+// whole run definition, runs checkpoint every 20000 simulated cycles,
+// and each complete or wear-out outcome is committed. The server reads
+// an entry only when its request arrives: it encodes a committed
+// outcome without re-running it and resumes an interrupted run from its
+// checkpoint, whichever tool wrote the entry, so `respin-bench -quick
+// -checkpoint DIR` followed by `respin-serve -quick -journal DIR`
+// answers the eval preset without a run. Entries written by another
+// simulation model version are never read and their requests run again.
 package main
 
 import (

@@ -179,6 +179,35 @@ func TestCheckpointFilesFollowOutcomes(t *testing.T) {
 	}
 }
 
+// TestZeroRateFaultFlagsRecallStoredRuns: fault flags that inject
+// nothing are not part of a run's definition, so a sweep re-invoked
+// over its store with another fault seed and ECC scheme, but no fault
+// rate, recalls every point and prints the same table.
+func TestZeroRateFaultFlagsRecallStoredRuns(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-sweep", "scale", "-quota", "2000", "-q", "-checkpoint", dir}
+	invoke := func(extra ...string) (string, float64) {
+		t.Helper()
+		metrics := filepath.Join(t.TempDir(), "m.json")
+		code, stdout, stderr := sweep(t, append(append(args[:len(args):len(args)], extra...), "-metrics", metrics)...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d; stderr:\n%s", extra, code, stderr)
+		}
+		return stdout, readMetrics(t, metrics).Value("runner.runs_started")
+	}
+	first, started := invoke()
+	if started != 6 {
+		t.Fatalf("first invocation started %v runs, want 6", started)
+	}
+	second, started := invoke("-fault-seed", "2", "-ecc", "DECTED")
+	if started != 0 {
+		t.Fatalf("-fault-seed 2 -ecc DECTED without a fault rate started %v runs, want 0", started)
+	}
+	if second != first {
+		t.Fatalf("the recalled table differs:\n--- first\n%s--- second\n%s", first, second)
+	}
+}
+
 // readMetrics reads the metric snapshot of a -metrics document.
 func readMetrics(t *testing.T, path string) *telemetry.Snapshot {
 	t.Helper()

@@ -18,7 +18,7 @@
 //	cfg, opts, err := req.Resolve()         // config.Config + sim.Options
 //	res, runErr := sim.RunContext(ctx, cfg, req.Bench, opts)
 //	doc, err := v1.NewResult(req, res, runErr)
-//	err = v1.Encode(w, doc)
+//	data, err := v1.EncodeBytes(doc)
 package v1
 
 import (
@@ -531,16 +531,6 @@ func EncodeSweep(results [][]byte) ([]byte, error) {
 		SchemaVersion string            `json:"schema_version"`
 		Results       []json.RawMessage `json:"results"`
 	}{SchemaVersion, raw})
-}
-
-// Encode writes the canonical encoding to w.
-func Encode(w io.Writer, v any) error {
-	data, err := EncodeBytes(v)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }
 
 // decodeStrict decodes exactly one JSON document, rejecting unknown

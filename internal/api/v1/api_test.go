@@ -294,8 +294,7 @@ func TestResolveMatchesCLISemantics(t *testing.T) {
 // outcome of an endurance run that exhausted an array — survives
 // encode → strict decode → encode byte-identically, with the status,
 // the diagnostic, and the partial result (lifetime report included)
-// intact. This is what lets the serve journal serve a wear-out after a
-// restart without re-running the simulation.
+// intact, so a client reads a served wear-out back as it was recorded.
 func TestWearOutRoundTrip(t *testing.T) {
 	t.Parallel()
 	req := RunRequest{Config: "SH-STT", Bench: "fft", Quota: 30_000,

@@ -7,7 +7,7 @@ import (
 
 // The canonical fast path of DecodeRunResult.
 //
-// Every result a respin binary serves or journals is EncodeBytes output,
+// Every result a respin binary serves or writes is EncodeBytes output,
 // so the strict decode almost always sees one spelling of the envelope.
 // decodeCanonicalResult walks exactly that spelling in one validating
 // pass and keeps Result as a sub-slice of the body instead of a copy.

@@ -103,10 +103,9 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRunResult: the strict result decoder — the only gate before
-// journaled bytes are served verbatim — never panics, and a
-// result it accepts re-decodes from its canonical encoding to an equal
-// document.
+// FuzzDecodeRunResult: the strict result decoder, which reads a served
+// body back, never panics, and a result it accepts re-decodes from its
+// canonical encoding to an equal document.
 func FuzzDecodeRunResult(f *testing.F) {
 	// Small seeds in the golden document's shape: a seed the size of a
 	// real body (40+ KB) slows the fuzzer's minimization to a crawl.
@@ -263,8 +262,7 @@ func BenchmarkEncodeResult(b *testing.B) {
 }
 
 // BenchmarkDecodeRunResult times the strict decode of the golden
-// RunResult, the check the service runs on each result it reads from
-// its journal.
+// RunResult, the decode a client of the service runs on each body.
 func BenchmarkDecodeRunResult(b *testing.B) {
 	data := goldenBody(b)
 	b.SetBytes(int64(len(data)))

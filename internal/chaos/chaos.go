@@ -14,7 +14,9 @@
 //     the surviving journal, and is asked for the sweep again. The
 //     restarted server must serve committed points from the journal,
 //     resume interrupted ones from their checkpoints, and produce a
-//     response byte-identical to the baseline.
+//     response byte-identical to the baseline. Its /v1/metrics must
+//     count one journal hit per point committed at the kill and start
+//     a run for every other point.
 //
 // The batch phase SIGKILLs a `respin-sweep -checkpoint DIR` the same
 // way; invoked again it must print the uninterrupted table and start no
@@ -31,6 +33,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -43,8 +46,9 @@ import (
 	"sync"
 	"time"
 
-	"respin/internal/retry"
+	v1 "respin/internal/api/v1"
 	"respin/internal/runstore"
+	"respin/internal/telemetry"
 )
 
 // sweepBody is the workload both servers run: the quick Figure 9 sweep
@@ -111,9 +115,14 @@ func Run(ctx context.Context, o Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(p, "chaos: baseline sweep captured (%d bytes)\n", len(baseline))
+	var doc v1.SweepResult
+	if err := json.Unmarshal(baseline, &doc); err != nil {
+		return fmt.Errorf("chaos: baseline sweep: %w", err)
+	}
+	points := len(doc.Results)
+	fmt.Fprintf(p, "chaos: baseline sweep captured (%d points, %d bytes)\n", points, len(baseline))
 
-	got, err := killAndResume(ctx, p, bin, filepath.Join(scratch, "journal-b"), rng)
+	got, committed, m, err := killAndResume(ctx, p, bin, filepath.Join(scratch, "journal-b"), rng)
 	if err != nil {
 		return err
 	}
@@ -121,7 +130,13 @@ func Run(ctx context.Context, o Options) error {
 		return fmt.Errorf("chaos: sweep after SIGKILL+restart differs from the uninterrupted baseline (%d vs %d bytes)",
 			len(got), len(baseline))
 	}
-	fmt.Fprintf(p, "chaos: restarted server converged to the uninterrupted bytes (%d bytes)\n", len(got))
+	hits, started := int(m.Value("journal.hits")), int(m.Value("run.runs_started"))
+	fmt.Fprintf(p, "chaos: restarted server converged to the uninterrupted bytes (%d bytes): %d journal hits, %d runs started\n",
+		len(got), hits, started)
+	if hits != committed || started != points-committed {
+		return fmt.Errorf("chaos: restarted server had %d journal hits and started %d runs, want %d and %d (the points committed at the kill and the rest)",
+			hits, started, committed, points-committed)
+	}
 	return batchKillAndResume(ctx, p, sweepBin, scratch, rng)
 }
 
@@ -137,11 +152,13 @@ func runBaseline(ctx context.Context, p io.Writer, bin, journal string) ([]byte,
 }
 
 // killAndResume is the chaos act: sweep, SIGKILL at a random point,
-// restart over the surviving journal, sweep again.
-func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *rand.Rand) ([]byte, error) {
+// restart over the surviving journal, sweep again. It returns the
+// restarted server's sweep body, how many points were committed at the
+// kill, and the restarted server's metrics after its sweep.
+func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *rand.Rand) ([]byte, int, *telemetry.Snapshot, error) {
 	srv, err := startServer(ctx, p, "victim", bin, journal)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	defer srv.kill()
 
@@ -149,9 +166,9 @@ func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *r
 	// point — only the journal survives.
 	go func() { _, _ = postSweep(ctx, srv.url()) }()
 
-	delay, err := killAfterFirstEntry(ctx, journal, rng, 750*time.Millisecond, srv.kill)
+	delay, err := killAfterFirstEntry(ctx, journal, rng, 3*time.Second, srv.kill)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	committed, pending := journalCounts(journal)
 	fmt.Fprintf(p, "chaos: SIGKILL %v after first journal entry (%d committed, %d in flight)\n",
@@ -161,10 +178,15 @@ func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *r
 	// points come from disk, interrupted ones resume from checkpoints.
 	srv2, err := startServer(ctx, p, "restarted", bin, journal)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
 	defer srv2.kill()
-	return postSweep(ctx, srv2.url())
+	got, err := postSweep(ctx, srv2.url())
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	m, err := serverMetrics(ctx, srv2.url())
+	return got, committed, m, err
 }
 
 // server is one child process: a respin-serve, or the batch phase's
@@ -242,21 +264,26 @@ func (s *server) kill() {
 	})
 }
 
-// waitHealthy polls /v1/healthz under a jittered backoff until the
-// server answers.
+// waitHealthy polls /v1/healthz, up to 50 times 100 ms apart, until
+// the server answers.
 func (s *server) waitHealthy(ctx context.Context) error {
-	pol := retry.Policy{Attempts: 10, Base: 50 * time.Millisecond, Max: time.Second}
-	return retry.Do(ctx, pol, func() error {
-		resp, err := http.Get(s.url() + "/v1/healthz")
-		if err != nil {
-			return err
+	var err error
+	for range 50 {
+		var resp *http.Response
+		if resp, err = http.Get(s.url() + "/v1/healthz"); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+			err = fmt.Errorf("chaos: healthz status %d", resp.StatusCode)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("chaos: healthz status %d", resp.StatusCode)
+		select {
+		case <-time.After(100 * time.Millisecond):
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		return nil
-	})
+	}
+	return err
 }
 
 // postSweep posts the harness sweep and returns the raw response bytes
@@ -280,6 +307,25 @@ func postSweep(ctx context.Context, base string) ([]byte, error) {
 		return nil, fmt.Errorf("chaos: sweep status %d: %s", resp.StatusCode, data)
 	}
 	return data, nil
+}
+
+// serverMetrics reads the metric snapshot a server's /v1/metrics
+// reports.
+func serverMetrics(ctx context.Context, base string) (*telemetry.Snapshot, error) {
+	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/metrics", nil)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: metrics: %w", err)
+	}
+	defer resp.Body.Close()
+	var doc v1.MetricsDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || doc.Metrics == nil {
+		return nil, fmt.Errorf("chaos: metrics: status %d: %v", resp.StatusCode, err)
+	}
+	return doc.Metrics, nil
 }
 
 // waitForJournalEntry blocks until the run-store directory holds at

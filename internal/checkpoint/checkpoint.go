@@ -19,10 +19,10 @@
 // repository's on-disk state, assembles the file in a temporary
 // sibling, syncs it and renames it into place, so a reader never
 // observes a half-written file — it sees either the previous complete
-// file or the new one. The checksum catches the remaining failure modes
-// (torn storage, truncation, bit rot); Load and Decode refuse a corrupt
-// container with a structured error rather than handing gob a poisoned
-// stream.
+// file or the new one. The checksum and the length field catch the
+// remaining failure modes (torn storage, truncation, appended bytes, bit
+// rot); Load and Decode refuse a corrupt container with a structured
+// error rather than handing gob a poisoned stream.
 package checkpoint
 
 import (
@@ -45,7 +45,7 @@ const headerLen = 8 + 4 + 8 + sha256.Size
 const maxPayload = 1 << 32
 
 // ErrCorrupt wraps all integrity failures (bad magic, checksum
-// mismatch, truncation) so callers can distinguish "damaged file" from
+// mismatch, truncation, trailing data) so callers can distinguish "damaged file" from
 // "wrong version" or plain I/O errors.
 type ErrCorrupt struct {
 	Path   string
@@ -167,8 +167,11 @@ func Decode(name string, data []byte, version uint32, out any) error {
 	if n > maxPayload {
 		return &ErrCorrupt{Path: name, Reason: fmt.Sprintf("implausible payload length %d", n)}
 	}
-	if n > uint64(len(data)-headerLen) {
+	switch {
+	case n > uint64(len(data)-headerLen):
 		return &ErrCorrupt{Path: name, Reason: "truncated payload"}
+	case n < uint64(len(data)-headerLen):
+		return &ErrCorrupt{Path: name, Reason: "trailing data after the payload"}
 	}
 	body := data[headerLen : headerLen+int(n)]
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], data[20:headerLen]) {

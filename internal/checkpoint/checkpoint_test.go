@@ -82,6 +82,24 @@ func TestTruncated(t *testing.T) {
 	}
 }
 
+// TestTrailingData: bytes after the payload are damage, though the
+// payload itself is intact.
+func TestTrailingData(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.ckpt")
+	if err := Save(path, 1, payload{Name: "y"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out payload
+	var ec *ErrCorrupt
+	if err := Decode(path, append(b, '}'), 1, &out); !errors.As(err, &ec) {
+		t.Fatalf("want ErrCorrupt, got %v", err)
+	}
+}
+
 func TestBadMagic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.ckpt")
 	if err := os.WriteFile(path, []byte("NOTACKPTxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"), 0o644); err != nil {

@@ -586,9 +586,6 @@ func (cl *Cluster) OutstandingEvents() int { return cl.events.len() }
 // Directory exposes the MESI directory; nil for shared configurations.
 func (cl *Cluster) Directory() *coherence.Directory { return cl.dir }
 
-// L2 exposes the cluster's L2 (for reports).
-func (cl *Cluster) L2() *mem.Cache { return cl.l2 }
-
 // L1D exposes the shared L1 data array; nil for private configurations.
 func (cl *Cluster) L1D() *mem.Cache { return cl.sharedL1D }
 

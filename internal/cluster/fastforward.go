@@ -17,7 +17,7 @@ const NeverWake = ^uint64(0)
 // idle fast-forward. ok=false means ticking the cluster at cl.now may do
 // real work — arbitration, instruction issue, a context switch — so no
 // cycle may be skipped. ok=true guarantees that every cycle in
-// [cl.now, wake) performs only the linear idle bookkeeping that SkipTo
+// [cl.now, wake) performs only the linear idle bookkeeping that TrySkipTo
 // replays exactly: controller cycle/zero-arrival counting, epoch
 // clock-edge counting, blocked-core stall counting, and barrier spin
 // countdowns. wake is the earliest cycle at which something more can
@@ -146,15 +146,6 @@ func (cl *Cluster) TrySkipTo(target uint64) error {
 	}
 	cl.now = target
 	return nil
-}
-
-// SkipTo is TrySkipTo for callers that have already proven idleness via
-// NextWake on the same cycle; an unexpected non-idle controller is a
-// caller bug and panics.
-func (cl *Cluster) SkipTo(target uint64) {
-	if err := cl.TrySkipTo(target); err != nil {
-		panic(err.Error())
-	}
 }
 
 // edgeAtOrAfter returns the first clock edge (cycle divisible by mult)

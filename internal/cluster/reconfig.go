@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"respin/internal/config"
 	"respin/internal/power"
@@ -128,10 +127,10 @@ func (cl *Cluster) redistribute(order []int) {
 		cl.pcores[target].residents = append(cl.pcores[target].residents, v)
 		cl.migrate(v, target)
 	}
-	cl.assignPtr = (cl.assignPtr + len(orphans)) % maxInt(len(active), 1)
+	cl.assignPtr = (cl.assignPtr + len(orphans)) % max(len(active), 1)
 
 	// Rebalance toward newly powered (empty) cores.
-	targetLoad := (len(cl.vcores) + len(active) - 1) / maxInt(len(active), 1)
+	targetLoad := (len(cl.vcores) + len(active) - 1) / max(len(active), 1)
 	for _, id := range active {
 		for len(cl.pcores[id].residents) < targetLoad {
 			src := cl.mostLoaded(id)
@@ -220,13 +219,6 @@ func (cl *Cluster) mostLoaded(except int) int {
 	return best
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // migrate moves virtual core v to physical core target, charging the
 // migration costs to the target.
 func (cl *Cluster) migrate(v, target int) {
@@ -246,28 +238,6 @@ func (cl *Cluster) migrate(v, target int) {
 	cl.pcores[target].stallUntil = base + costCycles
 }
 
-// EpochStats summarises one consolidation epoch for the policy engine.
-type EpochStats struct {
-	// Instructions retired cluster-wide during the epoch.
-	Instructions uint64
-	// EnergyPJ is the cluster-attributed energy for the epoch: the
-	// cluster's own meter plus its share of chip-level cache leakage.
-	EnergyPJ float64
-	// TimePS is the epoch duration.
-	TimePS int64
-	// ActiveCores at the end of the epoch.
-	ActiveCores int
-}
-
-// EPI returns the epoch's energy per instruction (pJ), or +Inf when no
-// instructions retired.
-func (s EpochStats) EPI() float64 {
-	if s.Instructions == 0 {
-		return math.Inf(1)
-	}
-	return s.EnergyPJ / float64(s.Instructions)
-}
-
 // snapshotMeter returns the current accumulated meter including pending
 // leakage (the cluster's cache-leakage share is added by the caller).
 func (cl *Cluster) snapshotMeter() power.Meter {
@@ -276,8 +246,8 @@ func (cl *Cluster) snapshotMeter() power.Meter {
 }
 
 // EpochSnapshot finalises leakage accounting and returns the meter plus
-// the cycle count; package sim turns consecutive snapshots into
-// EpochStats.
+// the cycle count; package sim turns consecutive snapshots into the
+// epoch's consolidation measurement.
 func (cl *Cluster) EpochSnapshot() (power.Meter, uint64) {
 	return cl.snapshotMeter(), cl.now
 }
@@ -342,9 +312,6 @@ func (cl *Cluster) PCoreStallCensus() (stalled, switching, inactive int) {
 	}
 	return
 }
-
-// L2NextFree exposes the L2 port's next-free cycle (debugging aid).
-func (cl *Cluster) L2NextFree() uint64 { return cl.l2NextFree }
 
 // MappingTable snapshots the cluster's virtual-to-physical core map in
 // the VCM's ACPI-style format.

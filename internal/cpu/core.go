@@ -119,9 +119,6 @@ func (c *Core) Stalls() uint64 { return c.stalls }
 func (c *Core) Loads() uint64  { return c.loadCount }
 func (c *Core) Stores() uint64 { return c.storeCount }
 
-// Gen exposes the workload generator (phase inspection).
-func (c *Core) Gen() *trace.Gen { return c.gen }
-
 // CompleteLoad unblocks a WaitLoad core; the cluster calls it when the
 // read response reaches the core.
 func (c *Core) CompleteLoad() {

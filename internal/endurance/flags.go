@@ -15,11 +15,8 @@ type Flags struct {
 	WearLevelPeriod uint64
 }
 
-// Bind registers the endurance flags on the default flag set.
-func Bind() *Flags { return BindTo(flag.CommandLine) }
-
-// BindTo registers the endurance flags on an explicit flag set (how
-// internal/cli composes them into the shared CLI surface).
+// BindTo registers the endurance flags on fs (how internal/cli composes
+// them into the shared CLI surface).
 func BindTo(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.Float64Var(&f.Budget, "endurance-budget", 0,

@@ -70,9 +70,11 @@ type Runner struct {
 	// sim.RunKey: a run with a committed outcome there is recalled, not
 	// simulated, and an unfinished one resumes from its last checkpoint
 	// (bit-identical to an uninterrupted run). A failed or cancelled run
-	// keeps its checkpoint for the next invocation. Stored outcomes
-	// always carry their metrics; without Telemetry the runner drops
-	// them from the results it returns, as an unstored run has none.
+	// keeps its checkpoint for the next invocation. The service's
+	// journal is such a store, so the batch tools and the service
+	// recall each other's runs. Stored outcomes always carry their
+	// metrics; without Telemetry, Do drops them from the results it
+	// returns, as an unstored run has none.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in cycles; zero selects
 	// sim.DefaultCheckpointEvery.
@@ -338,15 +340,22 @@ func guard(label string, fn func() (sim.Result, error)) (res sim.Result, err err
 	return fn()
 }
 
-// Exec runs one simulation on the runner's worker pool without the
-// runner's cache: it is the service entry point, and the service keeps
-// (and deduplicates) the encoded outcomes and their checkpoints itself.
-// Like Do it counts toward RunsStarted and RunsCompleted and turns a
-// panic into an error naming label, so one poisoned request can never
-// take down the process. fn runs under ctx (typically the server's
-// lifetime plus the request deadline).
-func (r *Runner) Exec(ctx context.Context, label string, fn func(context.Context) (sim.Result, error)) (sim.Result, error) {
-	return r.execute(label, func() (sim.Result, error) { return fn(ctx) })
+// Exec answers one run outside the runner's cache: from the run store
+// in CheckpointDir when that holds its outcome, otherwise executed on a
+// worker-pool slot under ctx (and, with a store, resumed from its
+// checkpoint and committed). It is the service entry point: the service
+// keeps and deduplicates the encoded outcomes itself. Unlike Do it
+// applies neither the runner's Endurance nor its Telemetry to run, and
+// a stored outcome keeps its metrics. Like Do it counts toward
+// RunsStarted and RunsCompleted and turns a panic into an error naming
+// the run, so one poisoned request can never take down the process.
+func (r *Runner) Exec(ctx context.Context, run Run) (sim.Result, error) {
+	if r.CheckpointDir == "" {
+		return r.execute(run.Label, func() (sim.Result, error) {
+			return sim.RunContext(ctx, run.Config, run.Bench, run.Opts)
+		})
+	}
+	return r.stored(ctx, run)
 }
 
 // CacheHits reports how many requests were served by joining or
@@ -373,6 +382,9 @@ func (r *Runner) CountHitsOf(hits func() uint64) {
 	r.frontHits = hits
 	r.mu.Unlock()
 }
+
+// Recalls reports how many runs were answered from the run store.
+func (r *Runner) Recalls() uint64 { return r.recalled.Load() }
 
 // RunsStarted reports how many simulations have been started.
 func (r *Runner) RunsStarted() uint64 { return r.started.Load() }
@@ -409,45 +421,41 @@ func (r *Runner) medium(kind config.ArchKind, bench string) sim.Result {
 	return r.result(r.mediumPoint(kind, bench))
 }
 
-// simulate answers one run: recalled from the run store when it holds
-// the run's outcome, otherwise executed on a worker-pool slot. With
-// telemetry enabled the run gets a detached collector that shares the
-// runner's event emitter (scoped by label) but has its own metric
-// namespace, so concurrent simulations never collide. The store key is
-// taken from the options as the run executes them.
+// simulate answers one run of a batch (see Exec). The run gets the
+// runner's Endurance unless it sets its own, and with telemetry enabled
+// a detached collector that shares the runner's event emitter (scoped
+// by label) but has its own metric namespace, so concurrent simulations
+// never collide. A stored outcome's metrics are dropped without
+// telemetry, as an unstored run has none.
 func (r *Runner) simulate(run Run) (sim.Result, error) {
-	opts := run.Opts
-	if !opts.Endurance.Enabled() {
-		opts.Endurance = r.Endurance
+	if !run.Opts.Endurance.Enabled() {
+		run.Opts.Endurance = r.Endurance
 	}
 	if r.Telemetry.Enabled() {
-		opts.Telemetry = telemetry.New(
+		run.Opts.Telemetry = telemetry.New(
 			telemetry.WithEmitter(r.Telemetry.Emitter()),
 			telemetry.WithScope(run.Label),
 		)
 	}
-	if r.CheckpointDir == "" {
-		return r.execute(run.Label, func() (sim.Result, error) {
-			return sim.RunContext(r.ctx(), run.Config, run.Bench, opts)
-		})
-	}
-	res, err := r.stored(run, opts)
-	if !r.Telemetry.Enabled() {
+	res, err := r.Exec(r.ctx(), run)
+	if r.CheckpointDir != "" && !r.Telemetry.Enabled() {
 		res.Metrics = nil
 	}
 	return res, err
 }
 
 // stored answers one run from the run store in CheckpointDir: recalled
-// when the store holds its outcome, otherwise executed there, resuming
-// from its checkpoint. Every stored outcome carries its metrics, so
+// when the store holds its outcome, otherwise executed there under ctx,
+// resuming from its checkpoint. The store key is taken from the options
+// as the run executes them. Every stored outcome carries its metrics, so
 // whether the caller attaches telemetry is not part of the key: a run
 // without a collector of its own gets a private one.
-func (r *Runner) stored(run Run, opts sim.Options) (sim.Result, error) {
+func (r *Runner) stored(ctx context.Context, run Run) (sim.Result, error) {
 	st, err := runstore.Open(r.CheckpointDir, r.CheckpointEvery)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %w", err)
 	}
+	opts := run.Opts
 	key, err := sim.RunKey(run.Config, run.Bench, opts)
 	if err != nil {
 		return sim.Result{}, err
@@ -461,7 +469,7 @@ func (r *Runner) stored(run Run, opts sim.Options) (sim.Result, error) {
 		opts.Telemetry = telemetry.New()
 	}
 	return r.execute(run.Label, func() (sim.Result, error) {
-		res, err := sim.RunOrResume(r.ctx(), run.Config, run.Bench, opts, st.Begin(key))
+		res, err := sim.RunOrResume(ctx, run.Config, run.Bench, opts, st.Begin(key))
 		if flight.Recorded(err) {
 			if cerr := commit(st, key, res, err); cerr != nil {
 				return res, cerr

@@ -273,14 +273,6 @@ func (in *Injector) aggregate() Counts {
 	return c
 }
 
-// Params returns the resolved parameters (zero value for a nil injector).
-func (in *Injector) Params() Params {
-	if in == nil {
-		return Params{}
-	}
-	return in.p
-}
-
 // MaxWriteRetries returns the retry bound (default for a nil injector,
 // so callers need not special-case).
 func (in *Injector) MaxWriteRetries() int {

@@ -20,13 +20,10 @@ type Flags struct {
 	KillCycle    uint64
 }
 
-// Bind registers the fault-injection flags on the default flag set. All
-// defaults inject nothing, so tools behave bit-identically to their
-// pre-fault versions unless a fault flag is given.
-func Bind() *Flags { return BindTo(flag.CommandLine) }
-
-// BindTo registers the fault-injection flags on an explicit flag set
-// (how internal/cli composes them into the shared CLI surface).
+// BindTo registers the fault-injection flags on fs (how internal/cli
+// composes them into the shared CLI surface). All defaults inject
+// nothing, so tools behave bit-identically to their pre-fault versions
+// unless a fault flag is given.
 func BindTo(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.Int64Var(&f.Seed, "fault-seed", 1,

@@ -1,13 +1,15 @@
-// Package runstore is the one on-disk store of simulation runs, shared
-// by the service's journal (serve.Options.Journal) and the batch
-// runner's CheckpointDir (DESIGN §4h). An entry is named
-// Name(sim.ModelVersion, key), the key being the whole run definition,
-// and is one file at a time: <name>.ckpt, the checkpoint, while its run
-// is unfinished, and <name>.result, the recorded outcome, once it is
-// committed (atomically; the checkpoint is then removed). An entry is
-// read only when its key is asked for, and one of another model version
-// is never asked for, so its run executes again. Payloads are the
-// callers', and so is the check that a result's bytes hold its key.
+// Package runstore is the one on-disk store of simulation runs: the
+// batch runner's CheckpointDir, which is also the service's journal
+// (serve.Options.Journal), so respin-bench, respin-sweep and
+// respin-serve recall each other's runs (DESIGN §4h). An entry is named
+// Name(sim.ModelVersion, key), the key being the whole run definition
+// (sim.RunKey), and is one file at a time: <name>.ckpt, the checkpoint,
+// while its run is unfinished, and <name>.result, the recorded outcome,
+// once it is committed (atomically; the checkpoint is then removed). An
+// entry is read only when its key is asked for, and one of another model
+// version is never asked for, so its run executes again. The runner
+// (package experiments) is the store's one user: it encodes the outcome
+// record and checks that a record holds the key it was read for.
 package runstore
 
 import (

@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -64,13 +65,12 @@ func TestJournalServesCommittedAcrossRestart(t *testing.T) {
 // verifies that a fresh server, asked for the request again, resumes
 // the run from the checkpoint (its event log has no run.start) and
 // converges to the exact bytes an uninterrupted serve would have
-// produced, committing them in place of the checkpoint.
+// produced, committing its outcome in place of the checkpoint.
 func TestJournalResumesInterruptedRun(t *testing.T) {
 	dir := t.TempDir()
 	req := v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000}
 	want := cliBytes(t, req)
-	j := openStore(t, dir)
-	ckpt := interrupt(t, j, req)
+	ckpt := interrupt(t, dir, req)
 
 	r := &experiments.Runner{Quota: 2_000, Seed: 1}
 	_, ts := testServer(t, Options{Runner: r, Journal: dir})
@@ -92,8 +92,8 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 			t.Fatal("the run started at cycle 0 instead of resuming from its checkpoint")
 		}
 	}
-	if file, err := j.Result(mustKey(t, req)); err != nil || !bytes.Equal(file, want) {
-		t.Fatalf("the resumed result was not committed (err %v)", err)
+	if got := recalled(t, dir, req); !bytes.Equal(got, want) {
+		t.Fatal("the committed outcome does not encode to the uninterrupted bytes")
 	}
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("the checkpoint outlived the commit: %v", err)
@@ -106,17 +106,12 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 // executes only once its request arrives.
 func TestJournalOpenReadsNothing(t *testing.T) {
 	dir := t.TempDir()
-	j := openStore(t, dir)
-	done := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
-	if err := j.Commit(mustKey(t, done), cliBytes(t, done)); err != nil {
+	commitRun(t, dir, v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000})
+	damaged := entryPath(t, dir, sim.ModelVersion, v1.RunRequest{Config: "SH-STT", Bench: "lu", Quota: 2_000}, runstore.ResultSuffix)
+	if err := os.WriteFile(damaged, []byte(`{"schema_version":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	damaged := v1.RunRequest{Config: "SH-STT", Bench: "lu", Quota: 2_000}
-	if err := j.Commit(mustKey(t, damaged), []byte(`{"schema_version":`)); err != nil {
-		t.Fatal(err)
-	}
-	interrupted := v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000}
-	interrupt(t, j, interrupted)
+	interrupt(t, dir, v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000})
 
 	r := &experiments.Runner{Quota: 2_000, Seed: 1}
 	_, ts := testServer(t, Options{Runner: r, Journal: dir})
@@ -134,21 +129,73 @@ func TestJournalOpenReadsNothing(t *testing.T) {
 	}
 }
 
-// openStore opens the run store of a journal directory, for tests that
-// fabricate its files.
-func openStore(t *testing.T, dir string) *runstore.Store {
+// TestJournalServesRunnerStore: the journal is the batch runner's run
+// store. A server over a directory a Runner filled answers the fig9
+// sweep without a run, byte-identically to a server without a journal;
+// a Runner over a directory a server filled recalls every point, with
+// the results of a runner without a store.
+func TestJournalServesRunnerStore(t *testing.T) {
+	fresh := sweepRunner()
+	runs := fresh.Figure9Runs()
+	want, errs := fresh.Do(runs...)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	_, plain := testServer(t, Options{Runner: sweepRunner()})
+	wantBody := postSweep(t, plain)
+
+	byRunner := t.TempDir()
+	filler := sweepRunner()
+	filler.CheckpointDir = byRunner
+	if _, errs := filler.Do(runs...); errors.Join(errs...) != nil {
+		t.Fatal(errs)
+	}
+	_, ts := testServer(t, Options{Runner: sweepRunner(), Journal: byRunner})
+	if got := postSweep(t, ts); !bytes.Equal(got, wantBody) {
+		t.Fatalf("sweep over the runner's store differs from a journal-less server's (%d vs %d bytes)", len(got), len(wantBody))
+	}
+	m := metricsSnapshot(t, ts)
+	if started, hits := m.Value("run.runs_started"), m.Value("journal.hits"); started != 0 || hits != float64(len(runs)) {
+		t.Fatalf("sweep over the runner's store: run.runs_started %v, journal.hits %v; want 0 and %d", started, hits, len(runs))
+	}
+
+	byServer := t.TempDir()
+	_, ts = testServer(t, Options{Runner: sweepRunner(), Journal: byServer})
+	postSweep(t, ts)
+	r := sweepRunner()
+	r.CheckpointDir = byServer
+	got, errs := r.Do(runs...)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if started := r.RunsStarted(); started != 0 {
+		t.Fatalf("runner over the server's journal started %d runs, want 0", started)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("results recalled from the server's journal differ from fresh ones")
+	}
+}
+
+// postSweep posts the fig9 preset sweep and returns the response body.
+func postSweep(t *testing.T, ts *httptest.Server) []byte {
 	t.Helper()
-	st, err := runstore.Open(dir, journalEvery)
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(sweepBody))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", resp.StatusCode, data)
+	}
+	return data
 }
 
-// interrupt leaves in st the state a crash leaves of req's journaled
-// run: a checkpoint taken at cycle 2000, no result. It returns the
-// checkpoint's path.
-func interrupt(t *testing.T, st *runstore.Store, req v1.RunRequest) string {
+// runOf is the run a server executes for req.
+func runOf(t *testing.T, req v1.RunRequest) experiments.Run {
 	t.Helper()
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
@@ -157,11 +204,75 @@ func interrupt(t *testing.T, st *runstore.Store, req v1.RunRequest) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sim.CheckpointSpec{Path: st.Begin(req.Key()).Path, AtCycle: 2_000}
-	if _, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec); err != nil {
+	return experiments.Run{Label: req.Label(), Config: cfg, Bench: req.Bench, Opts: opts}
+}
+
+// entryPath is the path of the file with suffix of req's run-store
+// entry under a model version, for tests that fabricate or damage it.
+func entryPath(t *testing.T, dir string, version int, req v1.RunRequest, suffix string) string {
+	t.Helper()
+	run := runOf(t, req)
+	key, err := sim.RunKey(run.Config, run.Bench, run.Opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Result(req.Key()); !errors.Is(err, os.ErrNotExist) {
+	return filepath.Join(dir, runstore.Name(version, key)+suffix)
+}
+
+// journalRunner is a runner over the journal in dir, as a server keeps
+// it.
+func journalRunner(t *testing.T, dir string) *experiments.Runner {
+	t.Helper()
+	r := &experiments.Runner{CheckpointDir: dir, CheckpointEvery: journalEvery}
+	if err := r.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// commitRun records req's outcome in the journal in dir.
+func commitRun(t *testing.T, dir string, req v1.RunRequest) {
+	t.Helper()
+	run := runOf(t, req)
+	run.Opts.Telemetry = telemetry.New()
+	if _, err := journalRunner(t, dir).Exec(context.Background(), run); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recalled returns the body a server encodes for req from the outcome
+// the journal in dir holds, failing unless that outcome is recalled
+// without a run.
+func recalled(t *testing.T, dir string, req v1.RunRequest) []byte {
+	t.Helper()
+	r := journalRunner(t, dir)
+	run := runOf(t, req)
+	run.Opts.Telemetry = telemetry.New()
+	res, runErr := r.Exec(context.Background(), run)
+	if r.RunsStarted() != 0 || r.Recalls() != 1 {
+		t.Fatalf("%s: the journal holds no outcome (%d runs started)", run.Label, r.RunsStarted())
+	}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	body, err := encodeResult(req, res, runErr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// interrupt leaves in the journal in dir the state a crash leaves of
+// req's run: a checkpoint taken at cycle 2000, no result. It returns
+// the checkpoint's path.
+func interrupt(t *testing.T, dir string, req v1.RunRequest) string {
+	t.Helper()
+	run := runOf(t, req)
+	spec := sim.CheckpointSpec{Path: entryPath(t, dir, sim.ModelVersion, req, runstore.CheckpointSuffix), AtCycle: 2_000}
+	if _, err := sim.RunOrResume(context.Background(), run.Config, run.Bench, run.Opts, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(entryPath(t, dir, sim.ModelVersion, req, runstore.ResultSuffix)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("the interrupted run has a result: %v", err)
 	}
 	return spec.Path
@@ -189,38 +300,55 @@ func eventTypes(t *testing.T, ts *httptest.Server, id string) []string {
 	return types
 }
 
-// TestJournalSkipsDamagedResults: a committed result that fails the
-// strict decode, or holds an outcome that is not recorded, is not
-// served. Its request simulates once and returns the CLI bytes, which
-// replace the damaged file.
+// TestJournalSkipsDamagedResults: a stored outcome whose record is
+// damaged, of another layout, or another run's is not recalled. Its
+// request simulates once and returns the CLI bytes, and the fresh
+// outcome replaces the damaged file.
 func TestJournalSkipsDamagedResults(t *testing.T) {
 	req := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
+	other := v1.RunRequest{Config: "SH-STT", Bench: "lu", Quota: 2_000}
 	want := cliBytes(t, req)
-	key := mustKey(t, req)
+	src := t.TempDir()
+	commitRun(t, src, req)
+	commitRun(t, src, other)
+	read := func(req v1.RunRequest) []byte {
+		data, err := os.ReadFile(entryPath(t, src, sim.ModelVersion, req, runstore.ResultSuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	record, otherRecord := read(req), read(other)
+	unknown, err := checkpoint.Encode(1, struct{ Bogus int }{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const body = `{"schema_version":"respin/v1","config":"SH-STT","bench":"fft","quota":2000}`
 	cases := []struct {
-		name   string
-		damage func(b []byte) []byte
+		name    string
+		damaged []byte
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"trailing data", func(b []byte) []byte { return append(b, "{}\n"...) }},
-		{"trailing close bracket", func(b []byte) []byte { return append(b, "}\n"...) }},
-		{"wrong schema_version", func(b []byte) []byte {
-			return bytes.Replace(b, []byte(`"respin/v1"`), []byte(`"respin/v0"`), 1)
-		}},
-		{"unknown field", func(b []byte) []byte {
-			return bytes.Replace(b, []byte("{"), []byte(`{"bogus": 1,`), 1)
-		}},
-		{"partial status", func(b []byte) []byte {
-			return bytes.Replace(b, []byte(`"status": "complete"`), []byte(`"status": "partial"`), 1)
-		}},
+		{"truncated", record[:len(record)/2]},
+		{"trailing data", append(bytes.Clone(record), "{}\n"...)},
+		{"trailing close bracket", append(bytes.Clone(record), "}\n"...)},
+		{"flipped byte", func() []byte {
+			b := bytes.Clone(record)
+			b[len(b)-1] ^= 1
+			return b
+		}()},
+		// The container header's version field (bytes 8-11).
+		{"wrong schema_version", func() []byte {
+			b := bytes.Clone(record)
+			b[11]++
+			return b
+		}()},
+		{"unknown field", unknown},
+		{"wrong key", otherRecord},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			j := openStore(t, dir)
-			damaged := c.damage(bytes.Clone(want))
-			if err := j.Commit(key, damaged); err != nil {
+			if err := os.WriteFile(entryPath(t, dir, sim.ModelVersion, req, runstore.ResultSuffix), c.damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, ts := testServer(t, Options{Journal: dir})
@@ -235,8 +363,8 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 			if started, hits := m.Value("run.runs_started"), m.Value("journal.hits"); started != 1 || hits != 0 {
 				t.Fatalf("run.runs_started %v, journal.hits %v; want 1 and 0", started, hits)
 			}
-			if file, err := j.Result(key); err != nil || !bytes.Equal(file, want) {
-				t.Fatalf("the damaged result was not replaced by the fresh one (err %v)", err)
+			if got := recalled(t, dir, req); !bytes.Equal(got, want) {
+				t.Fatal("the damaged record was not replaced by the fresh outcome")
 			}
 		})
 	}
@@ -265,9 +393,7 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 	}
 	want := cliBytes(t, req)
 
-	j := openStore(t, dir)
-	key := req.Key()
-	path := j.Begin(key).Path
+	path := entryPath(t, dir, sim.ModelVersion, req, runstore.CheckpointSuffix)
 	writeOld := func() {
 		t.Helper()
 		old := struct {
@@ -321,11 +447,11 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(served, want) {
 		t.Fatalf("re-POST: status %d, %d bytes (want %d identical)", resp.StatusCode, len(served), len(want))
 	}
-	if got, err := j.Result(key); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("committed result differs from an uninterrupted run (err %v)", err)
-	}
 	if started := r.RunsStarted(); started != 1 {
 		t.Fatalf("re-POST started %d runs, want 1", started)
+	}
+	if got := recalled(t, dir, req); !bytes.Equal(got, want) {
+		t.Fatal("the committed outcome differs from an uninterrupted run's")
 	}
 }
 
@@ -393,27 +519,23 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
-// TestJournalIgnoresOtherModelResults: a committed result whose file
-// was written under another sim.ModelVersion is never read, even
-// though it decodes as a recorded outcome for the same request. The
-// request re-executes once and converges to the current model's bytes.
+// TestJournalIgnoresOtherModelResults: a stored outcome whose file was
+// written under another sim.ModelVersion is never read, even though it
+// holds a recorded outcome for the same run. The request re-executes
+// once and its outcome is committed under the current model.
 func TestJournalIgnoresOtherModelResults(t *testing.T) {
 	req := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
 	want := cliBytes(t, req)
-	key := mustKey(t, req)
-	// The other model's numbers: same request, different cycle count.
-	stale := regexp.MustCompile(`"cycles": \d+`).ReplaceAll(bytes.Clone(want), []byte(`"cycles": 1`))
-	if bytes.Equal(stale, want) {
-		t.Fatal("test setup: the stale body equals the fresh one")
-	}
-	if k, err := resultKey(stale); err != nil || k != key {
-		t.Fatalf("test setup: the stale body does not decode as the request's result (%v)", err)
+	src := t.TempDir()
+	commitRun(t, src, req)
+	record, err := os.ReadFile(entryPath(t, src, sim.ModelVersion, req, runstore.ResultSuffix))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, version := range []int{sim.ModelVersion - 1, sim.ModelVersion + 1} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, runstore.Name(version, key)+runstore.ResultSuffix)
-			if err := os.WriteFile(path, stale, 0o644); err != nil {
+			if err := os.WriteFile(entryPath(t, dir, version, req, runstore.ResultSuffix), record, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, ts := testServer(t, Options{Journal: dir})
@@ -424,8 +546,8 @@ func TestJournalIgnoresOtherModelResults(t *testing.T) {
 			if started := metricsSnapshot(t, ts).Value("run.runs_started"); started != 1 {
 				t.Fatalf("run.runs_started = %v, want 1", started)
 			}
-			if file, err := openStore(t, dir).Result(key); err != nil || !bytes.Equal(file, want) {
-				t.Fatalf("the fresh result was not committed under the current model (err %v)", err)
+			if got := recalled(t, dir, req); !bytes.Equal(got, want) {
+				t.Fatal("the fresh outcome was not committed under the current model")
 			}
 		})
 	}

@@ -20,16 +20,18 @@
 //	GET  /v1/metrics       v1.MetricsDoc snapshot of the server registry
 //
 // The body store keeps one copy of each recorded result, in wire form:
-// request key → the canonical v1.RunResult bytes. A miss encodes its
-// result once, and that slice is the response, the journal's committed
-// result and the store entry; a hit is a lookup and one Write.
+// request key → the canonical v1.RunResult bytes. A miss asks the runner
+// for the request's run (Runner.Exec) and encodes its result once, and
+// that slice is the response and the store entry; a hit is a lookup and
+// one Write.
 //
-// With Options.Journal the runs go through a runstore.Store keyed by the
-// v1 request key, committing each recorded outcome's canonical body. The
-// store is read only when a key is asked for: a body-store miss first
-// reads the key's committed body, serves it as it is when it passes the
-// strict v1 decode, and otherwise runs the request, resuming from the
-// entry's checkpoint when a previous process left one.
+// Options.Journal is the runner's run store (Runner.CheckpointDir), the
+// one respin-bench and respin-sweep keep: an entry is keyed by the whole
+// run definition (sim.RunKey) and holds the runner's outcome record, so
+// the service and the batch tools recall each other's runs. The store is
+// read only when a run is asked for: a body-store miss recalls the run's
+// outcome and encodes it for the request, or runs the request, resuming
+// from the entry's checkpoint when a previous process left one.
 //
 // Concurrency and robustness: admission is a bounded token queue —
 // when full, the server answers 429 with Retry-After instead of
@@ -43,7 +45,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -58,7 +59,6 @@ import (
 	v1 "respin/internal/api/v1"
 	"respin/internal/experiments"
 	"respin/internal/flight"
-	"respin/internal/runstore"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
 )
@@ -76,17 +76,19 @@ type Options struct {
 	// drain lets in-flight runs finish.
 	BaseContext context.Context
 	// Telemetry is the server's metric registry, exposed at /v1/metrics;
-	// nil builds a private one. The body store's hits and the runner's
-	// run counters are registered into it as run.cache_hits /
-	// run.runs_started / run.runs_completed.
+	// nil builds a private one. The runner's counters are registered
+	// into it as run.cache_hits (the body store's hits plus the runs
+	// recalled from the journal) / run.runs_started /
+	// run.runs_completed, and journal.hits (the recalls) with a journal.
 	Telemetry *telemetry.Collector
 	// LogCapacity bounds how many finished run event logs are kept for
 	// /v1/runs/{id}/events replay; 0 selects 128.
 	LogCapacity int
 	// Journal, when non-empty, is the run-store directory of the
-	// crash-safe run journal: after a restart a completed run is served
-	// from disk and an interrupted one resumes from its last checkpoint
-	// when it is requested again.
+	// crash-safe run journal, which New makes the runner's
+	// CheckpointDir: after a restart a completed run is recalled from
+	// disk and an interrupted one resumes from its last checkpoint when
+	// it is requested again.
 	Journal string
 }
 
@@ -97,12 +99,11 @@ const journalEvery = 20_000
 // Server is the /v1 evaluation service. Create with New, expose with
 // Handler, stop by draining (BeginDrain + http.Server.Shutdown).
 type Server struct {
-	runner  *experiments.Runner
-	base    context.Context
-	tele    *telemetry.Collector
-	logs    *logRegistry
-	mux     *http.ServeMux
-	journal *runstore.Store
+	runner *experiments.Runner
+	base   context.Context
+	tele   *telemetry.Collector
+	logs   *logRegistry
+	mux    *http.ServeMux
 
 	// bodies maps a request key to the canonical RunResult body of its
 	// recorded outcome (complete or wear-out), and deduplicates runs in
@@ -116,7 +117,6 @@ type Server struct {
 	httpRejected atomic.Uint64
 	httpPanics   atomic.Uint64
 	sseStreams   atomic.Uint64
-	journalHits  atomic.Uint64 // bodies read from the journal
 }
 
 // New builds the service around a persistent runner.
@@ -124,6 +124,9 @@ func New(opts Options) (*Server, error) {
 	r := opts.Runner
 	if r == nil {
 		r = experiments.NewRunner()
+	}
+	if opts.Journal != "" {
+		r.CheckpointDir, r.CheckpointEvery = opts.Journal, journalEvery
 	}
 	if err := r.Normalize(); err != nil {
 		return nil, err
@@ -152,10 +155,10 @@ func New(opts Options) (*Server, error) {
 		mux:    http.NewServeMux(),
 		tokens: make(chan struct{}, queue),
 	}
-	// The runner only executes for the service; its cache_hits are the
-	// store's, counting the bodies read from the journal.
-	r.CountHitsOf(s.cacheHits)
-	tele.RegisterCounter("run.cache_hits", s.cacheHits)
+	// The runner only executes for the service; its cache_hits count
+	// the body store's hits and its own recalls from the journal.
+	r.CountHitsOf(s.bodies.Hits)
+	tele.RegisterCounter("run.cache_hits", r.CacheHits)
 	tele.RegisterCounter("run.runs_started", r.RunsStarted)
 	tele.RegisterCounter("run.runs_completed", r.RunsCompleted)
 	tele.RegisterCounter("http.requests", s.httpRequests.Load)
@@ -172,32 +175,9 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 
 	if opts.Journal != "" {
-		st, err := runstore.Open(opts.Journal, journalEvery)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = st
-		tele.RegisterCounter("journal.hits", s.journalHits.Load)
+		tele.RegisterCounter("journal.hits", r.Recalls)
 	}
 	return s, nil
-}
-
-// cacheHits counts the requests answered without a run: the body
-// store's hits plus the bodies read from the journal.
-func (s *Server) cacheHits() uint64 { return s.bodies.Hits() + s.journalHits.Load() }
-
-// resultKey is the request key of a committed body. The strict decode
-// is the only gate before those bytes are served verbatim, and only a
-// recorded outcome may be served.
-func resultKey(body []byte) (string, error) {
-	doc, err := v1.DecodeRunResult(bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	if !doc.Recorded() {
-		return "", fmt.Errorf("serve: journaled result has status %q", doc.Status)
-	}
-	return doc.Request.Key(), nil
 }
 
 // Handler returns the service's HTTP handler: the /v1 mux behind the
@@ -223,9 +203,6 @@ func (s *Server) Handler() http.Handler {
 // with 503 while in-flight runs complete (http.Server.Shutdown then
 // closes the listener and waits for handlers).
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // admit takes an admission token without blocking; callers must
 // release() iff admitted.
@@ -288,11 +265,11 @@ func (s *Server) runCtx(req v1.RunRequest) (context.Context, context.CancelFunc)
 // execute answers one resolved request with the canonical bytes of its
 // v1.RunResult: recalled from the body store when the key has a
 // recorded outcome, shared when the key is in flight, and otherwise
-// read from the journal or run once (log receives the run's event
-// stream; nil for sweep points, which are not individually followable).
+// answered by the runner once (log receives the run's event stream; nil
+// for sweep points, which are not individually followable).
 func (s *Server) execute(ctx context.Context, req v1.RunRequest, log *runLog) ([]byte, error) {
 	key := req.Key()
-	body, err := s.bodies.Do(ctx, key, func() ([]byte, error) { return s.run(ctx, key, req, log) })
+	body, err := s.bodies.Do(ctx, key, func() ([]byte, error) { return s.run(ctx, req, log) })
 	switch {
 	case body != nil:
 		return body, nil
@@ -305,23 +282,14 @@ func (s *Server) execute(ctx context.Context, req v1.RunRequest, log *runLog) ([
 	return nil, err
 }
 
-// run answers a body-store miss. A body the journal committed for key
-// is served as it is once it passes the strict gate (resultKey);
-// otherwise the request executes on the runner's pool and its outcome is
+// run answers a body-store miss: the runner recalls the request's run
+// from the journal or executes it on its pool, and the outcome is
 // encoded once. The telemetry collector mirrors what respin-sim attaches
 // for -metrics — same registry, so the body is byte-identical. The error
 // returned beside a body is the simulation's own (nil, a wear-out, or a
 // deadline), which decides whether the store keeps the body; a failure
 // returns no body.
-func (s *Server) run(ctx context.Context, key string, req v1.RunRequest, log *runLog) ([]byte, error) {
-	if s.journal != nil {
-		if body, err := s.journal.Result(key); err == nil {
-			if k, err := resultKey(body); err == nil && k == key {
-				s.journalHits.Add(1)
-				return body, nil
-			}
-		}
-	}
+func (s *Server) run(ctx context.Context, req v1.RunRequest, log *runLog) ([]byte, error) {
 	cfg, opts, err := req.Resolve()
 	if err != nil {
 		return nil, err
@@ -331,26 +299,10 @@ func (s *Server) run(ctx context.Context, key string, req v1.RunRequest, log *ru
 	} else {
 		opts.Telemetry = telemetry.New()
 	}
-	simulate := func(ctx context.Context) (sim.Result, error) {
-		return sim.RunContext(ctx, cfg, req.Bench, opts)
-	}
-	if s.journal != nil {
-		// Checkpoint while running, so a crash resumes the run when it
-		// is requested again instead of restarting it.
-		spec := s.journal.Begin(key)
-		simulate = func(ctx context.Context) (sim.Result, error) {
-			return sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
-		}
-	}
-	res, runErr := s.runner.Exec(ctx, req.Label(), simulate)
+	res, runErr := s.runner.Exec(ctx, experiments.Run{Label: req.Label(), Config: cfg, Bench: req.Bench, Opts: opts})
 	body, err := encodeResult(req, res, runErr)
 	if err != nil {
 		return nil, err
-	}
-	if s.journal != nil && flight.Recorded(runErr) {
-		if err := s.journal.Commit(key, body); err != nil {
-			return nil, err
-		}
 	}
 	return body, runErr
 }

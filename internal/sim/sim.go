@@ -122,9 +122,12 @@ func (o *Options) Normalize() error {
 }
 
 // resolve applies every default New applies to the options of a run on
-// cfg: Normalize, then the rail-derived SRAM flip rate. New and the
-// checkpoint match rule (Info.Holds) both call it, so a checkpoint is
-// compared against the run definition New would actually execute.
+// cfg and validates them: Normalize, then the rail-derived SRAM flip
+// rate. Fault and endurance settings that inject nothing are then
+// cleared, since nothing reads them, so one run has one definition
+// whatever seed or ECC scheme it names. New, the checkpoint match rule
+// (Info.Holds) and RunKey all call it, so a checkpoint or a stored run
+// is compared against the run definition New would actually execute.
 func (o *Options) resolve(cfg config.Config) error {
 	if err := o.Normalize(); err != nil {
 		return err
@@ -134,6 +137,15 @@ func (o *Options) resolve(cfg config.Config) error {
 		// (immune to voltage-dependent upsets), the CellFailProb law
 		// for near-threshold SRAM.
 		o.Faults.SRAMBitFlipPerCell = reliability.CellFailProb(cfg.Tech, cfg.CacheVdd)
+	}
+	if err := o.Faults.Validate(cfg.NumClusters(), cfg.ClusterSize); err != nil {
+		return err
+	}
+	if !o.Faults.Enabled() {
+		o.Faults = faults.Params{}
+	}
+	if !o.Endurance.Enabled() {
+		o.Endurance = endurance.Params{}
 	}
 	return nil
 }
@@ -275,9 +287,6 @@ func New(cfg config.Config, benchName string, opts Options) (*Sim, error) {
 		return nil, err
 	}
 	if err := opts.resolve(cfg); err != nil {
-		return nil, err
-	}
-	if err := opts.Faults.Validate(cfg.NumClusters(), cfg.ClusterSize); err != nil {
 		return nil, err
 	}
 
