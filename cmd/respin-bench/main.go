@@ -6,8 +6,15 @@
 //
 //	respin-bench [-quick] [-quota N] [-trace-quota N] [-benches a,b,c]
 //	             [-only fig9] [-seed N] [-fault-seed N] [-jobs N]
+//	             [-endurance-budget B] [-retention-cycles R] [-wear-level] ...
+//	             [-checkpoint dir] [-checkpoint-every N]
 //	             [-cpuprofile f] [-memprofile f] [-metrics f] [-events f]
-//	             [-o out.txt] [-json claims.json] [-q]
+//	             [-o out.txt] [-json claims.json] [-chaos-seed N] [-q]
+//
+// -fault-seed seeds the fault and endurance sweeps (-only faults,
+// -only endurance); the evaluation injects no other fault, so it takes
+// no other fault flag. The endurance flags apply one wear model to
+// every run, seeded as respin-sim seeds a run that injects no fault.
 //
 // The full run simulates hundreds of configurations (about 8 minutes on 2
 // cores); -jobs spreads them over a worker pool (default: all cores),
@@ -27,6 +34,7 @@ import (
 	"os/signal"
 	"strings"
 
+	v1 "respin/internal/api/v1"
 	"respin/internal/chaos"
 	"respin/internal/cli"
 	"respin/internal/experiments"
@@ -37,16 +45,17 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	c := cli.New("respin-bench",
-		cli.WithRunFlags(cli.Defaults{Quota: 0, Seed: 0}),
+	// A zero quota keeps the runner's own (-quick selects a shorter one).
+	c := cli.New("respin-bench", v1.RunRequest{Seed: 1},
+		cli.WithRunFlags(),
 		cli.WithParallelFlags(),
 		cli.WithProfileFlags(),
 		cli.WithTelemetryFlags(),
-		cli.WithFaultFlags(),
 		cli.WithEnduranceFlags(),
 		cli.WithCheckpointFlags(),
 	)
 	quick := flag.Bool("quick", false, "reduced benchmark set and quotas")
+	faultSeed := flag.Int64("fault-seed", 1, "fault-injection randomness seed of the fault and endurance sweeps (distinct from -seed)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "kill-point seed for -only chaos (0 = from the clock)")
 	traceQuota := flag.Uint64("trace-quota", 0, "override consolidation-trace budget")
 	benches := flag.String("benches", "", "comma-separated benchmark subset")
@@ -88,6 +97,7 @@ func run() int {
 	if *benches != "" {
 		r.Benches = strings.Split(*benches, ",")
 	}
+	r.FaultSeed = *faultSeed
 	if err := c.Apply(r); err != nil {
 		return fail(err)
 	}

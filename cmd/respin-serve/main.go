@@ -40,6 +40,7 @@ import (
 	"syscall"
 	"time"
 
+	v1 "respin/internal/api/v1"
 	"respin/internal/cli"
 	"respin/internal/experiments"
 	"respin/internal/serve"
@@ -50,7 +51,7 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	app := cli.New("respin-serve",
+	app := cli.New("respin-serve", v1.RunRequest{},
 		cli.WithParallelFlags(),
 		cli.WithProfileFlags(),
 		cli.WithTelemetryFlags(),

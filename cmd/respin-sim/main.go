@@ -6,14 +6,14 @@
 //
 //	respin-sim [-config SH-STT] [-bench fft] [-scale medium]
 //	           [-cluster 16] [-quota 150000] [-seed 1] [-trace]
-//	           [-jobs N] [-cpuprofile f] [-memprofile f]
-//	           [-metrics f] [-events f]
+//	           [-cpuprofile f] [-memprofile f] [-metrics f] [-events f]
 //	           [-fault-seed 1] [-stt-write-fail P] [-sram-bitflip P]
-//	           [-ecc SECDED] [-kill-cores N] [-kill-cycle C]
-//	           [-endurance-budget B] [-retention-cycles R] [-wear-level]
-//	           [-checkpoint f] [-checkpoint-every N] [-resume f]
+//	           [-ecc SECDED] [-halt-uncorrectable] [-kill-cores N]
+//	           [-kill-cycle C] [-endurance-budget B] [-endurance-sigma S]
+//	           [-retention-cycles R] [-scrub-period P] [-wear-level]
+//	           [-wear-period W] [-checkpoint f] [-checkpoint-every N]
 //
-// The flags denote a v1.RunRequest — the same document a client would
+// The flags write a v1.RunRequest — the same document a client would
 // POST to respin-serve's /v1/run — and -metrics writes the full
 // v1.RunResult envelope, byte-identical to the served response for the
 // same request.
@@ -24,8 +24,7 @@
 // same configuration, benchmark and every run option — the run resumes
 // from it instead of starting at cycle 0, to a result bit-identical to
 // the uninterrupted run; any other file is overwritten by a fresh run.
-// -resume is an alias of -checkpoint, so an interrupted run is
-// continued by repeating its flags.
+// An interrupted run is therefore continued by repeating its flags.
 //
 // SIGINT cancels the run; the statistics measured up to the
 // interruption are still reported (marked partial).
@@ -54,9 +53,9 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	app := cli.New("respin-sim",
-		cli.WithTarget(cli.Target{ConfigName: "SH-STT", BenchName: "fft", ScaleName: "medium", Cluster: 16}, cli.TAll),
-		cli.WithRunFlags(cli.Defaults{Quota: sim.DefaultQuota, Seed: 1}),
-		cli.WithParallelFlags(),
+		v1.RunRequest{Config: "SH-STT", Bench: "fft", Scale: "medium", Cluster: 16, Quota: sim.DefaultQuota, Seed: 1},
+		cli.WithTarget(cli.TAll),
+		cli.WithRunFlags(),
 		cli.WithProfileFlags(),
 		cli.WithTelemetryFlags(),
 		cli.WithFaultFlags(),
@@ -89,10 +88,7 @@ func run() int {
 	if err != nil {
 		return app.Fail(err)
 	}
-	spec, err := app.CheckpointSpec()
-	if err != nil {
-		return app.Fail(err)
-	}
+	spec := app.CheckpointSpec()
 	if *dieMap {
 		vm := variation.Generate(cfg.VariationSeed, 8, 8, cfg.CoreVdd, variation.DefaultParams())
 		fmt.Println("variation die map (core clock multiples; ---- = cluster boundary):")
@@ -110,7 +106,6 @@ func run() int {
 		}
 	}()
 
-	app.LimitJobs()
 	opts.Telemetry = app.Collector()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

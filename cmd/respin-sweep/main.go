@@ -6,8 +6,17 @@
 //
 //	respin-sweep -sweep cluster|epoch|scale [-bench fft] [-jobs N] [-q]
 //	             [-quota N] [-seed N] [-fault-seed N] [-stt-write-fail P]
+//	             [-kill-cores N] [-endurance-budget B] ...
 //	             [-checkpoint dir] [-cpuprofile f] [-memprofile f]
 //	             [-metrics f] [-events f]
+//
+// The run flags and the fault and endurance flags write one
+// v1.RunRequest, as respin-sim's do, and every sweep point takes the
+// simulator options that request resolves to on the point's own
+// configuration: -kill-cores kills that many cores in each of the
+// point's clusters, however many it has. A setting no point can run
+// (say, more kills than a cluster has cores) fails the sweep before any
+// point starts.
 //
 // Sweep points are independent simulations, so they run on the
 // experiments.Runner worker pool (-jobs wide, default all cores) and
@@ -31,6 +40,7 @@ import (
 	"io"
 	"os"
 
+	v1 "respin/internal/api/v1"
 	"respin/internal/cli"
 	"respin/internal/config"
 	"respin/internal/experiments"
@@ -49,10 +59,13 @@ func run(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "respin-sweep: %v\n", err)
 		return 1
 	}
+	// The points name their own configurations; Config only completes
+	// the request, which Normalize checks whole.
 	c := cli.New("respin-sweep",
+		v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 100_000, Seed: 1},
 		cli.WithFlagSet(fs),
-		cli.WithTarget(cli.Target{BenchName: "fft"}, cli.TBench),
-		cli.WithRunFlags(cli.Defaults{Quota: 100_000, Seed: 1}),
+		cli.WithTarget(cli.TBench),
+		cli.WithRunFlags(),
 		cli.WithParallelFlags(),
 		cli.WithProfileFlags(),
 		cli.WithTelemetryFlags(),
@@ -64,11 +77,7 @@ func run(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	t := c.Target
-
-	// Sweeps span cluster sizes, so resolve kills against the smallest
-	// cluster count any sweep point uses (medium scale, 64 cores).
-	fp, err := c.FaultParams(config.New(config.SHSTT, config.Medium).NumClusters())
+	req, err := c.Request()
 	if err != nil {
 		return fail(err)
 	}
@@ -90,20 +99,24 @@ func run(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	if r.Progress != nil { // progress lines, unless -q, go to run's stderr
 		r.Progress = stderr
 	}
-	opts := sim.Options{QuotaInstr: r.Quota, Seed: r.Seed, Faults: fp}
 
 	var runs []experiments.Run
 	var table func([]sim.Result) *report.Table
 	switch *sweep {
 	case "cluster":
-		runs, table = clusterSweep(t.BenchName, opts)
+		runs, table = clusterSweep(req.Bench)
 	case "epoch":
-		runs, table = epochSweep(t.BenchName, opts)
+		runs, table = epochSweep(req.Bench)
 	case "scale":
-		runs, table = scaleSweep(t.BenchName, opts)
+		runs, table = scaleSweep(req.Bench)
 	default:
 		fmt.Fprintf(stderr, "respin-sweep: unknown sweep %q (valid: cluster, epoch, scale)\n", *sweep)
 		return 2
+	}
+	for i := range runs {
+		if runs[i].Opts, err = req.ResolveOptions(runs[i].Config); err != nil {
+			return fail(fmt.Errorf("point %d (%s): %w", i, runs[i].Label, err))
+		}
 	}
 	results, errs := r.Do(runs...)
 	var failed []error
@@ -121,12 +134,12 @@ func run(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 
 // clusterSweep reproduces the Section V.D cluster-size study for one
 // benchmark.
-func clusterSweep(bench string, opts sim.Options) ([]experiments.Run, func([]sim.Result) *report.Table) {
+func clusterSweep(bench string) ([]experiments.Run, func([]sim.Result) *report.Table) {
 	sizes := []int{4, 8, 16, 32}
-	runs := []experiments.Run{{Label: "PR-SRAM-NT", Config: config.New(config.PRSRAMNT, config.Medium), Bench: bench, Opts: opts}}
+	runs := []experiments.Run{{Label: "PR-SRAM-NT", Config: config.New(config.PRSRAMNT, config.Medium), Bench: bench}}
 	for _, cs := range sizes {
 		runs = append(runs, experiments.Run{Label: fmt.Sprintf("SH-STT.cl%d", cs),
-			Config: config.NewWithCluster(config.SHSTT, config.Medium, cs), Bench: bench, Opts: opts})
+			Config: config.NewWithCluster(config.SHSTT, config.Medium, cs), Bench: bench})
 	}
 	return runs, func(results []sim.Result) *report.Table {
 		base := results[0]
@@ -145,13 +158,13 @@ func clusterSweep(bench string, opts sim.Options) ([]experiments.Run, func([]sim
 
 // epochSweep varies the consolidation epoch around the paper's 160K
 // instructions.
-func epochSweep(bench string, opts sim.Options) ([]experiments.Run, func([]sim.Result) *report.Table) {
+func epochSweep(bench string) ([]experiments.Run, func([]sim.Result) *report.Table) {
 	epochs := []uint64{40_000, 80_000, 160_000, 320_000, 640_000}
-	runs := []experiments.Run{{Label: "SH-STT", Config: config.New(config.SHSTT, config.Medium), Bench: bench, Opts: opts}}
+	runs := []experiments.Run{{Label: "SH-STT", Config: config.New(config.SHSTT, config.Medium), Bench: bench}}
 	for _, epoch := range epochs {
 		cfg := config.New(config.SHSTTCC, config.Medium)
 		cfg.ConsolidationParams.EpochInstructions = epoch
-		runs = append(runs, experiments.Run{Label: fmt.Sprintf("SH-STT-CC.ep%d", epoch), Config: cfg, Bench: bench, Opts: opts})
+		runs = append(runs, experiments.Run{Label: fmt.Sprintf("SH-STT-CC.ep%d", epoch), Config: cfg, Bench: bench})
 	}
 	return runs, func(results []sim.Result) *report.Table {
 		base := results[0]
@@ -170,12 +183,12 @@ func epochSweep(bench string, opts sim.Options) ([]experiments.Run, func([]sim.R
 }
 
 // scaleSweep compares the three Table I cache scales for one benchmark.
-func scaleSweep(bench string, opts sim.Options) ([]experiments.Run, func([]sim.Result) *report.Table) {
+func scaleSweep(bench string) ([]experiments.Run, func([]sim.Result) *report.Table) {
 	var runs []experiments.Run
 	for _, scale := range []config.CacheScale{config.Small, config.Medium, config.Large} {
 		for _, kind := range []config.ArchKind{config.PRSRAMNT, config.SHSTT} {
 			runs = append(runs, experiments.Run{Label: fmt.Sprintf("%v.%v", kind, scale),
-				Config: config.New(kind, scale), Bench: bench, Opts: opts})
+				Config: config.New(kind, scale), Bench: bench})
 		}
 	}
 	return runs, func(results []sim.Result) *report.Table {

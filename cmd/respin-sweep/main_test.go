@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	v1 "respin/internal/api/v1"
+	"respin/internal/cli"
+	"respin/internal/config"
 	"respin/internal/runstore"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
@@ -205,6 +208,78 @@ func TestZeroRateFaultFlagsRecallStoredRuns(t *testing.T) {
 	}
 	if second != first {
 		t.Fatalf("the recalled table differs:\n--- first\n%s--- second\n%s", first, second)
+	}
+}
+
+// TestClusterSweepKillsEveryCluster: -kill-cores lays its kills out on
+// each point's own configuration, so every point of the cluster sweep
+// runs and loses one core in each of its clusters: 16 at four cores per
+// cluster, 2 at thirty-two.
+func TestClusterSweepKillsEveryCluster(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	code, _, stderr := sweep(t, "-sweep", "cluster", "-kill-cores", "1", "-quota", "2000", "-q", "-metrics", metrics)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+	}
+	snap := readMetrics(t, metrics)
+	points := map[string]config.Config{"PR-SRAM-NT": config.New(config.PRSRAMNT, config.Medium)}
+	for _, cs := range []int{4, 8, 16, 32} {
+		points[fmt.Sprintf("SH-STT.cl%d", cs)] = config.NewWithCluster(config.SHSTT, config.Medium, cs)
+	}
+	for label, cfg := range points {
+		name := "run." + label + ".faults.core_kills"
+		if got, want := snap.Value(name), float64(cfg.NumClusters()); got != want {
+			t.Errorf("%s = %v, want one kill in each of %v clusters", name, got, want)
+		}
+	}
+	if got := snap.Value("run.SH-STT.cl4.faults.core_kills"); got != 16 {
+		t.Errorf("the cl4 point killed %v cores, want 16", got)
+	}
+}
+
+// TestSweepPointIsTheSingleRun: the sweep's SH-STT medium point is the
+// run respin-sim defines from the same flags (App.Request, then
+// Resolve): its committed store entry is the one under that run's
+// sim.RunKey. Without an injected fault the endurance model takes seed
+// 1 whatever -fault-seed says; with one it takes the fault seed.
+func TestSweepPointIsTheSingleRun(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-quota", "3000", "-fault-seed", "7", "-endurance-budget", "1e5"},
+		{"-quota", "3000", "-fault-seed", "7", "-endurance-budget", "1e5", "-stt-write-fail", "0.01", "-kill-cores", "1"},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-sweep", "scale", "-q", "-checkpoint", dir}, flags...)
+		if code, _, stderr := sweep(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d; stderr:\n%s", flags, code, stderr)
+		}
+
+		fs := flag.NewFlagSet("respin-sim", flag.ContinueOnError)
+		app := cli.New("respin-sim",
+			v1.RunRequest{Config: "SH-STT", Bench: "fft", Scale: "medium", Cluster: 16, Quota: sim.DefaultQuota, Seed: 1},
+			cli.WithFlagSet(fs), cli.WithTarget(cli.TAll), cli.WithRunFlags(),
+			cli.WithFaultFlags(), cli.WithEnduranceFlags())
+		if err := fs.Parse(flags); err != nil {
+			t.Fatal(err)
+		}
+		req, err := app.Request()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, opts, err := req.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := sim.RunKey(cfg, req.Bench, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := runstore.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Result(key); err != nil {
+			t.Errorf("%v: the store holds no entry under respin-sim's run key: %v", flags, err)
+		}
 	}
 }
 

@@ -7,6 +7,10 @@
 //
 //	respin-trace -config SH-STT-CC -bench radix -quota 400000 > radix.csv
 //	respin-trace -what histograms -config SH-STT -bench ocean
+//
+// The run, fault and endurance flags write a v1.RunRequest, as
+// respin-sim's do, and -checkpoint f resumes the run when f holds a
+// checkpoint of it.
 package main
 
 import (
@@ -17,6 +21,7 @@ import (
 	"os"
 	"strconv"
 
+	v1 "respin/internal/api/v1"
 	"respin/internal/cli"
 	"respin/internal/sim"
 )
@@ -27,9 +32,9 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	c := cli.New("respin-trace",
-		cli.WithTarget(cli.Target{ConfigName: "SH-STT-CC", BenchName: "radix"}, cli.TConfig|cli.TBench),
-		cli.WithRunFlags(cli.Defaults{Quota: 400_000, Seed: 1}),
-		cli.WithParallelFlags(),
+		v1.RunRequest{Config: "SH-STT-CC", Bench: "radix", Quota: 400_000, Seed: 1},
+		cli.WithTarget(cli.TConfig|cli.TBench),
+		cli.WithRunFlags(),
 		cli.WithProfileFlags(),
 		cli.WithTelemetryFlags(),
 		cli.WithFaultFlags(),
@@ -51,10 +56,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	spec, err := c.CheckpointSpec()
-	if err != nil {
-		return fail(err)
-	}
 
 	cleanup, err := c.Start()
 	if err != nil {
@@ -66,10 +67,9 @@ func run() int {
 		}
 	}()
 
-	c.LimitJobs()
 	opts.Telemetry = c.Collector()
 
-	res, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec)
+	res, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, c.CheckpointSpec())
 	if err != nil {
 		return fail(err)
 	}

@@ -59,9 +59,9 @@ const (
 	StatusError = "error"
 )
 
-// defaultKillCycle mirrors the -kill-cycle flag default (keep in sync
-// with faults.BindTo).
-const defaultKillCycle = 20_000
+// DefaultKillCycle is the cycle a fault spec's kills strike at when it
+// names none; the -kill-cycle flag shows it as its default.
+const DefaultKillCycle = 20_000
 
 // RunRequest identifies one simulation: the Table IV configuration
 // point plus every knob that can alter its result. The zero value of
@@ -110,7 +110,8 @@ type RunRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// FaultSpec mirrors the fault-injection CLI flags (faults.Flags).
+// FaultSpec is the fault-injection settings of a run; the tools' fault
+// flags write its fields.
 type FaultSpec struct {
 	// Seed drives fault randomness (distinct from the run seed); 0
 	// selects 1.
@@ -131,8 +132,8 @@ type FaultSpec struct {
 	HaltOnUncorrectable bool `json:"halt_uncorrectable,omitempty"`
 	// KillCores hard-kills this many cores per cluster at KillCycle.
 	KillCores int `json:"kill_cores,omitempty"`
-	// KillCycle is the cycle the kills strike (0 selects 20000 when
-	// KillCores > 0).
+	// KillCycle is the cycle the kills strike (0 selects
+	// DefaultKillCycle when KillCores > 0).
 	KillCycle uint64 `json:"kill_cycle,omitempty"`
 }
 
@@ -144,9 +145,9 @@ func (f *FaultSpec) injects() bool {
 		f.KillCores > 0 || f.HaltOnUncorrectable || f.MaxWriteRetries != 0)
 }
 
-// EnduranceSpec mirrors the endurance/retention CLI flags
-// (endurance.Flags); its randomness seed derives from the fault seed,
-// as on the command line.
+// EnduranceSpec is the STT wear/retention settings of a run; the tools'
+// endurance flags write its fields. Its randomness seed derives from
+// the fault seed, as on the command line (see Params).
 type EnduranceSpec struct {
 	// Budget is the mean per-way STT write-endurance budget; 0 disables
 	// wear tracking.
@@ -170,6 +171,31 @@ type EnduranceSpec struct {
 // normalized away.
 func (e *EnduranceSpec) enabled() bool {
 	return e != nil && (e.Budget > 0 || e.RetentionCycles > 0)
+}
+
+// Params resolves the spec into the endurance model of a run whose
+// fault spec is f. This is the one seed rule of every tool and the
+// service: the model draws its budgets from the fault seed when f
+// injects a fault, and from seed 1 otherwise, so fault flags that
+// inject nothing do not move a run. A disabled spec (nil included)
+// resolves to the disabled model.
+func (e *EnduranceSpec) Params(f *FaultSpec) endurance.Params {
+	if !e.enabled() {
+		return endurance.Params{}
+	}
+	seed := int64(1)
+	if f.injects() && f.Seed != 0 {
+		seed = f.Seed
+	}
+	return endurance.Params{
+		Seed:            seed,
+		BudgetMean:      e.Budget,
+		BudgetSigma:     e.Sigma,
+		RetentionCycles: e.RetentionCycles,
+		ScrubPeriod:     e.ScrubPeriod,
+		WearLevel:       e.WearLevel,
+		WearLevelPeriod: e.WearLevelPeriod,
+	}
 }
 
 // Normalize canonicalizes the request in place: enum names take their
@@ -249,7 +275,7 @@ func (r *RunRequest) Normalize() error {
 		if f.KillCores == 0 {
 			f.KillCycle = 0
 		} else if f.KillCycle == 0 {
-			f.KillCycle = defaultKillCycle
+			f.KillCycle = DefaultKillCycle
 		}
 	}
 	if !r.Endurance.enabled() {
@@ -281,36 +307,61 @@ func (r RunRequest) Label() string {
 }
 
 // Resolve turns a normalized request into the chip configuration and
-// simulator options it denotes, validating every knob so callers can
-// reject a bad request before queueing it. The returned options carry
-// no telemetry collector; the executor attaches one.
+// simulator options it denotes (ResolveConfig, then ResolveOptions),
+// validating every knob so callers can reject a bad request before
+// queueing it. The returned options carry no telemetry collector; the
+// executor attaches one.
 func (r RunRequest) Resolve() (config.Config, sim.Options, error) {
-	kind, err := config.KindByName(r.Config)
-	if err != nil {
-		return config.Config{}, sim.Options{}, err
-	}
-	scale, err := config.ScaleByName(r.Scale)
-	if err != nil {
-		return config.Config{}, sim.Options{}, err
-	}
 	if _, err := trace.ByName(r.Bench); err != nil {
 		return config.Config{}, sim.Options{}, err
 	}
-	cfg := config.NewWithCluster(kind, scale, r.Cluster)
-	if err := cfg.Validate(); err != nil {
+	cfg, err := r.ResolveConfig()
+	if err != nil {
 		return config.Config{}, sim.Options{}, err
 	}
+	opts, err := r.ResolveOptions(cfg)
+	if err != nil {
+		return config.Config{}, sim.Options{}, err
+	}
+	return cfg, opts, nil
+}
+
+// ResolveConfig returns the validated chip configuration the request
+// names: its Table IV configuration, scale and cluster size.
+func (r RunRequest) ResolveConfig() (config.Config, error) {
+	kind, err := config.KindByName(r.Config)
+	if err != nil {
+		return config.Config{}, err
+	}
+	scale, err := config.ScaleByName(r.Scale)
+	if err != nil {
+		return config.Config{}, err
+	}
+	cfg := config.NewWithCluster(kind, scale, r.Cluster)
+	if err := cfg.Validate(); err != nil {
+		return config.Config{}, err
+	}
+	return cfg, nil
+}
+
+// ResolveOptions returns the normalized simulator options the request
+// sets for a run on cfg, which need not be the configuration the
+// request names: kills are laid out over cfg's clusters and the fault
+// rates are validated against its cache rail, so a sweep over
+// configurations resolves one request once per point.
+func (r RunRequest) ResolveOptions(cfg config.Config) (sim.Options, error) {
 	opts := sim.Options{
 		QuotaInstr:         r.Quota,
 		Seed:               r.Seed,
 		EpochTrace:         r.EpochTrace,
 		DisableFastForward: r.DisableFastForward,
 		EpochCycles:        r.EpochCycles,
+		Endurance:          r.Endurance.Params(r.Faults),
 	}
 	if f := r.Faults; f != nil {
 		ecc, err := reliability.ECCByName(f.ECC)
 		if err != nil {
-			return config.Config{}, sim.Options{}, err
+			return sim.Options{}, err
 		}
 		opts.Faults = faults.Params{
 			Seed:                f.Seed,
@@ -330,24 +381,13 @@ func (r RunRequest) Resolve() (config.Config, sim.Options, error) {
 			vfp.SRAMBitFlipPerCell = reliability.CellFailProb(cfg.Tech, cfg.CacheVdd)
 		}
 		if err := vfp.Validate(cfg.NumClusters(), cfg.ClusterSize); err != nil {
-			return config.Config{}, sim.Options{}, err
-		}
-	}
-	if e := r.Endurance; e != nil {
-		opts.Endurance = endurance.Params{
-			Seed:            opts.Faults.Seed,
-			BudgetMean:      e.Budget,
-			BudgetSigma:     e.Sigma,
-			RetentionCycles: e.RetentionCycles,
-			ScrubPeriod:     e.ScrubPeriod,
-			WearLevel:       e.WearLevel,
-			WearLevelPeriod: e.WearLevelPeriod,
+			return sim.Options{}, err
 		}
 	}
 	if err := opts.Normalize(); err != nil {
-		return config.Config{}, sim.Options{}, err
+		return sim.Options{}, err
 	}
-	return cfg, opts, nil
+	return opts, nil
 }
 
 // Timeout returns the request deadline (0 when unbounded).
@@ -399,15 +439,6 @@ func NewResult(req RunRequest, res sim.Result, runErr error) (RunResult, error) 
 	}
 	out.Result = raw
 	return out, nil
-}
-
-// Recorded reports whether the document is a final, deterministic
-// outcome worth keeping: StatusComplete or StatusWearOut. It is the
-// document form of flight.Recorded, which judges a run by its error;
-// NewResult maps exactly the errors flight.Recorded accepts to these two
-// statuses.
-func (r RunResult) Recorded() bool {
-	return r.Status == StatusComplete || r.Status == StatusWearOut
 }
 
 // ErrorResult builds the envelope for a sweep point that failed to run.

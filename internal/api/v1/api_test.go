@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,8 +12,6 @@ import (
 	"testing"
 
 	"respin/internal/config"
-	"respin/internal/endurance"
-	"respin/internal/flight"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
 )
@@ -191,7 +188,7 @@ func TestNormalizeDropsNoopSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := keep.Faults
-	if f == nil || f.Seed != 1 || f.ECC != "SECDED" || f.KillCycle != defaultKillCycle {
+	if f == nil || f.Seed != 1 || f.ECC != "SECDED" || f.KillCycle != DefaultKillCycle {
 		t.Fatalf("injecting spec mis-normalized: %+v", f)
 	}
 }
@@ -365,26 +362,5 @@ func TestEncodeSweepMatchesStructEncoding(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("EncodeSweep differs from the struct encoding:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestRecordedMatchesFlight: the document form of the recorded-outcome
-// rule agrees with the error form for every kind of run outcome.
-func TestRecordedMatchesFlight(t *testing.T) {
-	t.Parallel()
-	wear := &endurance.WearOutError{Array: "l3", Set: 1, Cycle: 2}
-	for _, runErr := range []error{
-		nil,
-		wear,
-		fmt.Errorf("run: %w", wear),
-		context.Canceled,
-		context.DeadlineExceeded,
-		errors.New("simulator failure"),
-	} {
-		doc, err := NewResult(goldenReq(t), sim.Result{}, runErr)
-		recorded := err == nil && doc.Recorded()
-		if want := flight.Recorded(runErr); recorded != want {
-			t.Errorf("%v: document recorded = %v, flight.Recorded = %v", runErr, recorded, want)
-		}
 	}
 }

@@ -2,12 +2,15 @@
 // Every flag that more than one of cmd/respin-{sim,bench,sweep,trace,
 // serve} needs — seeds, quotas, parallelism, profiling, fault
 // injection, and the telemetry outputs — is declared exactly once here.
-// Each tool assembles an App from the flag groups it actually supports:
+// The flags that define a run write a v1.RunRequest, the document a
+// client would POST to /v1/run, so every tool reaches its simulator
+// options through v1's one resolver. Each tool assembles an App from
+// its default run and the flag groups it actually supports:
 //
 //	app := cli.New("respin-sim",
-//		cli.WithTarget(cli.Target{ConfigName: "SH-STT"}, cli.TAll),
-//		cli.WithRunFlags(cli.Defaults{Quota: sim.DefaultQuota}),
-//		cli.WithParallelFlags(),
+//		v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: sim.DefaultQuota, Seed: 1},
+//		cli.WithTarget(cli.TAll),
+//		cli.WithRunFlags(),
 //		cli.WithProfileFlags(),
 //		cli.WithTelemetryFlags(),
 //		cli.WithFaultFlags(),
@@ -16,14 +19,15 @@
 //	flag.Parse()
 //	cleanup, err := app.Start()      // profiling + telemetry outputs
 //	defer cleanup()
-//	req, err := app.Request()        // the v1.RunRequest the flags denote
+//	req, err := app.Request()        // the v1.RunRequest the flags wrote, normalized
 //	// ... or app.Apply(runner) for the batch tools
 //
 // A group that was not requested registers no flags and costs nothing;
-// its accessors degrade gracefully (nil fault flags inject nothing, a
-// nil collector disables telemetry). Enum-valued flags — -config,
-// -bench, -scale, -ecc — reject unknown values with an error that lists
-// every valid one, the same convention respin-bench's -only uses.
+// its accessors degrade gracefully (a run without fault flags injects
+// nothing, a nil collector disables telemetry). Enum-valued flags —
+// -config, -bench, -scale, -ecc — reject unknown values with an error
+// that lists every valid one, the same convention respin-bench's -only
+// uses.
 package cli
 
 import (
@@ -31,32 +35,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	v1 "respin/internal/api/v1"
-	"respin/internal/endurance"
 	"respin/internal/experiments"
-	"respin/internal/faults"
 	"respin/internal/prof"
+	"respin/internal/reliability"
 	"respin/internal/sim"
 	"respin/internal/telemetry"
 )
-
-// Defaults parameterizes the per-tool defaults of the run flags.
-type Defaults struct {
-	// Quota is the default -quota value.
-	Quota uint64
-	// Seed is the default -seed value; zero selects 1.
-	Seed int64
-}
 
 // Common holds the flag values shared by the respin commands. Which
 // fields are actually wired to flags depends on the groups the App was
 // built with; unwired fields keep their zero values.
 type Common struct {
-	Seed       int64
 	Jobs       int
-	Quota      uint64
 	Quiet      bool
 	CPUProfile string
 	MemProfile string
@@ -65,20 +57,12 @@ type Common struct {
 	// nil (zero overhead, bit-identical results).
 	Metrics string
 	Events  string
-	// Faults is the fault-injection flag group (nil unless
-	// WithFaultFlags was given).
-	Faults *faults.Flags
-	// Endurance is the STT wear/retention flag group (nil unless
-	// WithEnduranceFlags was given; a nil group disables the model).
-	Endurance *endurance.Flags
-	// Checkpoint, CheckpointEvery and Resume are the crash-recovery
-	// flags; Resume is an alias of Checkpoint (see CheckpointSpec).
+	// Checkpoint and CheckpointEvery are the crash-recovery flags.
 	// Single-run tools treat the path as a file; multi-run tools
-	// (respin-sweep, respin-bench) treat it as a directory holding one
-	// checkpoint per run label.
+	// (respin-sweep, respin-bench) treat it as the directory of their
+	// run store.
 	Checkpoint      string
 	CheckpointEvery uint64
-	Resume          string
 
 	collector  *telemetry.Collector
 	eventsFile *os.File
@@ -100,15 +84,17 @@ const (
 )
 
 // App is one tool's assembled command-line surface: the shared flag
-// values plus the target selection, registered on a flag set by New.
+// values plus the run the flags define, registered on a flag set by New.
 type App struct {
 	Name string
 	Common
-	Target Target
+	// Req is the run the flags define, as they wrote it: the target and
+	// run flags write its scalar fields, the fault and endurance groups
+	// its Faults and Endurance specs. Request normalizes it.
+	Req v1.RunRequest
 
 	fs          *flag.FlagSet
 	groups      groupSet
-	defaults    Defaults
 	targetWhich TargetFlags
 }
 
@@ -120,9 +106,10 @@ func WithFlagSet(fs *flag.FlagSet) Option {
 	return func(a *App) { a.fs = fs }
 }
 
-// WithRunFlags registers -seed, -quota and -q with the given defaults.
-func WithRunFlags(d Defaults) Option {
-	return func(a *App) { a.groups |= groupRun; a.defaults = d }
+// WithRunFlags registers -seed, -quota and -q; the default run's quota
+// and seed are the flags' defaults.
+func WithRunFlags() Option {
+	return func(a *App) { a.groups |= groupRun }
 }
 
 // WithParallelFlags registers -jobs.
@@ -154,25 +141,27 @@ func WithEnduranceFlags() Option {
 	return func(a *App) { a.groups |= groupEndurance }
 }
 
-// WithCheckpointFlags registers -checkpoint, -checkpoint-every and
-// -resume. Single-run tools interpret the path as one checkpoint file;
-// pool tools interpret it as a directory keyed by run label.
+// WithCheckpointFlags registers -checkpoint and -checkpoint-every.
+// Single-run tools interpret the path as one checkpoint file; pool
+// tools interpret it as the directory of their run store.
 func WithCheckpointFlags() Option {
 	return func(a *App) { a.groups |= groupCheckpoint }
 }
 
-// WithTarget registers the selected target flags, with t's fields as
-// defaults.
-func WithTarget(t Target, which TargetFlags) Option {
-	return func(a *App) { a.groups |= groupTarget; a.Target = t; a.targetWhich = which }
+// WithTarget registers the selected target flags; the default run's
+// fields are their defaults.
+func WithTarget(which TargetFlags) Option {
+	return func(a *App) { a.groups |= groupTarget; a.targetWhich = which }
 }
 
-// New assembles a tool's command-line surface from the given flag
-// groups and registers it (on flag.CommandLine unless WithFlagSet says
-// otherwise). The caller still owns Parse, so it can declare
-// tool-specific flags after New and before parsing.
-func New(name string, opts ...Option) *App {
-	a := &App{Name: name, fs: flag.CommandLine}
+// New assembles a tool's command-line surface from its default run and
+// the given flag groups, and registers it (on flag.CommandLine unless
+// WithFlagSet says otherwise). The flags write into a copy of def, so
+// the run a tool simulates without flags is def. The caller still owns
+// Parse, so it can declare tool-specific flags after New and before
+// parsing.
+func New(name string, def v1.RunRequest, opts ...Option) *App {
+	a := &App{Name: name, Req: def, fs: flag.CommandLine}
 	for _, opt := range opts {
 		opt(a)
 	}
@@ -182,14 +171,24 @@ func New(name string, opts ...Option) *App {
 
 // register declares the selected groups' flags.
 func (a *App) register() {
-	fs := a.fs
-	if a.groups&groupRun != 0 {
-		d := a.defaults
-		if d.Seed == 0 {
-			d.Seed = 1
+	fs, req := a.fs, &a.Req
+	if a.groups&groupTarget != 0 {
+		if a.targetWhich&TConfig != 0 {
+			fs.StringVar(&req.Config, "config", req.Config, "Table IV configuration name")
 		}
-		fs.Int64Var(&a.Seed, "seed", d.Seed, "randomness seed")
-		fs.Uint64Var(&a.Quota, "quota", d.Quota, "per-thread instruction budget")
+		if a.targetWhich&TBench != 0 {
+			fs.StringVar(&req.Bench, "bench", req.Bench, "benchmark name")
+		}
+		if a.targetWhich&TScale != 0 {
+			fs.StringVar(&req.Scale, "scale", req.Scale, "cache scale: small, medium, large")
+		}
+		if a.targetWhich&TCluster != 0 {
+			fs.IntVar(&req.Cluster, "cluster", req.Cluster, "cores per cluster (4, 8, 16, 32)")
+		}
+	}
+	if a.groups&groupRun != 0 {
+		fs.Int64Var(&req.Seed, "seed", req.Seed, "randomness seed")
+		fs.Uint64Var(&req.Quota, "quota", req.Quota, "per-thread instruction budget")
 		fs.BoolVar(&a.Quiet, "q", false, "suppress progress output")
 	}
 	if a.groups&groupParallel != 0 {
@@ -203,56 +202,54 @@ func (a *App) register() {
 		fs.StringVar(&a.Metrics, "metrics", "", "write the final telemetry document (versioned JSON) to this file")
 		fs.StringVar(&a.Events, "events", "", "stream telemetry events (JSONL) to this file")
 	}
+	// The fault and endurance defaults inject nothing and disable the
+	// model, so a tool behaves as if the group were absent unless one
+	// of its flags is given.
 	if a.groups&groupFaults != 0 {
-		a.Faults = faults.BindTo(fs)
-	}
-	if a.groups&groupCheckpoint != 0 {
-		fs.StringVar(&a.Checkpoint, "checkpoint", "", "write periodic crash-recovery checkpoints to this path (file, or directory for sweep tools)")
-		fs.Uint64Var(&a.CheckpointEvery, "checkpoint-every", sim.DefaultCheckpointEvery, "cycles between checkpoint writes")
-		fs.StringVar(&a.Resume, "resume", "", "alias of -checkpoint: resume from this path when it holds a checkpoint of the same run")
+		f := &v1.FaultSpec{}
+		req.Faults = f
+		fs.Int64Var(&f.Seed, "fault-seed", 1,
+			"fault-injection randomness seed (distinct from -seed)")
+		fs.Float64Var(&f.STTWriteFail, "stt-write-fail", 0,
+			"per-attempt STT-RAM write-verify failure probability")
+		fs.Float64Var(&f.SRAMBitFlip, "sram-bitflip", 0,
+			"per-cell SRAM read upset probability; negative derives it from the cache rail voltage")
+		fs.StringVar(&f.ECC, "ecc", reliability.SECDED.String(),
+			"ECC scheme protecting SRAM words: none, parity, SECDED, DECTED")
+		fs.BoolVar(&f.HaltOnUncorrectable, "halt-uncorrectable", false,
+			"abort the run on the first detected uncorrectable SRAM word")
+		fs.IntVar(&f.KillCores, "kill-cores", 0,
+			"hard-kill this many cores in every cluster at -kill-cycle")
+		fs.Uint64Var(&f.KillCycle, "kill-cycle", v1.DefaultKillCycle,
+			"cache cycle at which -kill-cores faults strike")
 	}
 	if a.groups&groupEndurance != 0 {
-		a.Endurance = endurance.BindTo(fs)
+		e := &v1.EnduranceSpec{}
+		req.Endurance = e
+		fs.Float64Var(&e.Budget, "endurance-budget", 0,
+			"mean per-way STT write-endurance budget (lognormal); 0 disables wear tracking")
+		fs.Float64Var(&e.Sigma, "endurance-sigma", 0,
+			"lognormal sigma of the endurance budget distribution; 0 selects the default")
+		fs.Uint64Var(&e.RetentionCycles, "retention-cycles", 0,
+			"relaxed-retention STT line lifetime in cache cycles; 0 disables the retention model")
+		fs.Uint64Var(&e.ScrubPeriod, "scrub-period", 0,
+			"background scrub period in cache cycles; 0 selects retention/2")
+		fs.BoolVar(&e.WearLevel, "wear-level", false,
+			"enable epoch-based wear-leveling set-index rotation")
+		fs.Uint64Var(&e.WearLevelPeriod, "wear-period", 0,
+			"array writes between wear-leveling rotations; 0 selects the default")
 	}
-	if a.groups&groupTarget != 0 {
-		a.Target.Register(fs, a.targetWhich)
+	if a.groups&groupCheckpoint != 0 {
+		fs.StringVar(&a.Checkpoint, "checkpoint", "", "write periodic crash-recovery checkpoints to this path (file, or directory for sweep tools); a run resumes from it when it holds a checkpoint of the same run")
+		fs.Uint64Var(&a.CheckpointEvery, "checkpoint-every", sim.DefaultCheckpointEvery, "cycles between checkpoint writes")
 	}
 }
 
-// Request assembles the v1.RunRequest the parsed flags denote,
-// normalized — the same document a client would POST to /v1/run for
-// this invocation, which is what makes CLI and served output
-// byte-identical.
+// Request returns the run the parsed flags wrote, normalized: the same
+// document a client would POST to /v1/run for this invocation, which is
+// what makes CLI and served output byte-identical.
 func (a *App) Request() (v1.RunRequest, error) {
-	req := v1.RunRequest{
-		Config:  a.Target.ConfigName,
-		Bench:   a.Target.BenchName,
-		Scale:   a.Target.ScaleName,
-		Cluster: a.Target.Cluster,
-		Quota:   a.Quota,
-		Seed:    a.Seed,
-	}
-	if f := a.Faults; f != nil {
-		req.Faults = &v1.FaultSpec{
-			Seed:                f.Seed,
-			STTWriteFail:        f.STTWriteFail,
-			SRAMBitFlip:         f.SRAMBitFlip,
-			ECC:                 f.ECCName,
-			HaltOnUncorrectable: f.Halt,
-			KillCores:           f.KillCores,
-			KillCycle:           f.KillCycle,
-		}
-	}
-	if e := a.Endurance; e != nil {
-		req.Endurance = &v1.EnduranceSpec{
-			Budget:          e.Budget,
-			Sigma:           e.Sigma,
-			RetentionCycles: e.RetentionCycles,
-			ScrubPeriod:     e.ScrubPeriod,
-			WearLevel:       e.WearLevel,
-			WearLevelPeriod: e.WearLevelPeriod,
-		}
-	}
+	req := a.Req
 	if err := req.Normalize(); err != nil {
 		return v1.RunRequest{}, err
 	}
@@ -322,78 +319,46 @@ func (c *Common) buildMetricsDoc() (any, error) {
 // neither -metrics nor -events was given).
 func (c *Common) Collector() *telemetry.Collector { return c.collector }
 
-// LimitJobs applies -jobs as a GOMAXPROCS cap — how single-simulation
-// tools bound their parallelism (pool-based tools size their worker
-// pool instead).
-func (c *Common) LimitJobs() {
-	if c.Jobs > 0 {
-		runtime.GOMAXPROCS(c.Jobs)
-	}
-}
-
 // Apply transfers the parsed flag values onto an experiments Runner and
 // normalizes it. Call after Start so the telemetry collector exists.
-// Single-run tools build their run from Request instead.
-func (c *Common) Apply(r *experiments.Runner) error {
-	spec, err := c.CheckpointSpec()
-	if err != nil {
+// A -quota or -seed of zero keeps the runner's own value, and the
+// endurance flags resolve by the rule of a single run
+// (v1.EnduranceSpec.Params). Single-run tools build their run from
+// Request instead.
+func (a *App) Apply(r *experiments.Runner) error {
+	if a.Req.Quota != 0 {
+		r.Quota = a.Req.Quota
+	}
+	if a.Req.Seed != 0 {
+		r.Seed = a.Req.Seed
+	}
+	r.Endurance = a.Req.Endurance.Params(a.Req.Faults)
+	// Reject a model no run can take here, not as a panic in the first
+	// run; the copy keeps the runs' parameters as given.
+	p := r.Endurance
+	if err := p.Normalize(); err != nil {
 		return err
 	}
-	if c.Quota != 0 {
-		r.Quota = c.Quota
-	}
-	if c.Seed != 0 {
-		r.Seed = c.Seed
-	}
-	r.FaultSeed = c.faultSeed()
-	r.Endurance = c.Endurance.Params(c.faultSeed())
-	r.Jobs = c.Jobs
-	r.CheckpointDir = spec.Path
-	r.CheckpointEvery = c.CheckpointEvery
-	if !c.Quiet {
+	r.Jobs = a.Jobs
+	r.CheckpointDir = a.Checkpoint
+	r.CheckpointEvery = a.CheckpointEvery
+	if !a.Quiet {
 		r.Progress = os.Stderr
 	}
-	r.Telemetry = c.collector
+	r.Telemetry = a.collector
 	return r.Normalize()
 }
 
 // CheckpointSpec returns the checkpoint spec the flags denote, zero
-// (checkpointing off) when neither -checkpoint nor -resume was given.
-// -resume is an alias of -checkpoint: a run resumes from the path when
-// it holds a checkpoint of the same run and keeps checkpointing to it,
-// so naming two different paths is an error. Single-run tools pass the
-// spec to sim.RunOrResume; pool tools use its path as the runner's
-// checkpoint directory.
-func (c *Common) CheckpointSpec() (sim.CheckpointSpec, error) {
-	path := c.Checkpoint
-	if c.Resume != "" {
-		if path != "" && path != c.Resume {
-			return sim.CheckpointSpec{}, fmt.Errorf("-checkpoint %q and -resume %q name different paths (-resume is an alias of -checkpoint)", path, c.Resume)
-		}
-		path = c.Resume
+// (checkpointing off) without -checkpoint. A run resumes from the path
+// when it holds a checkpoint of the same run and keeps checkpointing to
+// it. Single-run tools pass the spec to sim.RunOrResume; pool tools use
+// the path as the runner's run store (Apply).
+func (c *Common) CheckpointSpec() sim.CheckpointSpec {
+	if c.Checkpoint == "" {
+		return sim.CheckpointSpec{}
 	}
-	if path == "" {
-		return sim.CheckpointSpec{}, nil
-	}
-	return sim.CheckpointSpec{Path: path, EveryCycles: c.CheckpointEvery}, nil
-}
-
-// FaultParams resolves the fault-injection flags for a chip with the
-// given cluster count; without WithFaultFlags it injects nothing.
-func (c *Common) FaultParams(numClusters int) (faults.Params, error) {
-	if c.Faults == nil {
-		return faults.Params{}, nil
-	}
-	return c.Faults.Params(numClusters)
-}
-
-// faultSeed reads the -fault-seed value, tolerating an App built
-// without the fault group.
-func (c *Common) faultSeed() int64 {
-	if c.Faults == nil {
-		return 0
-	}
-	return c.Faults.Seed
+	return sim.CheckpointSpec{Path: c.Checkpoint, EveryCycles: c.CheckpointEvery}
 }
 
 // TargetFlags selects which of the target-selection flags a tool
@@ -408,33 +373,6 @@ const (
 	// TAll registers the full -config/-bench/-scale/-cluster set.
 	TAll = TConfig | TBench | TScale | TCluster
 )
-
-// Target selects what to simulate: Table IV configuration, benchmark,
-// cache scale, and cluster size. Zero-valued fields fall back to the
-// simulator defaults (medium scale, standard cluster size).
-type Target struct {
-	ConfigName string
-	BenchName  string
-	ScaleName  string
-	Cluster    int
-}
-
-// Register declares the selected target flags on fs, using the Target's
-// current field values as defaults.
-func (t *Target) Register(fs *flag.FlagSet, which TargetFlags) {
-	if which&TConfig != 0 {
-		fs.StringVar(&t.ConfigName, "config", t.ConfigName, "Table IV configuration name")
-	}
-	if which&TBench != 0 {
-		fs.StringVar(&t.BenchName, "bench", t.BenchName, "benchmark name")
-	}
-	if which&TScale != 0 {
-		fs.StringVar(&t.ScaleName, "scale", t.ScaleName, "cache scale: small, medium, large")
-	}
-	if which&TCluster != 0 {
-		fs.IntVar(&t.Cluster, "cluster", t.Cluster, "cores per cluster (4, 8, 16, 32)")
-	}
-}
 
 // Fail is the shared error epilogue of the respin mains: report the
 // error under the tool's name and select exit status 1.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	v1 "respin/internal/api/v1"
 	"respin/internal/config"
 	"respin/internal/experiments"
 	"respin/internal/sim"
@@ -20,39 +21,44 @@ func newFlagSet() *flag.FlagSet {
 	return fs
 }
 
-// newApp assembles a test App on a private flag set with the full
-// group set unless narrower options are given.
-func newApp(opts ...Option) (*App, *flag.FlagSet) {
+// simDefault is respin-sim's default run.
+var simDefault = v1.RunRequest{Config: "SH-STT", Bench: "fft", Scale: "medium", Cluster: 16, Quota: sim.DefaultQuota, Seed: 1}
+
+// newApp assembles a test App for the default run def on a private flag
+// set, with the full group set unless narrower options are given.
+func newApp(def v1.RunRequest, opts ...Option) (*App, *flag.FlagSet) {
 	fs := newFlagSet()
 	if len(opts) == 0 {
 		opts = []Option{
-			WithRunFlags(Defaults{}),
+			WithRunFlags(),
 			WithParallelFlags(),
 			WithProfileFlags(),
 			WithTelemetryFlags(),
 			WithFaultFlags(),
 			WithEnduranceFlags(),
+			WithCheckpointFlags(),
 		}
 	}
-	return New("test", append([]Option{WithFlagSet(fs)}, opts...)...), fs
+	return New("test", def, append([]Option{WithFlagSet(fs)}, opts...)...), fs
 }
 
 func TestNewDefaults(t *testing.T) {
-	a, fs := newApp(WithRunFlags(Defaults{Quota: 123}), WithFaultFlags())
+	a, fs := newApp(v1.RunRequest{Quota: 123, Seed: 1}, WithRunFlags(), WithFaultFlags())
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if a.Quota != 123 || a.Seed != 1 {
-		t.Fatalf("defaults: quota=%d seed=%d", a.Quota, a.Seed)
+	if a.Req.Quota != 123 || a.Req.Seed != 1 {
+		t.Fatalf("defaults: quota=%d seed=%d", a.Req.Quota, a.Req.Seed)
 	}
-	if a.Faults == nil || a.Faults.Seed != 1 || a.Faults.ECCName != "SECDED" {
-		t.Fatalf("fault flags not registered: %+v", a.Faults)
+	f := a.Req.Faults
+	if f == nil || f.Seed != 1 || f.ECC != "SECDED" || f.KillCycle != v1.DefaultKillCycle {
+		t.Fatalf("fault flags not registered: %+v", f)
 	}
 }
 
 func TestNewRegistersOnlyRequestedGroups(t *testing.T) {
-	a, fs := newApp(WithRunFlags(Defaults{Quota: 9}))
-	for _, name := range []string{"jobs", "cpuprofile", "metrics", "fault-seed", "endurance-budget", "config"} {
+	a, fs := newApp(v1.RunRequest{Quota: 9}, WithRunFlags())
+	for _, name := range []string{"jobs", "cpuprofile", "metrics", "fault-seed", "endurance-budget", "config", "checkpoint"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("unrequested flag -%s registered", name)
 		}
@@ -60,31 +66,35 @@ func TestNewRegistersOnlyRequestedGroups(t *testing.T) {
 	if fs.Lookup("seed") == nil || fs.Lookup("quota") == nil {
 		t.Fatal("requested run flags missing")
 	}
-	if a.Faults != nil || a.Endurance != nil {
-		t.Fatalf("unrequested groups populated: %+v", a.Common)
+	if a.Req.Faults != nil || a.Req.Endurance != nil {
+		t.Fatalf("unrequested groups populated: %+v", a.Req)
 	}
 }
 
 func TestNewParsesSharedFlags(t *testing.T) {
-	a, fs := newApp()
+	a, fs := newApp(v1.RunRequest{})
 	args := []string{
 		"-seed", "7", "-jobs", "2", "-quota", "555", "-q",
 		"-cpuprofile", "cpu.out", "-memprofile", "mem.out",
 		"-metrics", "m.json", "-events", "e.jsonl",
-		"-stt-write-fail", "0.001", "-kill-cores", "2",
+		"-stt-write-fail", "0.001", "-kill-cores", "2", "-ecc", "parity",
+		"-endurance-budget", "1e5", "-wear-level",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if a.Seed != 7 || a.Jobs != 2 || a.Quota != 555 || !a.Quiet {
-		t.Fatalf("parsed common = %+v", a.Common)
+	if a.Req.Seed != 7 || a.Jobs != 2 || a.Req.Quota != 555 || !a.Quiet {
+		t.Fatalf("parsed common = %+v, request = %+v", a.Common, a.Req)
 	}
 	if a.CPUProfile != "cpu.out" || a.MemProfile != "mem.out" ||
 		a.Metrics != "m.json" || a.Events != "e.jsonl" {
 		t.Fatalf("parsed outputs = %+v", a.Common)
 	}
-	if a.Faults.STTWriteFail != 0.001 || a.Faults.KillCores != 2 {
-		t.Fatalf("parsed fault flags = %+v", a.Faults)
+	if f := a.Req.Faults; f.STTWriteFail != 0.001 || f.KillCores != 2 || f.ECC != "parity" {
+		t.Fatalf("parsed fault flags = %+v", f)
+	}
+	if e := a.Req.Endurance; e.Budget != 1e5 || !e.WearLevel {
+		t.Fatalf("parsed endurance flags = %+v", e)
 	}
 }
 
@@ -92,10 +102,9 @@ func TestNewParsesSharedFlags(t *testing.T) {
 // document the parsed flags denote — default fault/endurance groups
 // normalize away, explicit injection survives.
 func TestRequestMatchesFlags(t *testing.T) {
-	a, fs := newApp(
-		WithTarget(Target{ConfigName: "SH-STT", BenchName: "fft", ScaleName: "medium", Cluster: 16}, TAll),
-		WithRunFlags(Defaults{Quota: sim.DefaultQuota}),
-		WithParallelFlags(),
+	a, fs := newApp(simDefault,
+		WithTarget(TAll),
+		WithRunFlags(),
 		WithFaultFlags(),
 		WithEnduranceFlags(),
 	)
@@ -114,9 +123,9 @@ func TestRequestMatchesFlags(t *testing.T) {
 		t.Fatalf("default flag groups produced specs: %+v", req)
 	}
 
-	a2, fs2 := newApp(
-		WithTarget(Target{ConfigName: "SH-STT", BenchName: "fft"}, TAll),
-		WithRunFlags(Defaults{Quota: sim.DefaultQuota}),
+	a2, fs2 := newApp(v1.RunRequest{Config: "SH-STT", Bench: "fft"},
+		WithTarget(TAll),
+		WithRunFlags(),
 		WithFaultFlags(),
 	)
 	if err := fs2.Parse([]string{"-stt-write-fail", "0.001", "-ecc", "dected"}); err != nil {
@@ -129,8 +138,11 @@ func TestRequestMatchesFlags(t *testing.T) {
 	if req2.Faults == nil || req2.Faults.STTWriteFail != 0.001 || req2.Faults.ECC != "DECTED" {
 		t.Fatalf("fault flags lost: %+v", req2.Faults)
 	}
+	if again, err := a2.Request(); err != nil || again.Key() != req2.Key() {
+		t.Fatalf("second Request = %v, %v; want %v", again.Key(), err, req2.Key())
+	}
 
-	bad, fs3 := newApp(WithTarget(Target{ConfigName: "nope", BenchName: "fft"}, TAll))
+	bad, fs3 := newApp(v1.RunRequest{Config: "nope", Bench: "fft"}, WithTarget(TAll))
 	if err := fs3.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +152,28 @@ func TestRequestMatchesFlags(t *testing.T) {
 }
 
 func TestApplyToRunner(t *testing.T) {
-	c := Common{Quota: 7_000, Seed: 3, Jobs: 2, Quiet: true,
-		Faults: flagDefaults().Faults}
-	r := &experiments.Runner{}
-	if err := c.Apply(r); err != nil {
+	dir := filepath.Join(t.TempDir(), "store")
+	a, fs := newApp(v1.RunRequest{})
+	if err := fs.Parse([]string{"-quota", "7000", "-seed", "3", "-jobs", "2", "-q",
+		"-checkpoint", dir, "-checkpoint-every", "500",
+		"-fault-seed", "7", "-endurance-budget", "1e5"}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Quota != 7_000 || r.Seed != 3 || r.Jobs != 2 || r.FaultSeed != 1 {
+	r := &experiments.Runner{}
+	if err := a.Apply(r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Quota != 7_000 || r.Seed != 3 || r.Jobs != 2 {
 		t.Fatalf("applied runner = %+v", r)
+	}
+	if r.CheckpointDir != dir || r.CheckpointEvery != 500 ||
+		a.CheckpointSpec() != (sim.CheckpointSpec{Path: dir, EveryCycles: 500}) {
+		t.Fatalf("checkpoint: runner %q every %d, spec %+v", r.CheckpointDir, r.CheckpointEvery, a.CheckpointSpec())
+	}
+	// A fault seed that seeds no injected fault does not seed the wear
+	// model: the rule of a single run (v1.EnduranceSpec.Params).
+	if r.Endurance.BudgetMean != 1e5 || r.Endurance.Seed != 1 {
+		t.Fatalf("applied endurance = %+v, want budget 1e5 with seed 1", r.Endurance)
 	}
 	if r.Progress != nil {
 		t.Fatal("quiet runner has progress output")
@@ -156,23 +182,29 @@ func TestApplyToRunner(t *testing.T) {
 		t.Fatal("Apply did not normalize the runner")
 	}
 
-	// Zero quota/seed mean "keep the runner's own values".
+	// Zero quota/seed mean "keep the runner's own values"; no
+	// -checkpoint keeps no store.
 	keep := experiments.QuickRunner()
-	z := Common{Faults: flagDefaults().Faults}
+	z, zfs := newApp(v1.RunRequest{})
+	if err := zfs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := z.Apply(keep); err != nil {
 		t.Fatal(err)
 	}
-	if keep.Quota != 40_000 || keep.Seed != 1 {
+	if keep.Quota != 40_000 || keep.Seed != 1 || keep.CheckpointDir != "" || keep.Endurance.Enabled() {
 		t.Fatalf("zero flags overrode runner defaults: %+v", keep)
+	}
+	if z.CheckpointSpec().Enabled() {
+		t.Fatalf("checkpointing on without -checkpoint: %+v", z.CheckpointSpec())
 	}
 }
 
-// flagDefaults parses an empty command line to obtain the default
-// Common (the fault flag group is only constructible via New).
-func flagDefaults() Common {
-	a, fs := newApp()
+// flagDefaults parses an empty command line to obtain the default App.
+func flagDefaults() *App {
+	a, fs := newApp(v1.RunRequest{})
 	_ = fs.Parse(nil)
-	return a.Common
+	return a
 }
 
 func TestApplyRejectsInvalid(t *testing.T) {
@@ -180,6 +212,12 @@ func TestApplyRejectsInvalid(t *testing.T) {
 	c.Jobs = -1
 	if err := c.Apply(&experiments.Runner{}); err == nil {
 		t.Fatal("negative jobs accepted")
+	}
+	e := flagDefaults()
+	e.Req.Endurance.Budget = -5
+	e.Req.Endurance.RetentionCycles = 1000
+	if err := e.Apply(&experiments.Runner{}); err == nil || !strings.Contains(err.Error(), "budget mean -5") {
+		t.Fatalf("negative endurance budget: %v, want the model's validation error", err)
 	}
 }
 
@@ -247,7 +285,7 @@ func TestStartWithoutTelemetryIsNil(t *testing.T) {
 }
 
 func TestTargetResolution(t *testing.T) {
-	a, fs := newApp(WithTarget(Target{ConfigName: "SH-STT", BenchName: "fft", ScaleName: "medium", Cluster: 16}, TAll))
+	a, fs := newApp(simDefault, WithTarget(TAll))
 	if err := fs.Parse([]string{"-config", "pr-stt-cc", "-scale", "LARGE", "-cluster", "8", "-bench", "lu"}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,28 +293,28 @@ func TestTargetResolution(t *testing.T) {
 	if cfg.Kind != config.PRSTTCC || cfg.Scale != config.Large || cfg.ClusterSize != 8 {
 		t.Fatalf("resolved config = %+v", cfg)
 	}
-	if a.Target.BenchName != "lu" {
-		t.Fatalf("bench = %q", a.Target.BenchName)
+	if a.Req.Bench != "lu" {
+		t.Fatalf("bench = %q", a.Req.Bench)
 	}
 
 	for _, tc := range []struct {
-		target Target
-		want   string
+		def  v1.RunRequest
+		want string
 	}{
-		{Target{ConfigName: "nope", BenchName: "fft"}, "SH-STT"},
-		{Target{ConfigName: "SH-STT", BenchName: "fft", ScaleName: "tiny"}, "small, medium, large"},
+		{v1.RunRequest{Config: "nope", Bench: "fft"}, "SH-STT"},
+		{v1.RunRequest{Config: "SH-STT", Bench: "fft", Scale: "tiny"}, "small, medium, large"},
 	} {
-		bad, fs := newApp(WithTarget(tc.target, TAll))
+		bad, fs := newApp(tc.def, WithTarget(TAll))
 		if err := fs.Parse(nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := bad.Request(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%+v: error %v does not list the valid values", tc.target, err)
+			t.Fatalf("%+v: error %v does not list the valid values", tc.def, err)
 		}
 	}
 
 	// Partial registration declares only the requested flags.
-	a2, fs2 := newApp(WithTarget(Target{ConfigName: "SH-STT-CC", BenchName: "radix"}, TConfig|TBench))
+	a2, fs2 := newApp(v1.RunRequest{Config: "SH-STT-CC", Bench: "radix"}, WithTarget(TConfig|TBench))
 	if fs2.Lookup("scale") != nil || fs2.Lookup("cluster") != nil {
 		t.Fatal("unrequested target flags registered")
 	}
@@ -301,39 +339,4 @@ func resolve(t *testing.T, a *App) config.Config {
 		t.Fatal(err)
 	}
 	return cfg
-}
-
-// TestCheckpointSpecResumeIsAlias: -resume names the same spec as
-// -checkpoint, for single-run tools and the runner's directory alike,
-// and two different paths are refused.
-func TestCheckpointSpecResumeIsAlias(t *testing.T) {
-	// The runner creates its directory, so the paths live under the
-	// test's temporary directory.
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
-	for _, tc := range []struct {
-		args    []string
-		want    sim.CheckpointSpec
-		wantErr bool
-	}{
-		{nil, sim.CheckpointSpec{}, false},
-		{[]string{"-checkpoint", a}, sim.CheckpointSpec{Path: a, EveryCycles: sim.DefaultCheckpointEvery}, false},
-		{[]string{"-resume", a, "-checkpoint-every", "500"}, sim.CheckpointSpec{Path: a, EveryCycles: 500}, false},
-		{[]string{"-checkpoint", a, "-resume", a}, sim.CheckpointSpec{Path: a, EveryCycles: sim.DefaultCheckpointEvery}, false},
-		{[]string{"-checkpoint", a, "-resume", b}, sim.CheckpointSpec{}, true},
-	} {
-		a, fs := newApp(WithCheckpointFlags())
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		got, err := a.CheckpointSpec()
-		if (err != nil) != tc.wantErr || got != tc.want {
-			t.Errorf("%v: got %+v, %v; want %+v (error %v)", tc.args, got, err, tc.want, tc.wantErr)
-		}
-		var r experiments.Runner
-		err = a.Apply(&r)
-		if (err != nil) != tc.wantErr || (err == nil && r.CheckpointDir != tc.want.Path) {
-			t.Errorf("%v: runner checkpoint dir %q, %v; want %q", tc.args, r.CheckpointDir, err, tc.want.Path)
-		}
-	}
 }

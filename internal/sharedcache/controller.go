@@ -150,13 +150,11 @@ type Controller struct {
 	pendingRing [config.RequestTransitCacheCycles + 1][]slot
 
 	activeReads int // live read slots, to skip idle-cycle scans
-	// activeMask mirrors the active bits of readSlots when the cluster
-	// fits in one word (it always does — clusters have 4..16 cores), so
-	// the arbitration and shift loops walk only live slots instead of
-	// scanning every core's register. useMask gates the fast path for
-	// hypothetical >64-core clusters.
+	// activeMask mirrors the active bits of readSlots (New caps a
+	// cluster at 64 cores, so it fits in one word), so the arbitration
+	// and shift loops walk only live slots instead of scanning every
+	// core's register.
 	activeMask uint64
-	useMask    bool
 	pendingN   int    // requests in transit
 	readBusy   []bool // per-core read outstanding (slot or in transit)
 	done       []Serviced
@@ -189,9 +187,10 @@ func WithFaults(in *faults.Injector) Option {
 	return func(c *Controller) { c.faults = in }
 }
 
-// New builds a controller for a cluster of nCores cores.
+// New builds a controller for a cluster of nCores cores, 1 to 64: the
+// live read slots are tracked as bits of one word.
 func New(nCores int, opts ...Option) *Controller {
-	if nCores <= 0 {
+	if nCores <= 0 || nCores > 64 {
 		panic(fmt.Sprintf("sharedcache: invalid core count %d", nCores))
 	}
 	c := &Controller{
@@ -201,7 +200,6 @@ func New(nCores int, opts ...Option) *Controller {
 		storeDepth: 4,
 		storeCount: make([]int, nCores),
 		readBusy:   make([]bool, nCores),
-		useMask:    nCores <= 64,
 	}
 	c.Stats.ArrivalsPerCycle = stats.NewHistogram(4) // 0..3 then 4+
 	c.Stats.ReadCoreCycles = stats.NewHistogram(3)   // buckets 1 and 2, then 3+ ("more")
@@ -439,24 +437,8 @@ func (c *Controller) Tick() []Serviced {
 // shiftReadRegisters right-shifts every waiting read's priority register
 // and converts expiries into half-misses.
 func (c *Controller) shiftReadRegisters() {
-	if c.useMask {
-		for m := c.activeMask; m != 0; m &= m - 1 {
-			s := &c.readSlots[bits.TrailingZeros64(m)]
-			s.remaining--
-			if s.remaining <= 0 {
-				s.halfMisses++
-				s.coreCycles++
-				s.remaining = 1
-				c.Stats.HalfMisses.Inc()
-			}
-		}
-		return
-	}
-	for i := range c.readSlots {
-		s := &c.readSlots[i]
-		if !s.active {
-			continue
-		}
+	for m := c.activeMask; m != 0; m &= m - 1 {
+		s := &c.readSlots[bits.TrailingZeros64(m)]
 		s.remaining--
 		if s.remaining <= 0 {
 			s.halfMisses++
@@ -467,37 +449,18 @@ func (c *Controller) shiftReadRegisters() {
 	}
 }
 
-// pickRead returns the index of the read slot to service, or -1. Both
-// scan variants visit active slots in ascending core order, so the
-// reservoir tie-break consumes identical RNG draws either way.
+// pickRead returns the index of the read slot to service, or -1. It
+// visits active slots in ascending core order, so the reservoir
+// tie-break consumes its RNG draws in a fixed order.
 func (c *Controller) pickRead() int {
 	if c.activeReads == 0 {
 		return -1
 	}
 	best := -1
 	ties := 0
-	if c.useMask {
-		for m := c.activeMask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			s := &c.readSlots[i]
-			switch {
-			case best < 0 || c.less(s, &c.readSlots[best]):
-				best, ties = i, 1
-			case !c.less(&c.readSlots[best], s):
-				// Equal urgency: reservoir-sample among ties.
-				ties++
-				if c.tieBreak == RandomTie && c.rng.Intn(ties) == 0 {
-					best = i
-				}
-			}
-		}
-		return best
-	}
-	for i := range c.readSlots {
+	for m := c.activeMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		s := &c.readSlots[i]
-		if !s.active {
-			continue
-		}
 		switch {
 		case best < 0 || c.less(s, &c.readSlots[best]):
 			best, ties = i, 1

@@ -300,6 +300,7 @@ func TestPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("zero cores", func() { New(0) })
+	mustPanic("more cores than mask bits", func() { New(65) })
 	c := New(2)
 	mustPanic("core out of range", func() { c.Submit(Request{Core: 5, Multiple: 4}) })
 	mustPanic("bad window", func() { c.Submit(Request{Core: 0, Multiple: 9}) })
