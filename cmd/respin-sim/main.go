@@ -115,7 +115,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "respin-sim: resuming %v/%s from cycle %d\n", cfg.Kind, req.Bench, info.Cycle)
 		}
 	}
-	res, runErr := sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
+	res, _, runErr := sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
 	doc, err := v1.NewResult(req, res, runErr)
 	if err != nil {
 		return app.Fail(err)

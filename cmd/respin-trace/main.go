@@ -69,7 +69,7 @@ func run() int {
 
 	opts.Telemetry = c.Collector()
 
-	res, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, c.CheckpointSpec())
+	res, _, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, c.CheckpointSpec())
 	if err != nil {
 		return fail(err)
 	}

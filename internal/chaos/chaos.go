@@ -15,8 +15,10 @@
 //     restarted server must serve committed points from the journal,
 //     resume interrupted ones from their checkpoints, and produce a
 //     response byte-identical to the baseline. Its /v1/metrics must
-//     count one journal hit per point committed at the kill and start
-//     a run for every other point.
+//     count one journal hit per point committed at the kill, start a
+//     run for every other point, and count one resumed run per
+//     checkpoint at the kill without a committed result beside it, so
+//     a point restarted at cycle 0 is told from a resumed one.
 //
 // The batch phase SIGKILLs a `respin-sweep -checkpoint DIR` the same
 // way; invoked again it must print the uninterrupted table and start no
@@ -122,7 +124,7 @@ func Run(ctx context.Context, o Options) error {
 	points := len(doc.Results)
 	fmt.Fprintf(p, "chaos: baseline sweep captured (%d points, %d bytes)\n", points, len(baseline))
 
-	got, committed, m, err := killAndResume(ctx, p, bin, filepath.Join(scratch, "journal-b"), rng)
+	got, committed, pending, m, err := killAndResume(ctx, p, bin, filepath.Join(scratch, "journal-b"), rng)
 	if err != nil {
 		return err
 	}
@@ -130,12 +132,15 @@ func Run(ctx context.Context, o Options) error {
 		return fmt.Errorf("chaos: sweep after SIGKILL+restart differs from the uninterrupted baseline (%d vs %d bytes)",
 			len(got), len(baseline))
 	}
-	hits, started := int(m.Value("journal.hits")), int(m.Value("run.runs_started"))
-	fmt.Fprintf(p, "chaos: restarted server converged to the uninterrupted bytes (%d bytes): %d journal hits, %d runs started\n",
-		len(got), hits, started)
+	hits, started, resumed := int(m.Value("journal.hits")), int(m.Value("run.runs_started")), int(m.Value("journal.resumed"))
+	fmt.Fprintf(p, "chaos: restarted server converged to the uninterrupted bytes (%d bytes): %d journal hits, %d runs started, %d resumed\n",
+		len(got), hits, started, resumed)
 	if hits != committed || started != points-committed {
 		return fmt.Errorf("chaos: restarted server had %d journal hits and started %d runs, want %d and %d (the points committed at the kill and the rest)",
 			hits, started, committed, points-committed)
+	}
+	if resumed != pending {
+		return fmt.Errorf("chaos: restarted server resumed %d runs, want %d (the checkpoints at the kill)", resumed, pending)
 	}
 	return batchKillAndResume(ctx, p, sweepBin, scratch, rng)
 }
@@ -154,11 +159,12 @@ func runBaseline(ctx context.Context, p io.Writer, bin, journal string) ([]byte,
 // killAndResume is the chaos act: sweep, SIGKILL at a random point,
 // restart over the surviving journal, sweep again. It returns the
 // restarted server's sweep body, how many points were committed at the
-// kill, and the restarted server's metrics after its sweep.
-func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *rand.Rand) ([]byte, int, *telemetry.Snapshot, error) {
+// kill and how many were pending (checkpointed, not committed), and
+// the restarted server's metrics after its sweep.
+func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *rand.Rand) (got []byte, committed, pending int, m *telemetry.Snapshot, err error) {
 	srv, err := startServer(ctx, p, "victim", bin, journal)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, nil, err
 	}
 	defer srv.kill()
 
@@ -168,9 +174,9 @@ func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *r
 
 	delay, err := killAfterFirstEntry(ctx, journal, rng, 3*time.Second, srv.kill)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, nil, err
 	}
-	committed, pending := journalCounts(journal)
+	committed, pending = journalCounts(journal)
 	fmt.Fprintf(p, "chaos: SIGKILL %v after first journal entry (%d committed, %d in flight)\n",
 		delay.Round(time.Millisecond), committed, pending)
 
@@ -178,15 +184,14 @@ func killAndResume(ctx context.Context, p io.Writer, bin, journal string, rng *r
 	// points come from disk, interrupted ones resume from checkpoints.
 	srv2, err := startServer(ctx, p, "restarted", bin, journal)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, nil, err
 	}
 	defer srv2.kill()
-	got, err := postSweep(ctx, srv2.url())
-	if err != nil {
-		return nil, 0, nil, err
+	if got, err = postSweep(ctx, srv2.url()); err != nil {
+		return nil, 0, 0, nil, err
 	}
-	m, err := serverMetrics(ctx, srv2.url())
-	return got, committed, m, err
+	m, err = serverMetrics(ctx, srv2.url())
+	return got, committed, pending, m, err
 }
 
 // server is one child process: a respin-serve, or the batch phase's
@@ -367,17 +372,24 @@ func killAfterFirstEntry(ctx context.Context, dir string, rng *rand.Rand, within
 }
 
 // journalCounts reports how many committed results and in-flight runs
-// (checkpoints) the run-store directory holds right now.
+// the run-store directory holds right now. An in-flight run is a
+// checkpoint with no committed result beside it (a kill between a
+// commit and the checkpoint's removal leaves both).
 func journalCounts(dir string) (committed, pending int) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, 0
 	}
+	names := make(map[string]bool, len(entries))
 	for _, e := range entries {
+		names[e.Name()] = true
+	}
+	for name := range names {
 		switch {
-		case strings.HasSuffix(e.Name(), runstore.ResultSuffix):
+		case strings.HasSuffix(name, runstore.ResultSuffix):
 			committed++
-		case strings.HasSuffix(e.Name(), runstore.CheckpointSuffix):
+		case strings.HasSuffix(name, runstore.CheckpointSuffix) &&
+			!names[strings.TrimSuffix(name, runstore.CheckpointSuffix)+runstore.ResultSuffix]:
 			pending++
 		}
 	}

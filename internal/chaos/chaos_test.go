@@ -30,9 +30,12 @@ func TestModuleRoot(t *testing.T) {
 	}
 }
 
+// TestJournalCounts: results count as committed, and a checkpoint
+// counts as pending unless a result sits beside it; temp files count as
+// neither.
 func TestJournalCounts(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"a.result", "b.result", "c.ckpt", "d.result.tmp123", "e.ckpt.tmp456"} {
+	for _, name := range []string{"a.result", "a.ckpt", "b.result", "c.ckpt", "d.result.tmp123", "e.ckpt.tmp456"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func (r *Runner) Figure14() Figure14Result {
 	r.Prefetch(r.figure14Runs()...)
 	var out Figure14Result
 	for _, bench := range r.Benches {
-		res := r.result(r.point(config.SHSTTCC, config.Medium, 16, bench, r.TraceQuota, false))
+		res := r.result(r.figure14Point(bench))
 		s := res.ActiveCores
 		out.Rows = append(out.Rows, Figure14Row{
 			Bench: bench, Mean: s.Mean(), Min: s.Min(), Max: s.Max(),

@@ -99,6 +99,7 @@ type Runner struct {
 	started   atomic.Uint64
 	completed atomic.Uint64
 	recalled  atomic.Uint64 // runs answered from the store
+	resumed   atomic.Uint64 // runs continued from a stored checkpoint
 }
 
 // Run is one simulation of a batch. Its Label is the run's identity
@@ -386,6 +387,10 @@ func (r *Runner) CountHitsOf(hits func() uint64) {
 // Recalls reports how many runs were answered from the run store.
 func (r *Runner) Recalls() uint64 { return r.recalled.Load() }
 
+// Resumes reports how many runs continued from a checkpoint in the run
+// store instead of starting at cycle 0.
+func (r *Runner) Resumes() uint64 { return r.resumed.Load() }
+
 // RunsStarted reports how many simulations have been started.
 func (r *Runner) RunsStarted() uint64 { return r.started.Load() }
 
@@ -469,7 +474,10 @@ func (r *Runner) stored(ctx context.Context, run Run) (sim.Result, error) {
 		opts.Telemetry = telemetry.New()
 	}
 	return r.execute(run.Label, func() (sim.Result, error) {
-		res, err := sim.RunOrResume(ctx, run.Config, run.Bench, opts, st.Begin(key))
+		res, resumed, err := sim.RunOrResume(ctx, run.Config, run.Bench, opts, st.Begin(key))
+		if resumed {
+			r.resumed.Add(1)
+		}
 		if flight.Recorded(err) {
 			if cerr := commit(st, key, res, err); cerr != nil {
 				return res, cerr

@@ -182,3 +182,26 @@ func TestCheckpointDirRecallsFinishedRuns(t *testing.T) {
 		t.Fatalf("another seed over the same store started %d of %d runs", n, len(runs))
 	}
 }
+
+// TestEvalRunsSimulateOnce: no two runs of a reproduction, quick or
+// full, are the same simulation. Recording an epoch trace changes what
+// a result carries, not the simulation, so runs that differ only in
+// EpochTrace count as the same; they must share one label, which the
+// runner dedupes.
+func TestEvalRunsSimulateOnce(t *testing.T) {
+	for name, r := range map[string]*Runner{"quick": QuickRunner(), "full": NewRunner()} {
+		labels := make(map[string]string)
+		for _, run := range r.EvalRuns() {
+			opts := run.Opts
+			opts.EpochTrace = false
+			key, err := sim.RunKey(run.Config, run.Bench, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if other, ok := labels[key]; ok {
+				t.Errorf("%s: runs %s and %s are the same simulation", name, other, run.Label)
+			}
+			labels[key] = run.Label
+		}
+	}
+}

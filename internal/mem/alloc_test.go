@@ -69,21 +69,39 @@ func allocBytes(fn func()) uint64 {
 	return least
 }
 
+// liveBytes returns the heap bytes the value fn returns keeps alive:
+// the live heap after a collection with it held, less the live heap
+// before fn ran.
+func liveBytes(fn func() any) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := fn()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(v)
+	return after.HeapAlloc - before.HeapAlloc
+}
+
 // TestCacheBytesPerWay pins the array's host footprint: for every
-// Table I geometry, NewCache allocates at most 10 bytes per way (tag 8,
-// state 1, LRU rank 1) plus the touched-way bitmap and the Cache header,
-// and attaching an endurance model with retention adds exactly the
-// 8-byte write-stamp column; one without retention adds nothing.
+// Table I geometry, NewCache allocates no per-way column, only one
+// 4-byte word per set, the touched-way bitmap and the Cache header.
+// Attaching an endurance model without retention adds nothing; one with
+// retention adds the 8-byte write-stamp column for every way the pool
+// has room for, and detaching frees it.
 func TestCacheBytesPerWay(t *testing.T) {
 	const header = 512 // the Cache struct, rounded up to its size class
 	for _, p := range tableIGeometries() {
 		ways := p.Sets() * p.Assoc
 		var c *Cache
 		got := allocBytes(func() { c = NewCache(p) })
-		limit := uint64(10*ways + 8*((ways+63)/64) + header)
+		limit := uint64(4*p.Sets() + 8*((ways+63)/64) + header)
 		if got > limit {
-			t.Errorf("%d B/%d-way: NewCache allocated %d bytes for %d ways (%.2f per way), limit %d",
-				p.SizeBytes, p.Assoc, got, ways, float64(got)/float64(ways), limit)
+			t.Errorf("%d B/%d-way: NewCache allocated %d bytes for %d sets (%.2f per way), limit %d",
+				p.SizeBytes, p.Assoc, got, p.Sets(), float64(got)/float64(ways), limit)
+		}
+		for b := range uint64(3 * p.Assoc) {
+			c.Fill(b<<c.blockShift, false)
 		}
 		tr := endurance.NewTracker(endurance.Params{Seed: 1, BudgetMean: 1e9})
 		plain := tr.NewArray("plain", 0, p.Sets(), p.Assoc)
@@ -96,12 +114,58 @@ func TestCacheBytesPerWay(t *testing.T) {
 			c.AttachEndurance(nil)
 			c.AttachEndurance(ret)
 		})
-		if got != uint64(8*ways) {
-			t.Errorf("%d B/%d-way: attaching retention allocated %d bytes, want exactly %d", p.SizeBytes, p.Assoc, got, 8*ways)
+		pool := cap(c.tags)
+		if want := allocBytes(func() { stampSink = make([]uint64, pool) }); got != want {
+			t.Errorf("%d B/%d-way: attaching retention allocated %d bytes, want exactly %d, a column of %d pool ways", p.SizeBytes, p.Assoc, got, want, pool)
 		}
 		c.AttachEndurance(nil)
 		if c.written != nil {
 			t.Errorf("%d B/%d-way: detaching kept the write-stamp column", p.SizeBytes, p.Assoc)
 		}
 	}
+}
+
+// stampSink keeps the reference write-stamp column on the heap.
+var stampSink []uint64
+
+// TestFullArrayFootprint bounds the worst case: with every way of the
+// Table I 8-way L2 and 16-way L3 filled, round by round across all sets
+// so that every block grows through every capacity while the pool
+// reallocates, the array keeps at most 1.3 times the 10 bytes per way
+// a flat layout of tags, states and ranks costs.
+func TestFullArrayFootprint(t *testing.T) {
+	h := config.NewHierarchy(config.Medium, config.SharedL1, 16)
+	for _, p := range []config.CacheParams{h.L2, h.L3} {
+		ways := p.Sets() * p.Assoc
+		var c *Cache
+		got := liveBytes(func() any {
+			c = NewCache(p)
+			for round := range uint64(p.Assoc) {
+				for s := range uint64(p.Sets()) {
+					c.Fill((round*c.numSets+s)<<c.blockShift, false)
+				}
+			}
+			return c
+		})
+		if n := c.Occupancy(); n != ways {
+			t.Fatalf("%d-way: %d of %d ways hold a line", p.Assoc, n, ways)
+		}
+		t.Logf("%d-way: %d bytes, %.2f per way", p.Assoc, got, float64(got)/float64(ways))
+		if limit := uint64(13 * ways); got > limit {
+			t.Errorf("%d-way: a full array keeps %d bytes (%.2f per way), limit %d (13 per way)",
+				p.Assoc, got, float64(got)/float64(ways), limit)
+		}
+	}
+}
+
+// TestNewCacheRefusesArraysBeyondThePool: a set word holds a 24-bit
+// pool offset, so an array whose pool could outgrow it is refused
+// before anything is allocated.
+func TestNewCacheRefusesArraysBeyondThePool(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewCache built a 1 GB array of 32-byte blocks")
+		}
+	}()
+	NewCache(config.CacheParams{SizeBytes: 1 << 30, BlockBytes: 32, Assoc: 16, ReadPorts: 1, WritePorts: 1})
 }

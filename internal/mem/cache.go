@@ -80,14 +80,29 @@ func (s *Stats) MissRate() float64 {
 
 // Cache is a set-associative tag array with true LRU replacement.
 //
-// The per-way metadata is laid out structure-of-arrays: parallel
-// tags/state/age slices indexed by set*assoc+way, 10 bytes per way. The
-// lookup scan touches only the contiguous tag column (the state byte is
-// consulted only on a tag match), which is what a hardware tag array
-// does and what keeps the per-access footprint minimal.
+// Logically every set has assoc ways, addressed by the global way index
+// set*assoc+way. Physically a set owns only a block of its first ways,
+// held in a pool shared by the whole array: per-way metadata lives in
+// parallel pool columns (tags, state, age, and written with retention),
+// and one packed word per set holds its block's pool offset and
+// capacity. A set starts with no block; a fill that finds no invalid,
+// unretired way in it grows the block (capacity 1, 2, 4, ... up to
+// assoc) by moving it to the pool's end. A way beyond its set's block is
+// all-zero by definition: invalid, rank 0 and never written, hence never
+// retired. Victims take the first invalid unretired way, and a grown
+// block's new ways are its first invalid ones, so the array chooses
+// exactly the victims of a flat set*assoc layout while costing what the
+// run filled. The lookup scan touches only the block's contiguous tag
+// column (the state byte is consulted only on a tag match), which is
+// what a hardware tag array does.
 type Cache struct {
 	params config.CacheParams
-	// SoA columns, numSets*assoc entries each, set-major.
+	// sets holds one word per set: its block's pool offset shifted left
+	// by capBits, or'd with the block's capacity (0: no block).
+	sets []uint32
+	// Pool columns, one entry per pool way. Blocks are contiguous runs
+	// in them; ways between blocks belong to outgrown blocks and are
+	// dropped when the pool is next reallocated (see grow).
 	tags  []uint64
 	state []LineState
 	// age is each way's LRU rank within its set: 0 for a way never
@@ -99,12 +114,15 @@ type Cache struct {
 	// while an endurance model with retention is attached; nil
 	// otherwise.
 	written []uint64
-	// touched holds one bit per way, set for every way whose columns
-	// may be non-zero: FillState sets it when it installs a victim way
-	// (the only write that turns an all-zero way non-zero) and Restore
-	// sets it for every way it restores. No path zeroes a column, so
-	// every other way is all-zero and Snapshot and Restore visit only
-	// the touched ways.
+	// blocked is the summed capacity of every set's block: the pool
+	// ways a compacting reallocation keeps.
+	blocked int
+	// touched holds one bit per global way index, set for every way
+	// whose columns may be non-zero: FillState sets it when it installs a
+	// victim way (the only write that turns an all-zero way non-zero) and
+	// Restore sets it for every way it restores. No path zeroes a column,
+	// so every other way is all-zero and Snapshot and Restore visit only
+	// the touched ways. A touched way always lies in its set's block.
 	touched []uint64
 	assoc   int
 	numSets uint64
@@ -132,7 +150,22 @@ type Cache struct {
 	Stats       Stats
 }
 
-// NewCache builds a cache from validated geometry parameters.
+// capBits is the width of a set word's capacity field (assoc <= 255);
+// the remaining bits hold the block's pool offset, which bounds the
+// pool, and so the array, below maxPoolWays ways.
+const (
+	capBits     = 8
+	capMask     = 1<<capBits - 1
+	maxPoolWays = 1 << (32 - capBits)
+)
+
+// minPoolSlack is the least number of free ways a pool reallocation
+// leaves, so a small array does not reallocate on every growth.
+const minPoolSlack = 1024
+
+// NewCache builds a cache from validated geometry parameters. It
+// allocates one word per set and the touched bitmap; the way pool grows
+// as fills need it.
 func NewCache(p config.CacheParams) *Cache {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("mem: invalid cache params: %v", err))
@@ -146,13 +179,14 @@ func NewCache(p config.CacheParams) *Cache {
 	}
 	sets := p.Sets()
 	ways := sets * p.Assoc
-	// Zero-filled columns are a valid state: every way invalid and
-	// never stamped.
+	if poolLimit(ways) >= maxPoolWays {
+		panic(fmt.Sprintf("mem: %d ways exceed the way pool's reach", ways))
+	}
+	// Zero-filled set words are a valid state: no set has a block, so
+	// every way is invalid and never stamped.
 	c := &Cache{
 		params:     p,
-		tags:       make([]uint64, ways),
-		state:      make([]LineState, ways),
-		age:        make([]uint8, ways),
+		sets:       make([]uint32, sets),
 		touched:    make([]uint64, (ways+63)/64),
 		assoc:      p.Assoc,
 		numSets:    uint64(sets),
@@ -172,6 +206,101 @@ func NewCache(p config.CacheParams) *Cache {
 	return c
 }
 
+// poolLimit is the most ways a pool of an array of the given way count
+// ever holds: a full array needs exactly ways, and the eighth above it
+// keeps reallocations amortized once the array is nearly full.
+func poolLimit(ways int) int { return ways + ways/8 }
+
+// block returns the pool offset and capacity of set si's block.
+func (c *Cache) block(si uint64) (off, n int) {
+	w := c.sets[si]
+	return int(w >> capBits), int(w & capMask)
+}
+
+// blockCap is the capacity a block of capacity n grows to to hold need
+// ways: doubling from n (from 1 for a set with no block) up to assoc.
+func (c *Cache) blockCap(n, need int) int {
+	n = max(n, 1)
+	for n < need {
+		n = min(2*n, c.assoc)
+	}
+	return n
+}
+
+// grow gives set si a block of blockCap(n, need) ways, n its current
+// capacity, and returns the new block's offset. The block moves to the
+// pool's end with its ways copied and the new ways zero; the old block
+// is left behind. When the pool has no room it is reallocated compacted (see
+// compact), so no outgrown block survives a reallocation.
+func (c *Cache) grow(si uint64, need int) int {
+	off, n := c.block(si)
+	grown := c.blockCap(n, need)
+	c.blocked += grown - n
+	at := len(c.tags)
+	if at+grown > cap(c.tags) {
+		return c.compact(si, grown)
+	}
+	c.tags = c.tags[:at+grown]
+	c.state = c.state[:at+grown]
+	c.age = c.age[:at+grown]
+	copy(c.tags[at:], c.tags[off:off+n])
+	copy(c.state[at:], c.state[off:off+n])
+	copy(c.age[at:], c.age[off:off+n])
+	if c.written != nil {
+		c.written = c.written[:at+grown]
+		copy(c.written[at:], c.written[off:off+n])
+	}
+	c.sets[si] = uint32(at)<<capBits | uint32(grown)
+	return at
+}
+
+// newPool allocates zeroed pool columns of length c.blocked with room
+// for half as many ways again (at least minPoolSlack more, at most
+// poolLimit in all), and a write-stamp column when the array keeps
+// one. Growing by half keeps a deep run's pool near what it fills
+// while the reallocations of its whole growth allocate less than a
+// flat layout's columns.
+func (c *Cache) newPool() (tags []uint64, state []LineState, age []uint8, written []uint64) {
+	size := min(c.blocked+max(c.blocked/2, minPoolSlack), poolLimit(c.Capacity()))
+	tags = make([]uint64, c.blocked, size)
+	state = make([]LineState, c.blocked, size)
+	age = make([]uint8, c.blocked, size)
+	if c.written != nil {
+		written = make([]uint64, c.blocked, size)
+	}
+	return tags, state, age, written
+}
+
+// compact reallocates the pool: every set's block is copied, in set
+// order, into fresh columns (newPool), set gi's block with capacity
+// grown. It returns set gi's new offset. A full array's pool is
+// therefore at most poolLimit ways, and the next reallocation comes
+// only after at least an eighth of the kept ways more is appended, so
+// the copying costs O(1) per appended way.
+func (c *Cache) compact(gi uint64, grown int) int {
+	tags, state, age, written := c.newPool()
+	at, gat := 0, 0
+	for si, w := range c.sets {
+		if w == 0 && uint64(si) != gi {
+			continue
+		}
+		off, n := int(w>>capBits), int(w&capMask)
+		copy(tags[at:], c.tags[off:off+n])
+		copy(state[at:], c.state[off:off+n])
+		copy(age[at:], c.age[off:off+n])
+		if written != nil {
+			copy(written[at:], c.written[off:off+n])
+		}
+		if uint64(si) == gi {
+			n, gat = grown, at
+		}
+		c.sets[si] = uint32(at)<<capBits | uint32(n)
+		at += n
+	}
+	c.tags, c.state, c.age, c.written = tags, state, age, written
+	return gat
+}
+
 // Params returns the cache geometry.
 func (c *Cache) Params() config.CacheParams { return c.params }
 
@@ -185,8 +314,8 @@ func (c *Cache) AttachFaults(in *faults.Injector) { c.faults = in }
 // retention deadlines, and fills skip retired ways. The owner attaches
 // before the first access, keeps the cache clock current via SetNow and
 // drives Scrub when a.ScrubDue. A model with retention allocates the
-// write-stamp column; one without, or a nil array (which detaches),
-// frees it.
+// write-stamp pool column; one without, or a nil array (which
+// detaches), frees it.
 func (c *Cache) AttachEndurance(a *endurance.Array) {
 	c.endur = a
 	c.wearOn = a != nil
@@ -196,7 +325,7 @@ func (c *Cache) AttachEndurance(a *endurance.Array) {
 	case c.retention == 0:
 		c.written = nil
 	case c.written == nil:
-		c.written = make([]uint64, len(c.tags))
+		c.written = make([]uint64, len(c.tags), cap(c.tags))
 	}
 }
 
@@ -243,68 +372,72 @@ func (c *Cache) fastMod(n uint64) uint64 {
 	return xHi + carry
 }
 
-// find returns the set index and the global way index (set*assoc+way)
-// of the block, or -1. The scan touches only the contiguous tag column;
-// the state byte is checked on tag match alone (an invalidated way may
+// find returns the set index of the block, the pool offset of that
+// set's block of ways, and the pool index of the way holding the block,
+// or -1. The scan touches only the block's contiguous tag column; the
+// state byte is checked on tag match alone (an invalidated way may
 // retain a stale tag).
-func (c *Cache) find(block uint64) (uint64, int) {
-	si := c.setIndex(block)
-	base := si * uint64(c.assoc)
-	end := base + uint64(c.assoc)
-	tags := c.tags[base:end]
+func (c *Cache) find(block uint64) (si uint64, off, p int) {
+	si = c.setIndex(block)
+	w := c.sets[si]
+	off = int(w >> capBits)
+	tags := c.tags[off : off+int(w&capMask)]
 	for j := range tags {
-		if tags[j] == block && c.state[base+uint64(j)] != StateInvalid {
-			return si, int(base) + j
+		if tags[j] == block && c.state[off+j] != StateInvalid {
+			return si, off, off + j
 		}
 	}
-	return si, -1
+	return si, off, -1
 }
 
-// expiredAt reports whether the valid line at global way index i has
-// passed its retention deadline (always false without an attached
-// retention model). Pure observers (State, Contains) use it without
-// mutating; mutation entry points (Access, FillState, SetState,
-// Invalidate, Scrub) reap expired lines and account the loss.
-func (c *Cache) expiredAt(i int) bool {
-	return c.retention > 0 && c.state[i] != StateInvalid && c.now-c.written[i] > c.retention
+// expiredAt reports whether the valid line at pool index p has passed
+// its retention deadline (always false without an attached retention
+// model). Pure observers (State, Contains) use it without mutating;
+// mutation entry points (Access, FillState, SetState, Invalidate,
+// Scrub) reap expired lines and account the loss.
+func (c *Cache) expiredAt(p int) bool {
+	return c.retention > 0 && c.state[p] != StateInvalid && c.now-c.written[p] > c.retention
 }
 
 // Contains probes for a block without updating LRU or stats.
 func (c *Cache) Contains(addr uint64) bool {
-	_, i := c.find(c.BlockAddr(addr))
-	return i >= 0 && !c.expiredAt(i)
+	_, _, p := c.find(c.BlockAddr(addr))
+	return p >= 0 && !c.expiredAt(p)
 }
 
 // State returns the line state of a block (StateInvalid if absent or
 // retention-expired), without updating LRU or stats.
 func (c *Cache) State(addr uint64) LineState {
-	_, i := c.find(c.BlockAddr(addr))
-	if i < 0 || c.expiredAt(i) {
+	_, _, p := c.find(c.BlockAddr(addr))
+	if p < 0 || c.expiredAt(p) {
 		return StateInvalid
 	}
-	return c.state[i]
+	return c.state[p]
 }
 
-// stamp makes way i of the set starting at global way index base the
-// set's most recently used. It is true LRU over ranks instead of
-// timestamps: every stamped way ranked ahead of i (rank below i's) ages
-// by one and i takes rank 1. A never-stamped way (rank 0) ranks behind
-// every stamped one, so stamping it ages them all. The non-zero ranks of
-// a set therefore stay exactly {1..k} in recency order, and the largest
-// rank marks the way a timestamp LRU would call oldest. Callers skip
-// the call when i already has rank 1, the common re-hit.
-func (c *Cache) stamp(base, i int) {
+// stamp makes the way at pool index p of set si's block the set's most
+// recently used. It is true LRU over ranks instead of timestamps: every
+// stamped way ranked ahead of p (rank below p's) ages by one and p
+// takes rank 1. A never-stamped way (rank 0) ranks behind every stamped
+// one, so stamping it ages them all. The non-zero ranks of a set
+// therefore stay exactly {1..k} in recency order, and the largest rank
+// marks the way a timestamp LRU would call oldest. Ways beyond the
+// block have rank 0, which stamping leaves alone, so only the block is
+// visited. Callers skip the call when p already has rank 1, the common
+// re-hit.
+func (c *Cache) stamp(si uint64, p int) {
+	off, n := c.block(si)
 	// lim wraps to 255 for a never-stamped way, above every rank
 	// (assoc <= 255), and a-1 wraps to 255 for rank 0, so one unsigned
-	// compare selects exactly the stamped ways ahead of i.
-	lim := c.age[i] - 1
-	ages := c.age[base : base+c.assoc]
+	// compare selects exactly the stamped ways ahead of p.
+	lim := c.age[p] - 1
+	ages := c.age[off : off+n]
 	for j, a := range ages {
 		if a-1 < lim {
 			ages[j] = a + 1
 		}
 	}
-	c.age[i] = 1
+	c.age[p] = 1
 }
 
 // Access performs a read or write lookup. On a hit the line becomes the
@@ -317,18 +450,18 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	} else {
 		c.Stats.Reads.Inc()
 	}
-	si, i := c.find(block)
-	if i >= 0 && c.expiredAt(i) {
+	si, off, p := c.find(block)
+	if p >= 0 && c.expiredAt(p) {
 		// The line's retention deadline passed before anything touched
 		// it: the data is gone. Reap it and fall through to the miss
 		// path — the caller's normal miss handling re-fetches the block
 		// from below, which is exactly the "retention loss charged as a
 		// re-fetch" cost model.
-		c.endur.RetentionLoss(c.state[i] == StateDirty)
-		c.state[i] = StateInvalid
-		i = -1
+		c.endur.RetentionLoss(c.state[p] == StateDirty)
+		c.state[p] = StateInvalid
+		p = -1
 	}
-	if i < 0 {
+	if p < 0 {
 		if write {
 			c.Stats.WriteMisses.Inc()
 		} else {
@@ -336,16 +469,16 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 		}
 		return AccessResult{}
 	}
-	if c.age[i] != 1 {
-		c.stamp(int(si)*c.assoc, i)
+	if c.age[p] != 1 {
+		c.stamp(si, p)
 	}
 	if write {
-		c.state[i] = StateDirty
+		c.state[p] = StateDirty
 		if c.wearOn {
 			if c.written != nil {
-				c.written[i] = c.now
+				c.written[p] = c.now
 			}
-			c.recordWrite(si, i)
+			c.recordWrite(si, p-off, p)
 			c.maybeRotate()
 		}
 	} else if c.faults != nil {
@@ -359,18 +492,18 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	return AccessResult{Hit: true}
 }
 
-// recordWrite charges one data-array write against the way at global
-// index i of set si on the attached endurance model and handles way
+// recordWrite charges one data-array write against way `way` of set si,
+// held at pool index p, on the attached endurance model and handles way
 // retirement: a way whose budget just ran out is dead silicon, so
 // whatever line it held is dropped on the spot (the next access misses
 // and re-fetches).
-func (c *Cache) recordWrite(si uint64, i int) {
+func (c *Cache) recordWrite(si uint64, way, p int) {
 	if c.endur == nil {
 		return
 	}
-	if c.endur.RecordWrite(int(si), i-int(si)*c.assoc, c.now) {
-		c.endur.RetireLoss(c.state[i] == StateDirty)
-		c.state[i] = StateInvalid
+	if c.endur.RecordWrite(int(si), way, c.now) {
+		c.endur.RetireLoss(c.state[p] == StateDirty)
+		c.state[p] = StateInvalid
 	}
 }
 
@@ -407,41 +540,43 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 	}
 	block := c.BlockAddr(addr)
 	c.Stats.FillsFromLowerLevel.Inc()
-	si, i := c.find(block)
-	base := int(si) * c.assoc
-	if i >= 0 {
+	si, off, p := c.find(block)
+	if p >= 0 {
 		// Refill of a present block updates state; the incoming data
 		// replaces whatever the line held, so an expired old copy only
 		// matters for loss accounting (its data was already gone).
-		if c.expiredAt(i) {
-			c.endur.RetentionLoss(c.state[i] == StateDirty)
+		if c.expiredAt(p) {
+			c.endur.RetentionLoss(c.state[p] == StateDirty)
 		}
-		c.state[i] = st
-		if c.age[i] != 1 {
-			c.stamp(base, i)
+		c.state[p] = st
+		if c.age[p] != 1 {
+			c.stamp(si, p)
 		}
 		if c.wearOn {
 			if c.written != nil {
-				c.written[i] = c.now
+				c.written[p] = c.now
 			}
-			c.recordWrite(si, i)
+			c.recordWrite(si, p-off, p)
 			c.maybeRotate()
 		}
 		return AccessResult{Hit: true}
 	}
-	// Victim selection folds over the SoA state/age columns: first
+	// Victim selection folds over the block's state/age columns: first
 	// invalid way wins, otherwise the least-recently-used one, the
 	// largest rank (an invalid way short-circuits, so a non-invalid
 	// victim candidate is always valid and the LRU compare needs no
 	// state test). With the endurance model attached, permanently
 	// retired ways are skipped: the array keeps operating at reduced
 	// associativity, and the ranks of the live ways keep their relative
-	// order. A set with no live way left cannot hold the block at all —
-	// the fill is bypassed (and the wear-out is already recorded as the
-	// array's end of life).
+	// order. A block with no invalid unretired way grows when the set
+	// has ways beyond it: those are invalid, and the first unretired one
+	// is the victim a flat layout would pick. A set with no live way
+	// left cannot hold the block at all — the fill is bypassed (and the
+	// wear-out is already recorded as the array's end of life).
+	n := int(c.sets[si] & capMask)
 	victim := -1
 	if !c.wearOn {
-		for j := base; j < base+c.assoc; j++ {
+		for j := off; j < off+n; j++ {
 			if c.state[j] == StateInvalid {
 				victim = j
 				break
@@ -451,8 +586,8 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 			}
 		}
 	} else {
-		for j := base; j < base+c.assoc; j++ {
-			if c.endur.Retired(int(si), j-base) {
+		for j := off; j < off+n; j++ {
+			if c.endur.Retired(int(si), j-off) {
 				continue
 			}
 			if c.state[j] == StateInvalid {
@@ -462,6 +597,16 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 			if victim < 0 || c.age[j] > c.age[victim] {
 				victim = j
 			}
+		}
+	}
+	if (victim < 0 || c.state[victim] != StateInvalid) && n < c.assoc {
+		way := n
+		for c.wearOn && way < c.assoc && c.endur.Retired(int(si), way) {
+			way++
+		}
+		if way < c.assoc {
+			off = c.grow(si, way+1)
+			victim = off + way
 		}
 	}
 	if victim < 0 {
@@ -484,17 +629,19 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 			}
 		}
 	}
-	c.touched[victim>>6] |= 1 << (victim & 63)
+	way := victim - off
+	i := int(si)*c.assoc + way
+	c.touched[i>>6] |= 1 << (i & 63)
 	c.tags[victim] = block
 	c.state[victim] = st
 	if c.age[victim] != 1 {
-		c.stamp(base, victim)
+		c.stamp(si, victim)
 	}
 	if c.wearOn {
 		if c.written != nil {
 			c.written[victim] = c.now
 		}
-		c.recordWrite(si, victim)
+		c.recordWrite(si, way, victim)
 		c.maybeRotate()
 	}
 	return res
@@ -506,16 +653,16 @@ func (c *Cache) SetState(addr uint64, st LineState) bool {
 	if st == StateInvalid {
 		return c.Invalidate(addr).Hit
 	}
-	_, i := c.find(c.BlockAddr(addr))
-	if i < 0 {
+	_, _, p := c.find(c.BlockAddr(addr))
+	if p < 0 {
 		return false
 	}
-	if c.expiredAt(i) {
-		c.endur.RetentionLoss(c.state[i] == StateDirty)
-		c.state[i] = StateInvalid
+	if c.expiredAt(p) {
+		c.endur.RetentionLoss(c.state[p] == StateDirty)
+		c.state[p] = StateInvalid
 		return false
 	}
-	c.state[i] = st
+	c.state[p] = st
 	return true
 }
 
@@ -524,21 +671,21 @@ func (c *Cache) SetState(addr uint64, st LineState) bool {
 // line is reaped as a loss and reported absent — its data no longer
 // exists, so there is nothing to invalidate or write back.
 func (c *Cache) Invalidate(addr uint64) AccessResult {
-	_, i := c.find(c.BlockAddr(addr))
-	if i < 0 {
+	_, _, p := c.find(c.BlockAddr(addr))
+	if p < 0 {
 		return AccessResult{}
 	}
-	if c.expiredAt(i) {
-		c.endur.RetentionLoss(c.state[i] == StateDirty)
-		c.state[i] = StateInvalid
+	if c.expiredAt(p) {
+		c.endur.RetentionLoss(c.state[p] == StateDirty)
+		c.state[p] = StateInvalid
 		return AccessResult{}
 	}
-	dirty := c.state[i] == StateDirty
+	dirty := c.state[p] == StateDirty
 	c.Stats.Invalidations.Inc()
 	if dirty {
 		c.Stats.InvalidationsDirty.Inc()
 	}
-	c.state[i] = StateInvalid
+	c.state[p] = StateInvalid
 	return AccessResult{Hit: true, Writeback: dirty}
 }
 
@@ -546,42 +693,50 @@ func (c *Cache) Invalidate(addr uint64) AccessResult {
 // only). Only touched ways can be valid, so it visits those alone.
 func (c *Cache) Occupancy() int {
 	n := 0
-	c.forTouched(func(i int) {
-		if c.state[i] != StateInvalid {
+	c.forTouched(func(_ uint64, _, p int) {
+		if c.state[p] != StateInvalid {
 			n++
 		}
 	})
 	return n
 }
 
-// forTouched calls fn with the global index of every touched way, in
-// ascending order.
-func (c *Cache) forTouched(fn func(i int)) {
+// forTouched calls fn for every touched way in ascending global index
+// order, with its set, its way within the set and its pool index. fn
+// must not grow a block.
+func (c *Cache) forTouched(fn func(si uint64, way, p int)) {
+	si, base, off := uint64(0), -c.assoc, 0
 	for w, word := range c.touched {
 		for word != 0 {
-			fn(w<<6 | bits.TrailingZeros64(word))
+			i := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
+			if i >= base+c.assoc {
+				si = uint64(i / c.assoc)
+				base = int(si) * c.assoc
+				off, _ = c.block(si)
+			}
+			fn(si, i-base, off+i-base)
 		}
 	}
 }
 
 // Capacity returns the total number of ways in the array.
-func (c *Cache) Capacity() int { return len(c.state) }
+func (c *Cache) Capacity() int { return int(c.numSets) * c.assoc }
 
 // Clear invalidates every line (used when a core is power-gated and its
 // private caches lose their content). Dirty lines are counted as
 // writebacks and the count returned. Only touched ways can be valid, so
 // it visits those alone.
 func (c *Cache) Clear() (writebacks int) {
-	c.forTouched(func(i int) {
-		switch c.state[i] {
+	c.forTouched(func(_ uint64, _, p int) {
+		switch c.state[p] {
 		case StateInvalid:
 			return
 		case StateDirty:
 			writebacks++
 			c.Stats.Writebacks.Inc()
 		}
-		c.state[i] = StateInvalid
+		c.state[p] = StateInvalid
 		c.Stats.Invalidations.Inc()
 	})
 	return writebacks
@@ -590,7 +745,7 @@ func (c *Cache) Clear() (writebacks int) {
 // LiveCapacity returns the number of ways still in service (Capacity
 // minus permanently retired ways).
 func (c *Cache) LiveCapacity() int {
-	return len(c.state) - c.endur.RetiredWays()
+	return c.Capacity() - c.endur.RetiredWays()
 }
 
 // Scrub performs one background retention scrub pass at cycle now:
@@ -607,19 +762,19 @@ func (c *Cache) Scrub(now uint64) (refreshed int) {
 		return 0
 	}
 	c.SetNow(now)
-	c.forTouched(func(w int) {
-		if c.state[w] == StateInvalid {
+	c.forTouched(func(si uint64, way, p int) {
+		if c.state[p] == StateInvalid {
 			return
 		}
-		if c.expiredAt(w) {
-			c.endur.RetentionLoss(c.state[w] == StateDirty)
-			c.state[w] = StateInvalid
+		if c.expiredAt(p) {
+			c.endur.RetentionLoss(c.state[p] == StateDirty)
+			c.state[p] = StateInvalid
 			return
 		}
-		if c.written[w]+c.retention < now+c.scrubPeriod {
-			c.written[w] = now
+		if c.written[p]+c.retention < now+c.scrubPeriod {
+			c.written[p] = now
 			refreshed++
-			c.recordWrite(uint64(w/c.assoc), w)
+			c.recordWrite(si, way, p)
 		}
 	})
 	c.endur.ScrubDone(now, refreshed)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 
 	"respin/internal/config"
@@ -58,3 +59,25 @@ var benchSink uint64
 
 func BenchmarkSetIndexPow2(b *testing.B)    { benchSetIndex(b, pow2Params()) }
 func BenchmarkSetIndexNonPow2(b *testing.B) { benchSetIndex(b, npow2Params()) }
+
+// benchCache keeps the benchmark's arrays on the heap.
+var benchCache *Cache
+
+// BenchmarkNewCache builds the Table I L2 and L3 of every scale; B/op
+// is what one array costs before its first fill.
+func BenchmarkNewCache(b *testing.B) {
+	for _, scale := range config.AllScales {
+		h := config.NewHierarchy(scale, config.SharedL1, 16)
+		for _, lv := range []struct {
+			name string
+			p    config.CacheParams
+		}{{"L2", h.L2}, {"L3", h.L3}} {
+			b.Run(fmt.Sprintf("%v/%s", scale, lv.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					benchCache = NewCache(lv.p)
+				}
+			})
+		}
+	}
+}

@@ -224,3 +224,23 @@ func TestEnduranceOffIsFree(t *testing.T) {
 		t.Fatal("detached cache scrubbed")
 	}
 }
+
+// TestGrowthSkipsRetiredWays: ways beyond a set's block are never
+// written by the array, but an endurance model restored apart from the
+// array can still mark one retired. A fill that grows the block then
+// takes the first unretired way beyond it, the victim a flat layout
+// picks, and leaves the retired way empty.
+func TestGrowthSkipsRetiredWays(t *testing.T) {
+	c, _ := endurCache(endurance.Params{Seed: 1, BudgetMean: 6, BudgetSigma: 0.01})
+	for n := 0; !c.Endurance().RecordWrite(0, 0, 0); n++ {
+		if n > 100 {
+			t.Fatal("way 0 of set 0 never retired")
+		}
+	}
+	if r := c.Fill(0x0, false); r.Evicted || r.Bypassed {
+		t.Fatalf("fill into an empty set = %+v", r)
+	}
+	if st := c.Snapshot(); len(st.Index) != 1 || st.Index[0] != 1 {
+		t.Fatalf("the fill landed in ways %v of set 0, want way 1 alone", st.Index)
+	}
+}

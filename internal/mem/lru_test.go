@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"respin/internal/config"
@@ -147,6 +146,33 @@ func (r *stampRef) Clear() (writebacks int) {
 	return writebacks
 }
 
+// wayAt returns the columns of the way at global index i (set*assoc+way)
+// as the flat layout would hold them: the pool entry when the way lies
+// in its set's block, all zeros otherwise.
+func (c *Cache) wayAt(i int) (tag uint64, st LineState, age uint8, written uint64) {
+	off, n := c.block(uint64(i / c.assoc))
+	way := i % c.assoc
+	if way >= n {
+		return 0, StateInvalid, 0, 0
+	}
+	p := off + way
+	if c.written != nil {
+		written = c.written[p]
+	}
+	return c.tags[p], c.state[p], c.age[p], written
+}
+
+// sameTagsAndStates reports whether every way of c holds the tag and
+// state the stamp reference holds.
+func sameTagsAndStates(c *Cache, ref *stampRef) bool {
+	for i := range ref.tags {
+		if tag, st, _, _ := c.wayAt(i); tag != ref.tags[i] || st != ref.state[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // lruOp is one operation of an equivalence sequence.
 type lruOp struct {
 	kind  uint8
@@ -222,7 +248,7 @@ func runLRU(t *testing.T, p config.CacheParams, wear bool, seed int64, ops []lru
 		if got, want := applyLRU(c, ref, op); got != want {
 			t.Fatalf("op %d %+v: array reports %+v, stamp reference %+v", k, op, got, want)
 		}
-		if !slices.Equal(c.tags, ref.tags) || !slices.Equal(c.state, ref.state) {
+		if !sameTagsAndStates(c, ref) {
 			t.Fatalf("op %d %+v: tags or states differ from the stamp reference", k, op)
 		}
 		if k == restoreAt {
@@ -292,6 +318,71 @@ func TestLRUMatchesStampReference(t *testing.T) {
 	}
 }
 
+// poolSeq is one op sequence aimed at the pooled layout, in the fuzz
+// target's encoding: geo picks the geometry and wear, three bytes per
+// op, and the array restores from its record after op restoreAt.
+type poolSeq struct {
+	name      string
+	geo       uint8
+	data      []byte
+	restoreAt uint16
+}
+
+// poolSeqs are the pooled layout's edge cases, on 8-set geometries,
+// where block b maps to set b%8:
+//   - grow: one set of the 16-way geometry fills through block
+//     capacities 1, 2, 4, 8 and 16, then evicts;
+//   - refill: a 4-way set of three lines loses its middle line, and the
+//     refill must take that way, not the block's free fourth one;
+//   - retire: an 8-way set's third way, in a grown block, is written
+//     until it retires, and the writes go on to rotate the array.
+func poolSeqs() []poolSeq {
+	var grow []byte
+	for k := range 17 {
+		grow = append(grow, 5, byte(8*k), 1)
+	}
+	grow = append(grow, 1, 0, 0, 1, 8, 0)
+	refill := []byte{5, 0, 1, 5, 8, 1, 5, 16, 1, 11, 8, 0, 5, 24, 1, 1, 24, 0, 5, 32, 1, 5, 40, 1, 1, 16, 0}
+	retire := []byte{5, 0, 1, 5, 8, 1, 5, 16, 1}
+	for range 200 {
+		retire = append(retire, 0, 16, 0, 6, 16, 2)
+	}
+	return []poolSeq{
+		{"grow", 12, grow, 9},
+		{"refill", 4, refill, 3},
+		{"retire", 9, retire, 250},
+	}
+}
+
+// opsOf decodes the fuzz target's op bytes for the ways of p.
+func opsOf(p config.CacheParams, data []byte) []lruOp {
+	ways := p.Sets() * p.Assoc
+	ops := make([]lruOp, 0, len(data)/3)
+	for k := 0; k+3 <= len(data); k += 3 {
+		ops = append(ops, lruOp{
+			kind:  data[k],
+			block: uint16(int(data[k+1]) % (3 * ways)),
+			st:    LineState(1 + data[k+2]%4),
+		})
+	}
+	return ops
+}
+
+// TestLRUPoolSeqs runs the pooled layout's edge cases against the stamp
+// reference; the retirement sequence must retire a way and rotate.
+func TestLRUPoolSeqs(t *testing.T) {
+	geos := lruGeometries()
+	for _, sq := range poolSeqs() {
+		t.Run(sq.name, func(t *testing.T) {
+			p := geos[int(sq.geo>>1)%len(geos)]
+			retired, rotations := runLRU(t, p, sq.geo&1 == 1, 1, opsOf(p, sq.data), int(sq.restoreAt))
+			if sq.geo&1 == 1 && (retired == 0 || rotations == 0) {
+				t.Fatalf("the sequence retired %d ways and rotated %d times, want both", retired, rotations)
+			}
+		})
+	}
+}
+
 // FuzzLRUMatchesStampReference runs fuzzer-chosen op sequences through
 // the array and the stamp reference: geo picks the geometry and whether
 // wear is modelled, each three bytes of data make one op, and the
@@ -301,18 +392,12 @@ func FuzzLRUMatchesStampReference(f *testing.F) {
 	f.Add(uint8(7), []byte{5, 1, 1, 6, 2, 2, 0, 1, 0, 9, 3, 3, 15, 0, 0, 7, 3, 1}, uint16(4), int64(2))
 	f.Add(uint8(9), []byte{0, 0, 0, 8, 0, 0, 2, 0, 0, 4, 0, 0, 6, 0, 0}, uint16(0), int64(3))
 	f.Add(uint8(14), []byte{11, 5, 0, 13, 5, 2, 5, 5, 1, 12, 5, 0}, uint16(1), int64(4))
+	for _, sq := range poolSeqs() {
+		f.Add(sq.geo, sq.data, sq.restoreAt, int64(1))
+	}
 	f.Fuzz(func(t *testing.T, geo uint8, data []byte, restoreAt uint16, seed int64) {
 		geos := lruGeometries()
 		p := geos[int(geo>>1)%len(geos)]
-		ways := p.Sets() * p.Assoc
-		ops := make([]lruOp, 0, len(data)/3)
-		for k := 0; k+3 <= len(data); k += 3 {
-			ops = append(ops, lruOp{
-				kind:  data[k],
-				block: uint16(int(data[k+1]) % (3 * ways)),
-				st:    LineState(1 + data[k+2]%4),
-			})
-		}
-		runLRU(t, p, geo&1 == 1, seed, ops, int(restoreAt))
+		runLRU(t, p, geo&1 == 1, seed, opsOf(p, data), int(restoreAt))
 	})
 }

@@ -11,9 +11,12 @@ import (
 
 // CacheState is the array's full mutable state, for checkpointing.
 // Geometry, the set-index magic and attached models are construction
-// inputs; the SoA columns, the cache clock, the rotation offset and stats
-// are the state. The attached endurance array is snapshotted separately
-// by its own package (registration order is deterministic).
+// inputs; the per-way columns, the cache clock, the rotation offset and
+// stats are the state. The record describes the logical array, way by
+// global index set*assoc+way: where the pool keeps a way, and how large
+// a set's block is, are not part of it. The attached endurance array is
+// snapshotted separately by its own package (registration order is
+// deterministic).
 //
 // The columns are sparse: a freshly built array is all-zero, and a run
 // touches only a few percent of a multi-megabyte L2/L3, so only the
@@ -62,9 +65,10 @@ func (s *Stats) counters() [11]*stats.Counter {
 	}
 }
 
-// live reports whether way i holds any non-zero column.
-func (c *Cache) live(i int) bool {
-	return c.tags[i] != 0 || c.age[i] != 0 || c.state[i] != StateInvalid || c.written != nil && c.written[i] != 0
+// live reports whether the way at pool index p holds any non-zero
+// column.
+func (c *Cache) live(p int) bool {
+	return c.tags[p] != 0 || c.age[p] != 0 || c.state[p] != StateInvalid || c.written != nil && c.written[p] != 0
 }
 
 // Snapshot captures the array's mutable state, listing only the ways
@@ -74,7 +78,7 @@ func (c *Cache) live(i int) bool {
 // restored state listed an all-zero way.
 func (c *Cache) Snapshot() CacheState {
 	st := CacheState{
-		Ways:      len(c.tags),
+		Ways:      c.Capacity(),
 		Retention: c.written != nil,
 		Now:       c.now,
 		Rotation:  c.rotation,
@@ -96,11 +100,11 @@ func (c *Cache) Snapshot() CacheState {
 	age := make([]uint8, n)
 	states := make([]LineState, n)
 	k := 0
-	c.forTouched(func(i int) {
-		if c.live(i) {
-			index[k], tags[k], age[k], states[k] = uint32(i), c.tags[i], c.age[i], c.state[i]
+	c.forTouched(func(si uint64, way, p int) {
+		if c.live(p) {
+			index[k], tags[k], age[k], states[k] = uint32(int(si)*c.assoc+way), c.tags[p], c.age[p], c.state[p]
 			if written != nil {
-				written[k] = c.written[i]
+				written[k] = c.written[p]
 			}
 			k++
 		}
@@ -190,28 +194,48 @@ func (st *CacheState) checkRanks(assoc int) error {
 }
 
 // Restore repositions an array of identical geometry to a captured
-// state: the touched ways are zeroed (every other way already is), then
-// the listed ways scattered back and marked touched. Since a
-// freshly built array is all-zero, the result is bit-identical to the
-// snapshotted array whatever this one held before. An invalid state is
-// refused with an error and leaves the array untouched.
+// state. It rebuilds the pool from the listed ways: each set with a
+// listed way gets the smallest block capacity on grow's doubling path
+// that reaches its last listed way, the blocks are laid out in set order
+// in fresh columns, and the listed ways are scattered into them and
+// marked touched. Every other way is then all-zero, as in the
+// snapshotted array, so the result is logically identical to it
+// whatever this one held before. An invalid state is refused with an
+// error and leaves the array untouched.
 func (c *Cache) Restore(st CacheState) error {
-	if err := st.check(len(c.tags), c.assoc, c.written != nil); err != nil {
+	if err := st.check(c.Capacity(), c.assoc, c.written != nil); err != nil {
 		return err
 	}
-	c.forTouched(func(i int) {
-		c.tags[i], c.age[i], c.state[i] = 0, 0, StateInvalid
-		if c.written != nil {
-			c.written[i] = 0
-		}
-	})
+	clear(c.sets)
 	clear(c.touched)
+	// First pass: each set's block capacity. The indices ascend, so a
+	// set's last listed way is the last of its run.
+	c.blocked = 0
 	for k, w := range st.Index {
-		c.tags[w] = st.Tags[k]
-		c.age[w] = st.Age[k]
-		c.state[w] = st.LineStates[k]
+		si := w / uint32(c.assoc)
+		if k+1 < len(st.Index) && st.Index[k+1]/uint32(c.assoc) == si {
+			continue
+		}
+		n := c.blockCap(0, int(w%uint32(c.assoc))+1)
+		c.sets[si] = uint32(n)
+		c.blocked += n
+	}
+	c.tags, c.state, c.age, c.written = c.newPool()
+	at := 0
+	for si, n := range c.sets {
+		if n != 0 {
+			c.sets[si] = uint32(at)<<capBits | n
+			at += int(n)
+		}
+	}
+	for k, w := range st.Index {
+		off, _ := c.block(uint64(w / uint32(c.assoc)))
+		p := off + int(w%uint32(c.assoc))
+		c.tags[p] = st.Tags[k]
+		c.age[p] = st.Age[k]
+		c.state[p] = st.LineStates[k]
 		if c.written != nil {
-			c.written[w] = st.Written[k]
+			c.written[p] = st.Written[k]
 		}
 		c.touched[w>>6] |= 1 << (w & 63)
 	}

@@ -80,9 +80,12 @@ func applyOps(c *Cache, ops []cacheOp) []opOut {
 // assertSameState fails unless got holds exactly want's mutable state.
 func assertSameState(t *testing.T, want, got *Cache) {
 	t.Helper()
-	if !slices.Equal(want.tags, got.tags) || !slices.Equal(want.age, got.age) ||
-		!slices.Equal(want.written, got.written) || !slices.Equal(want.state, got.state) {
-		t.Fatal("restored columns differ from the source's")
+	for i := range want.Capacity() {
+		wt, ws, wa, ww := want.wayAt(i)
+		gt, gs, ga, gw := got.wayAt(i)
+		if wt != gt || ws != gs || wa != ga || ww != gw {
+			t.Fatalf("restored way %d holds (%d,%d,%d,%d), the source's (%d,%d,%d,%d)", i, gt, gs, ga, gw, wt, ws, wa, ww)
+		}
 	}
 	if (want.written == nil) != (got.written == nil) {
 		t.Fatal("restored array keeps write stamps where the source does not, or the reverse")
@@ -213,6 +216,47 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 	}
 }
 
+// TestRestoreLastWayOnly: a state listing only the last way of a
+// 16-way set restores into a block that reaches that way, with the 15
+// ways before it empty. Fills of the set then take ways 0 to 14 in
+// order without evicting, and the next fill evicts the restored line,
+// by then the least recently used; the snapshot lists the set's ways
+// in order.
+func TestRestoreLastWayOnly(t *testing.T) {
+	const sets, assoc, set = 8, 16, 2
+	c := NewCache(config.CacheParams{SizeBytes: sets * assoc * 32, BlockBytes: 32, Assoc: assoc, ReadPorts: 1, WritePorts: 1})
+	restored := uint64(20*sets + set)
+	st := CacheState{Ways: sets * assoc, Index: []uint32{set*assoc + assoc - 1}, Tags: []uint64{restored},
+		Age: []uint8{1}, LineStates: []LineState{StateDirty}}
+	if err := c.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if c.State(restored<<5) != StateDirty {
+		t.Fatal("the restored line is not present")
+	}
+	for k := range uint64(assoc - 1) {
+		if r := c.Fill((k*sets+set)<<5, false); r.Evicted || r.Bypassed {
+			t.Fatalf("fill %d into a set with free ways reported %+v", k, r)
+		}
+	}
+	r := c.Fill((uint64(assoc-1)*sets+set)<<5, false)
+	if !r.Evicted || r.EvictedAddr != restored<<5 || !r.Writeback {
+		t.Fatalf("the fill of a full set reported %+v, want the restored dirty line evicted", r)
+	}
+	snap := c.Snapshot()
+	if len(snap.Index) != assoc {
+		t.Fatalf("snapshot lists %d ways, want the set's %d", len(snap.Index), assoc)
+	}
+	for k, w := range snap.Index {
+		if want := uint32(set*assoc + k); w != want {
+			t.Fatalf("snapshot lists way %d at %d, want %d", w, k, want)
+		}
+		if tag := snap.Tags[k]; tag != uint64(k)*sets+set {
+			t.Fatalf("way %d holds block %d, want %d", w, tag, uint64(k)*sets+set)
+		}
+	}
+}
+
 // FuzzCacheRestore feeds Restore arbitrary sparse states. Restore must
 // accept exactly the states that fit the array — right way count, equal
 // column lengths, no write stamps (the array has no retention model),
@@ -233,6 +277,7 @@ func FuzzCacheRestore(f *testing.F) {
 	f.Add(-64, []byte{}, uint8(0x55), uint8(0), uint64(8))
 	f.Add(64, []byte{4, 5, 6, 7, 9}, uint8(0x55), uint8(2), uint64(9))
 	f.Add(64, []byte{4, 5, 6, 7, 9}, uint8(0x55), uint8(3), uint64(10))
+	f.Add(64, []byte{63}, uint8(0x55), uint8(0), uint64(11))
 	f.Fuzz(func(t *testing.T, ways int, index []byte, skew, rankMode uint8, seed uint64) {
 		c := fuzzCache()
 		before := c.Snapshot()
@@ -362,8 +407,8 @@ func assertLanded(t *testing.T, c *Cache, st CacheState) {
 		t.Fatalf("array keeps write stamps %v, state %v", c.written != nil, st.Retention)
 	}
 	k := 0
-	for i := range c.tags {
-		var tag, written, gotWritten uint64
+	for i := range c.Capacity() {
+		var tag, written uint64
 		var age uint8
 		var ls LineState
 		if k < len(st.Index) && int(st.Index[k]) == i {
@@ -373,12 +418,10 @@ func assertLanded(t *testing.T, c *Cache, st CacheState) {
 			}
 			k++
 		}
-		if c.written != nil {
-			gotWritten = c.written[i]
-		}
-		if c.tags[i] != tag || c.age[i] != age || gotWritten != written || c.state[i] != ls {
+		gotTag, gotState, gotAge, gotWritten := c.wayAt(i)
+		if gotTag != tag || gotAge != age || gotWritten != written || gotState != ls {
 			t.Fatalf("way %d holds (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-				i, c.tags[i], c.age[i], gotWritten, c.state[i], tag, age, written, ls)
+				i, gotTag, gotAge, gotWritten, gotState, tag, age, written, ls)
 		}
 	}
 	if c.now != st.Now || c.rotation != st.Rotation || c.Stats != st.Stats {
@@ -457,22 +500,19 @@ func FuzzCacheStateDecode(f *testing.F) {
 // fullScan is the oracle Snapshot must match: every way of the array
 // scanned, and those with any non-zero column listed.
 func fullScan(c *Cache) CacheState {
-	st := CacheState{Ways: len(c.tags), Retention: c.written != nil, Now: c.now, Rotation: c.rotation, Stats: c.Stats}
-	for i := range c.tags {
-		var written uint64
-		if c.written != nil {
-			written = c.written[i]
-		}
-		if c.tags[i]|written == 0 && c.age[i] == 0 && c.state[i] == StateInvalid {
+	st := CacheState{Ways: c.Capacity(), Retention: c.written != nil, Now: c.now, Rotation: c.rotation, Stats: c.Stats}
+	for i := range c.Capacity() {
+		tag, ls, age, written := c.wayAt(i)
+		if tag|written == 0 && age == 0 && ls == StateInvalid {
 			continue
 		}
 		st.Index = append(st.Index, uint32(i))
-		st.Tags = append(st.Tags, c.tags[i])
+		st.Tags = append(st.Tags, tag)
 		if c.written != nil {
 			st.Written = append(st.Written, written)
 		}
-		st.Age = append(st.Age, c.age[i])
-		st.LineStates = append(st.LineStates, c.state[i])
+		st.Age = append(st.Age, age)
+		st.LineStates = append(st.LineStates, ls)
 	}
 	return st
 }

@@ -54,6 +54,9 @@ func TestJournalServesCommittedAcrossRestart(t *testing.T) {
 		if hits, journal := m.Value("run.cache_hits"), m.Value("journal.hits"); hits != wantHits || journal != 1 {
 			t.Fatalf("request %d: run.cache_hits %v, journal.hits %v; want %v and 1", i, hits, journal, wantHits)
 		}
+		if resumed := m.Value("journal.resumed"); resumed != 0 {
+			t.Fatalf("request %d: journal.resumed %v for a recalled result, want 0", i, resumed)
+		}
 	}
 	if started := r2.RunsStarted(); started != 0 {
 		t.Fatalf("restarted server re-executed %d runs for a journaled result", started)
@@ -82,6 +85,9 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 	}
 	if started := r.RunsStarted(); started != 1 {
 		t.Fatalf("re-POST started %d runs, want 1", started)
+	}
+	if resumed := metricsSnapshot(t, ts).Value("journal.resumed"); resumed != 1 {
+		t.Fatalf("journal.resumed %v after resuming the run, want 1", resumed)
 	}
 	types := eventTypes(t, ts, id)
 	if len(types) == 0 || types[len(types)-1] != "run.end" {
@@ -269,7 +275,7 @@ func interrupt(t *testing.T, dir string, req v1.RunRequest) string {
 	t.Helper()
 	run := runOf(t, req)
 	spec := sim.CheckpointSpec{Path: entryPath(t, dir, sim.ModelVersion, req, runstore.CheckpointSuffix), AtCycle: 2_000}
-	if _, err := sim.RunOrResume(context.Background(), run.Config, run.Bench, run.Opts, spec); err != nil {
+	if _, _, err := sim.RunOrResume(context.Background(), run.Config, run.Bench, run.Opts, spec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(entryPath(t, dir, sim.ModelVersion, req, runstore.ResultSuffix)); !errors.Is(err, os.ErrNotExist) {
@@ -422,7 +428,7 @@ func oldLayoutRestartsFresh(t *testing.T, version uint32) {
 	}
 	opts.Telemetry = telemetry.New()
 	spec := sim.CheckpointSpec{Path: path, EveryCycles: journalEvery}
-	res, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec)
+	res, _, err := sim.RunOrResume(context.Background(), cfg, req.Bench, opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,8 @@ type Options struct {
 	// nil builds a private one. The runner's counters are registered
 	// into it as run.cache_hits (the body store's hits plus the runs
 	// recalled from the journal) / run.runs_started /
-	// run.runs_completed, and journal.hits (the recalls) with a journal.
+	// run.runs_completed, and with a journal journal.hits (the recalls)
+	// and journal.resumed (the runs continued from a checkpoint).
 	Telemetry *telemetry.Collector
 	// LogCapacity bounds how many finished run event logs are kept for
 	// /v1/runs/{id}/events replay; 0 selects 128.
@@ -176,6 +177,7 @@ func New(opts Options) (*Server, error) {
 
 	if opts.Journal != "" {
 		tele.RegisterCounter("journal.hits", r.Recalls)
+		tele.RegisterCounter("journal.resumed", r.Resumes)
 	}
 	return s, nil
 }

@@ -319,22 +319,24 @@ func loadSnapshot(path string) (*chipSnapshot, error) {
 // whose restored state makes the simulator panic. The result is
 // bit-identical to an uninterrupted run, so callers (the run store's
 // users, the CLI tools) can re-execute after a crash and converge to
-// the same bytes.
-func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (Result, error) {
+// the same bytes. resumed reports whether the run continued from the
+// checkpoint rather than from cycle 0.
+func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (res Result, resumed bool, err error) {
 	if err := spec.validate(); err != nil {
-		return Result{}, err
+		return Result{}, false, err
 	}
 	seq := opts.Telemetry.Emitter().Seq()
 	if res, ok, err := resumeAndRun(ctx, cfg, bench, opts, spec); ok {
-		return res, err
+		return res, true, err
 	}
 	opts.Telemetry.Emitter().SetSeq(seq)
 	s, err := New(cfg, bench, opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, false, err
 	}
 	s.ckpt = spec
-	return s.RunContext(ctx)
+	res, err = s.RunContext(ctx)
+	return res, false, err
 }
 
 // resumeAndRun resumes the run from the checkpoint in spec.Path and

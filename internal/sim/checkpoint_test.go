@@ -20,14 +20,19 @@ import (
 // collector and the given checkpoint spec (zero for none), and returns
 // the Result with the raw JSONL event stream. Over a path that holds a
 // checkpoint of this run it resumes; otherwise it starts at cycle 0.
+// RunOrResume must report a resume exactly when the run emitted no
+// run.start.
 func telRun(t *testing.T, cfg config.Config, bench string, optsFn func() Options, spec CheckpointSpec) (Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	opts := optsFn()
 	opts.Telemetry = telemetry.New(telemetry.WithEvents(&buf))
-	r, err := RunOrResume(context.Background(), cfg, bench, opts, spec)
+	r, resumed, err := RunOrResume(context.Background(), cfg, bench, opts, spec)
 	if err != nil {
 		t.Fatalf("run %v/%s: %v", cfg.Kind, bench, err)
+	}
+	if started := bytes.Contains(buf.Bytes(), []byte(`"run.start"`)); resumed == started {
+		t.Fatalf("run %v/%s: RunOrResume reports resumed %v, but run.start emitted %v", cfg.Kind, bench, resumed, started)
 	}
 	return r, buf.Bytes()
 }

@@ -66,7 +66,7 @@ func realCheckpoint(f *testing.F, dir string) fuzzFile {
 	}
 	path := filepath.Join(dir, "run.ckpt")
 	spec := sim.CheckpointSpec{Path: path, AtCycle: 1_000}
-	if _, err := sim.RunOrResume(context.Background(), fuzzCfg, fuzzBench, fuzzOpts(), spec); err != nil {
+	if _, _, err := sim.RunOrResume(context.Background(), fuzzCfg, fuzzBench, fuzzOpts(), spec); err != nil {
 		f.Fatal(err)
 	}
 	return readContainer(f, path)
@@ -165,7 +165,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		var events bytes.Buffer
 		opts := fuzzOpts()
 		opts.Telemetry = telemetry.New(telemetry.WithEvents(&events))
-		res, err := sim.RunOrResume(context.Background(), fuzzCfg, fuzzBench, opts, sim.CheckpointSpec{Path: path, EveryCycles: 1 << 40})
+		res, _, err := sim.RunOrResume(context.Background(), fuzzCfg, fuzzBench, opts, sim.CheckpointSpec{Path: path, EveryCycles: 1 << 40})
 		if err == nil && bytes.Contains(events.Bytes(), []byte(`"run.start"`)) {
 			res.Metrics = nil
 			if got, _ := json.Marshal(res); !bytes.Equal(got, freshJSON) {

@@ -2,9 +2,11 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -83,37 +85,78 @@ func TestModelVersionCanary(t *testing.T) {
 		got[c.name] = hex.EncodeToString(sum[:])
 	}
 
+	checkDigests(t, canaryFile, strconv.Itoa(sim.ModelVersion), got, "simulation bytes changed: bump sim.ModelVersion")
+}
+
+// checkDigests compares got with the digests file records under
+// version. A version with none recorded is an error, unless
+// UPDATE_GOLDEN is set, which records got; recorded digests are never
+// rewritten. hint ends the message of a digest that differs.
+func checkDigests(t *testing.T, file, version string, got map[string]string, hint string) {
+	t.Helper()
 	recorded := make(map[string]map[string]string)
-	if data, err := os.ReadFile(canaryFile); err == nil {
+	if data, err := os.ReadFile(file); err == nil {
 		if err := json.Unmarshal(data, &recorded); err != nil {
 			t.Fatal(err)
 		}
 	} else if !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
-	version := strconv.Itoa(sim.ModelVersion)
 	want, ok := recorded[version]
 	if !ok {
 		if os.Getenv("UPDATE_GOLDEN") == "" {
-			t.Fatalf("no canary digests recorded for model version %s: record them with UPDATE_GOLDEN=1", version)
+			t.Fatalf("no digests recorded in %s for version %s: record them with UPDATE_GOLDEN=1", file, version)
 		}
 		recorded[version] = got
 		data, err := json.MarshalIndent(recorded, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(canaryFile, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
 	for name, sum := range got {
 		if want[name] != sum {
-			t.Errorf("canary %s: digest %s, recorded %s for model version %s: simulation bytes changed: bump sim.ModelVersion",
-				name, sum, want[name], version)
+			t.Errorf("%s: digest %s, recorded %s for version %s: %s", name, sum, want[name], version, hint)
 		}
 	}
 	if len(want) != len(got) {
-		t.Errorf("model version %s records %d canaries, the set has %d", version, len(want), len(got))
+		t.Errorf("version %s records %d digests in %s, the set has %d", version, len(want), file, len(got))
 	}
+}
+
+// checkpointCanaryFile holds, per checkpoint format and model version,
+// the SHA-256 of each checkpoint canary's file.
+var checkpointCanaryFile = filepath.Join("testdata", "checkpoint_canary.json")
+
+// TestCheckpointBytesCanary guards the checkpoint format: a shared-L1
+// and a private-L1 run at quota 10000 each write one checkpoint at a
+// fixed cycle, and the file's digest must equal the one recorded for
+// this sim.SnapshotVersion and sim.ModelVersion. The checkpoint holds
+// every cache array's state record, so a change to how the arrays keep
+// their ways that moves a byte of what they report fails here.
+func TestCheckpointBytesCanary(t *testing.T) {
+	got := make(map[string]string)
+	for _, run := range []struct {
+		kind  config.ArchKind
+		bench string
+	}{{config.SHSTT, "fft"}, {config.PRSRAMNT, "ocean"}} {
+		name := fmt.Sprintf("%v/%s", run.kind, run.bench)
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		spec := sim.CheckpointSpec{Path: path, AtCycle: 20_000}
+		if _, _, err := sim.RunOrResume(context.Background(), config.New(run.kind, config.Medium), run.bench,
+			sim.Options{QuotaInstr: 10_000, Seed: 1}, spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(data)
+		got[name] = hex.EncodeToString(sum[:])
+	}
+	version := fmt.Sprintf("snapshot %d, model %d", sim.SnapshotVersion, sim.ModelVersion)
+	checkDigests(t, checkpointCanaryFile, version, got, "checkpoint bytes changed")
 }
