@@ -24,8 +24,8 @@
 // outcome without re-running it and resumes an interrupted run from its
 // checkpoint, whichever tool wrote the entry, so `respin-bench -quick
 // -checkpoint DIR` followed by `respin-serve -quick -journal DIR`
-// answers the eval preset without a run. Entries written by another
-// simulation model version are never read and their requests run again.
+// answers the eval preset without a run. A store another simulation
+// model wrote is cleared at the first request, whose runs run again.
 package main
 
 import (

@@ -110,12 +110,10 @@ func run() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if spec.Enabled() {
-		if info, err := sim.CheckpointInfo(spec.Path); err == nil && info.Holds(cfg, req.Bench, opts) {
-			fmt.Fprintf(os.Stderr, "respin-sim: resuming %v/%s from cycle %d\n", cfg.Kind, req.Bench, info.Cycle)
-		}
+	res, from, runErr := sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
+	if from > 0 {
+		fmt.Fprintf(os.Stderr, "respin-sim: resumed %v/%s from cycle %d\n", cfg.Kind, req.Bench, from)
 	}
-	res, _, runErr := sim.RunOrResume(ctx, cfg, req.Bench, opts, spec)
 	doc, err := v1.NewResult(req, res, runErr)
 	if err != nil {
 		return app.Fail(err)

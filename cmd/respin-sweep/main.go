@@ -25,12 +25,13 @@
 // point does not stop the others: every point runs, the failures are
 // reported in sweep order, no table is printed and the exit status is 1.
 // With -checkpoint DIR the points live in a run store there
-// (internal/runstore), keyed by the simulation model version and each
-// point's whole run definition: a point with a recorded outcome
-// commits it and drops its checkpoint, a failed or interrupted point
-// keeps its checkpoint, and a re-invoked sweep recalls committed
-// points without simulating them and resumes the rest. A second
-// invocation over a finished directory prints the same table at once.
+// (internal/runstore), keyed by each point's whole run definition and
+// cleared first if another simulation model wrote it: a point with a
+// recorded outcome commits it and drops its checkpoint, a failed or
+// interrupted point keeps its checkpoint, and a re-invoked sweep
+// recalls committed points without simulating them and resumes the
+// rest. A second invocation over a finished directory prints the same
+// table at once.
 package main
 
 import (

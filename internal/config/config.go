@@ -582,17 +582,3 @@ func (c Config) CorePeriodPS(multiple int) int64 {
 	}
 	return int64(multiple) * CachePeriodPS
 }
-
-// TotalCachePerCoreBytes reports the chip-wide cache capacity divided by
-// the core count — the "MB per core" figure used in Section IV.
-func (c Config) TotalCachePerCoreBytes() int {
-	n := c.NumClusters()
-	perCluster := c.Hierarchy.L2.SizeBytes
-	if c.L1 == SharedL1 {
-		perCluster += c.Hierarchy.L1I.SizeBytes + c.Hierarchy.L1D.SizeBytes
-	} else {
-		perCluster += (c.Hierarchy.L1I.SizeBytes + c.Hierarchy.L1D.SizeBytes) * c.ClusterSize
-	}
-	total := n*perCluster + c.Hierarchy.L3.SizeBytes
-	return total / c.NumCores
-}

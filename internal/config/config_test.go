@@ -219,31 +219,6 @@ func TestCorePeriodPS(t *testing.T) {
 	}
 }
 
-func TestTotalCachePerCore(t *testing.T) {
-	// Section IV: roughly 1 / 2 / 4 MB per core for small/medium/large.
-	for _, c := range []struct {
-		scale CacheScale
-		lo    int
-		hi    int
-	}{
-		{Small, mb / 2, 2 * mb},
-		{Medium, mb, 3 * mb},
-		{Large, 3 * mb, 5 * mb},
-	} {
-		cfg := New(SHSTT, c.scale)
-		got := cfg.TotalCachePerCoreBytes()
-		if got < c.lo || got > c.hi {
-			t.Errorf("%v: %d bytes/core, want within [%d, %d]", c.scale, got, c.lo, c.hi)
-		}
-	}
-	// Private L1 config must count per-core L1s.
-	pr := New(PRSRAMNT, Medium)
-	sh := New(SHSTT, Medium)
-	if pr.TotalCachePerCoreBytes() <= 0 || sh.TotalCachePerCoreBytes() <= 0 {
-		t.Error("per-core cache must be positive")
-	}
-}
-
 func TestStringers(t *testing.T) {
 	for _, k := range AllArchKinds {
 		if s := k.String(); strings.Contains(s, "ArchKind(") {

@@ -74,7 +74,9 @@ type Runner struct {
 	// journal is such a store, so the batch tools and the service
 	// recall each other's runs. Stored outcomes always carry their
 	// metrics; without Telemetry, Do drops them from the results it
-	// returns, as an unstored run has none.
+	// returns, as an unstored run has none. The runner opens the store
+	// once, in Normalize or at its first stored run, so CheckpointDir
+	// and CheckpointEvery are fixed from then on.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in cycles; zero selects
 	// sim.DefaultCheckpointEvery.
@@ -89,6 +91,10 @@ type Runner struct {
 	Telemetry *telemetry.Collector
 
 	flights flight.Group[sim.Result] // the result cache, by run key
+
+	storeOnce sync.Once
+	store     *runstore.Store // CheckpointDir's, opened once (runStore)
+	storeErr  error
 
 	mu        sync.Mutex
 	sem       chan struct{}
@@ -186,8 +192,8 @@ func (r *Runner) Normalize() error {
 		r.FaultSeed = 1
 	}
 	if r.CheckpointDir != "" {
-		if _, err := runstore.Open(r.CheckpointDir, r.CheckpointEvery); err != nil {
-			return fmt.Errorf("experiments: %w", err)
+		if _, err := r.runStore(); err != nil {
+			return err
 		}
 	}
 	if len(r.Benches) == 0 {
@@ -200,6 +206,13 @@ func (r *Runner) Normalize() error {
 	}
 	r.registerTelemetry()
 	return nil
+}
+
+// runStore returns the run store in CheckpointDir, opened on first use
+// and kept for the runner's life, so the store checks its stamp once.
+func (r *Runner) runStore() (*runstore.Store, error) {
+	r.storeOnce.Do(func() { r.store, r.storeErr = runstore.Open(r.CheckpointDir, r.CheckpointEvery) })
+	return r.store, r.storeErr
 }
 
 // registerTelemetry publishes the runner's own progress counters; the
@@ -456,9 +469,9 @@ func (r *Runner) simulate(run Run) (sim.Result, error) {
 // whether the caller attaches telemetry is not part of the key: a run
 // without a collector of its own gets a private one.
 func (r *Runner) stored(ctx context.Context, run Run) (sim.Result, error) {
-	st, err := runstore.Open(r.CheckpointDir, r.CheckpointEvery)
+	st, err := r.runStore()
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("experiments: %w", err)
+		return sim.Result{}, err
 	}
 	opts := run.Opts
 	key, err := sim.RunKey(run.Config, run.Bench, opts)
@@ -473,9 +486,13 @@ func (r *Runner) stored(ctx context.Context, run Run) (sim.Result, error) {
 	if !opts.Telemetry.Enabled() {
 		opts.Telemetry = telemetry.New()
 	}
+	spec, err := st.Begin(key)
+	if err != nil {
+		return sim.Result{}, err
+	}
 	return r.execute(run.Label, func() (sim.Result, error) {
-		res, resumed, err := sim.RunOrResume(ctx, run.Config, run.Bench, opts, st.Begin(key))
-		if resumed {
+		res, from, err := sim.RunOrResume(ctx, run.Config, run.Bench, opts, spec)
+		if from > 0 {
 			r.resumed.Add(1)
 		}
 		if flight.Recorded(err) {

@@ -78,8 +78,97 @@ func TestCheckpointDirResume(t *testing.T) {
 		}
 	}
 	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), runstore.ResultSuffix) {
-		t.Errorf("store holds %v after the run completed, want its committed result alone", entries)
+	if len(entries) != 2 || !strings.HasSuffix(entries[0].Name(), runstore.ResultSuffix) || entries[1].Name() != runstore.StampFile {
+		t.Errorf("store holds %v after the run completed, want its committed result and the stamp", entries)
+	}
+}
+
+// TestCheckpointDirOverAnotherModelsStore: a quick runner's Figure 9
+// over a store another model wrote simulates every run and renders the
+// report of a runner over a fresh directory byte for byte. That store
+// holds a doctored outcome for each of the figure's runs under its
+// current name, a checkpoint and files of the layouts before the stamp;
+// afterwards it holds the figure's entries and the current stamp alone.
+// The same outcomes under the current model's stamp are recalled, so
+// the stamp alone keeps them from answering.
+func TestCheckpointDirOverAnotherModelsStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a quick Figure 9 twice")
+	}
+	storeRunner := func(dir string) *Runner {
+		r := QuickRunner()
+		r.CheckpointDir = dir
+		if err := r.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	fresh := storeRunner(t.TempDir())
+	runs := fresh.Figure9Runs()
+	keys := map[string]bool{}
+	// seed fills dir with a doctored outcome of every run and the files
+	// of older layouts, and stamps it for model.
+	seed := func(dir string, model int) {
+		st, err := runstore.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range runs {
+			key, err := sim.RunKey(run.Config, run.Bench, run.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[runstore.Name(key)+runstore.ResultSuffix] = true
+			if err := commit(st, key, sim.Result{Cycles: 1, EnergyPJ: 1}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range []string{
+			runstore.Name("checkpoint") + runstore.CheckpointSuffix,
+			runstore.Name("journal") + ".result.json",
+			runstore.Name("journal") + ".req.json",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("stale"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, runstore.StampFile), runstore.Stamp(model), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	control := t.TempDir()
+	seed(control, sim.ModelVersion)
+	r := storeRunner(control)
+	if res, _ := r.Exec(context.Background(), runs[0]); r.RunsStarted() != 0 || res.EnergyPJ != 1 {
+		t.Fatalf("a current store answered %s with %v pJ after %d runs, want its doctored outcome",
+			runs[0].Label, res.EnergyPJ, r.RunsStarted())
+	}
+
+	dir := t.TempDir()
+	seed(dir, sim.ModelVersion+1)
+	foreign := storeRunner(dir)
+	got := foreign.Figure9().Render()
+	if want := fresh.Figure9().Render(); got != want {
+		t.Fatalf("Figure 9 over another model's store differs from a fresh directory's:\n%s\nwant:\n%s", got, want)
+	}
+	if n := foreign.RunsStarted(); n != uint64(len(runs)) {
+		t.Fatalf("%d runs started over another model's store, want all %d", n, len(runs))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !keys[e.Name()] && e.Name() != runstore.StampFile {
+			t.Errorf("the store holds %s, neither a Figure 9 entry nor the stamp", e.Name())
+		}
+	}
+	if len(entries) != len(keys)+1 {
+		t.Errorf("the store holds %d files, want %d entries and the stamp", len(entries), len(keys))
+	}
+	if stamp, err := os.ReadFile(filepath.Join(dir, runstore.StampFile)); err != nil || !bytes.Equal(stamp, runstore.Stamp(sim.ModelVersion)) {
+		t.Errorf("stamp %q, %v; want the current model's", stamp, err)
 	}
 }
 

@@ -232,28 +232,5 @@ func MinSafeVdd(t config.MemTech, capacityBytes int, e ECC, targetYield float64)
 	return math.Inf(1)
 }
 
-// Assessment summarises one (cache, voltage, scheme) reliability point.
-type Assessment struct {
-	Tech          config.MemTech
-	CapacityBytes int
-	Vdd           float64
-	Scheme        ECC
-	CellFail      float64
-	Yield         float64
-	// Usable is true when the yield clears the conventional 99% bar.
-	Usable bool
-}
-
-// Assess evaluates one configuration point.
-func Assess(t config.MemTech, capacityBytes int, vdd float64, e ECC) Assessment {
-	y := CacheYield(t, capacityBytes, vdd, e)
-	return Assessment{
-		Tech: t, CapacityBytes: capacityBytes, Vdd: vdd, Scheme: e,
-		CellFail: CellFailProb(t, vdd),
-		Yield:    y,
-		Usable:   y >= DefaultTargetYield,
-	}
-}
-
 // DefaultTargetYield is the conventional array-yield bar.
 const DefaultTargetYield = 0.99

@@ -110,19 +110,22 @@ func TestBinom(t *testing.T) {
 //     protection;
 //   - megabyte-class L2/L3 arrays need the higher rail even more.
 func TestPaperRailStory(t *testing.T) {
-	l1 := 16 << 10
-	if a := Assess(config.SRAM, l1, 0.40, SECDED); a.Usable {
-		t.Errorf("16KB SRAM @0.4V with SECDED usable (yield %.4f) — contradicts the paper", a.Yield)
+	usable := func(capacity int, vdd float64, e ECC) bool {
+		return CacheYield(config.SRAM, capacity, vdd, e) >= DefaultTargetYield
 	}
-	if a := Assess(config.SRAM, l1, 0.65, SECDED); !a.Usable {
-		t.Errorf("16KB SRAM @0.65V with SECDED unusable (yield %.4f) — baseline would be broken", a.Yield)
+	l1 := 16 << 10
+	if usable(l1, 0.40, SECDED) {
+		t.Errorf("16KB SRAM @0.4V with SECDED usable (yield %.4f) — contradicts the paper", CacheYield(config.SRAM, l1, 0.40, SECDED))
+	}
+	if !usable(l1, 0.65, SECDED) {
+		t.Errorf("16KB SRAM @0.65V with SECDED unusable (yield %.4f) — baseline would be broken", CacheYield(config.SRAM, l1, 0.65, SECDED))
 	}
 	l2 := 16 << 20
-	if a := Assess(config.SRAM, l2, 0.40, DECTED); a.Usable {
-		t.Errorf("16MB SRAM @0.4V usable even with DECTED (yield %.4f)", a.Yield)
+	if usable(l2, 0.40, DECTED) {
+		t.Errorf("16MB SRAM @0.4V usable even with DECTED (yield %.4f)", CacheYield(config.SRAM, l2, 0.40, DECTED))
 	}
-	if a := Assess(config.SRAM, l2, 0.65, SECDED); !a.Usable {
-		t.Errorf("16MB SRAM @0.65V with SECDED unusable (yield %.4f)", a.Yield)
+	if !usable(l2, 0.65, SECDED) {
+		t.Errorf("16MB SRAM @0.65V with SECDED unusable (yield %.4f)", CacheYield(config.SRAM, l2, 0.65, SECDED))
 	}
 }
 
@@ -163,16 +166,6 @@ func TestYieldMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAssessFields(t *testing.T) {
-	a := Assess(config.SRAM, 32<<10, 0.55, SECDED)
-	if a.Tech != config.SRAM || a.CapacityBytes != 32<<10 || a.Scheme != SECDED {
-		t.Errorf("fields not carried: %+v", a)
-	}
-	if a.CellFail <= 0 || a.Yield < 0 || a.Yield > 1 {
-		t.Errorf("implausible assessment: %+v", a)
 	}
 }
 

@@ -109,11 +109,12 @@ func TestJournalResumesInterruptedRun(t *testing.T) {
 // TestJournalOpenReadsNothing: opening a server over a journal that
 // holds a committed result, a damaged result and an interrupted
 // checkpoint reads none of them and starts no run. The interrupted run
-// executes only once its request arrives.
+// executes only once its request arrives. A journal another model
+// stamped is left as it is until a request arrives.
 func TestJournalOpenReadsNothing(t *testing.T) {
 	dir := t.TempDir()
 	commitRun(t, dir, v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000})
-	damaged := entryPath(t, dir, sim.ModelVersion, v1.RunRequest{Config: "SH-STT", Bench: "lu", Quota: 2_000}, runstore.ResultSuffix)
+	damaged := entryPath(t, dir, v1.RunRequest{Config: "SH-STT", Bench: "lu", Quota: 2_000}, runstore.ResultSuffix)
 	if err := os.WriteFile(damaged, []byte(`{"schema_version":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +133,18 @@ func TestJournalOpenReadsNothing(t *testing.T) {
 	}
 	if started := r.RunsStarted(); started != 1 {
 		t.Fatalf("after its request: %d runs started, want 1", started)
+	}
+
+	// Nor does opening a journal another model stamped clear it: that
+	// waits for the first request.
+	foreign := stampedDir(t, sim.ModelVersion+1)
+	entry := entryPath(t, foreign, v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}, runstore.ResultSuffix)
+	if err := os.WriteFile(entry, []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	testServer(t, Options{Journal: foreign})
+	if _, err := os.Stat(entry); err != nil {
+		t.Fatalf("opening a server over another model's journal removed its entry: %v", err)
 	}
 }
 
@@ -214,15 +227,27 @@ func runOf(t *testing.T, req v1.RunRequest) experiments.Run {
 }
 
 // entryPath is the path of the file with suffix of req's run-store
-// entry under a model version, for tests that fabricate or damage it.
-func entryPath(t *testing.T, dir string, version int, req v1.RunRequest, suffix string) string {
+// entry, for tests that fabricate or damage it.
+func entryPath(t *testing.T, dir string, req v1.RunRequest, suffix string) string {
 	t.Helper()
 	run := runOf(t, req)
 	key, err := sim.RunKey(run.Config, run.Bench, run.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, runstore.Name(version, key)+suffix)
+	return filepath.Join(dir, runstore.Name(key)+suffix)
+}
+
+// stampedDir returns a new journal directory stamped for model version
+// model, so the entries a test fabricates there are the store's under
+// that model.
+func stampedDir(t *testing.T, model int) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, runstore.StampFile), runstore.Stamp(model), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // journalRunner is a runner over the journal in dir, as a server keeps
@@ -274,11 +299,23 @@ func recalled(t *testing.T, dir string, req v1.RunRequest) []byte {
 func interrupt(t *testing.T, dir string, req v1.RunRequest) string {
 	t.Helper()
 	run := runOf(t, req)
-	spec := sim.CheckpointSpec{Path: entryPath(t, dir, sim.ModelVersion, req, runstore.CheckpointSuffix), AtCycle: 2_000}
+	key, err := sim.RunKey(run.Config, run.Bench, run.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := runstore.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := st.Begin(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.EveryCycles, spec.AtCycle = 0, 2_000
 	if _, _, err := sim.RunOrResume(context.Background(), run.Config, run.Bench, run.Opts, spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(entryPath(t, dir, sim.ModelVersion, req, runstore.ResultSuffix)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(entryPath(t, dir, req, runstore.ResultSuffix)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("the interrupted run has a result: %v", err)
 	}
 	return spec.Path
@@ -318,7 +355,7 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 	commitRun(t, src, req)
 	commitRun(t, src, other)
 	read := func(req v1.RunRequest) []byte {
-		data, err := os.ReadFile(entryPath(t, src, sim.ModelVersion, req, runstore.ResultSuffix))
+		data, err := os.ReadFile(entryPath(t, src, req, runstore.ResultSuffix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,8 +390,8 @@ func TestJournalSkipsDamagedResults(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(entryPath(t, dir, sim.ModelVersion, req, runstore.ResultSuffix), c.damaged, 0o644); err != nil {
+			dir := stampedDir(t, sim.ModelVersion)
+			if err := os.WriteFile(entryPath(t, dir, req, runstore.ResultSuffix), c.damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, ts := testServer(t, Options{Journal: dir})
@@ -392,14 +429,14 @@ func TestJournalOldLayoutCheckpointRestartsFresh(t *testing.T) {
 
 // oldLayoutRestartsFresh runs the old-layout check for one version.
 func oldLayoutRestartsFresh(t *testing.T, version uint32) {
-	dir := t.TempDir()
+	dir := stampedDir(t, sim.ModelVersion)
 	req := v1.RunRequest{Config: "SH-STT", Bench: "radix", Quota: 12_000}
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	want := cliBytes(t, req)
 
-	path := entryPath(t, dir, sim.ModelVersion, req, runstore.CheckpointSuffix)
+	path := entryPath(t, dir, req, runstore.CheckpointSuffix)
 	writeOld := func() {
 		t.Helper()
 		old := struct {
@@ -525,23 +562,26 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
-// TestJournalIgnoresOtherModelResults: a stored outcome whose file was
-// written under another sim.ModelVersion is never read, even though it
-// holds a recorded outcome for the same run. The request re-executes
-// once and its outcome is committed under the current model.
+// TestJournalIgnoresOtherModelResults: a journal stamped for another
+// sim.ModelVersion is cleared before its first read, so a recorded
+// outcome it holds for the very run asked for, under the entry's
+// current name, is never read. The request re-executes once, its
+// outcome is committed under the current model, and the directory then
+// holds that entry and the current stamp alone.
 func TestJournalIgnoresOtherModelResults(t *testing.T) {
 	req := v1.RunRequest{Config: "SH-STT", Bench: "fft", Quota: 2_000}
 	want := cliBytes(t, req)
 	src := t.TempDir()
 	commitRun(t, src, req)
-	record, err := os.ReadFile(entryPath(t, src, sim.ModelVersion, req, runstore.ResultSuffix))
+	record, err := os.ReadFile(entryPath(t, src, req, runstore.ResultSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, version := range []int{sim.ModelVersion - 1, sim.ModelVersion + 1} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(entryPath(t, dir, version, req, runstore.ResultSuffix), record, 0o644); err != nil {
+			dir := stampedDir(t, version)
+			entry := entryPath(t, dir, req, runstore.ResultSuffix)
+			if err := os.WriteFile(entry, record, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, ts := testServer(t, Options{Journal: dir})
@@ -549,11 +589,26 @@ func TestJournalIgnoresOtherModelResults(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
 				t.Fatalf("re-POST: status %d, %d bytes (want %d fresh bytes)", resp.StatusCode, len(got), len(want))
 			}
-			if started := metricsSnapshot(t, ts).Value("run.runs_started"); started != 1 {
-				t.Fatalf("run.runs_started = %v, want 1", started)
+			m := metricsSnapshot(t, ts)
+			if started, hits := m.Value("run.runs_started"), m.Value("journal.hits"); started != 1 || hits != 0 {
+				t.Fatalf("run.runs_started %v, journal.hits %v; want 1 and 0", started, hits)
 			}
 			if got := recalled(t, dir, req); !bytes.Equal(got, want) {
 				t.Fatal("the fresh outcome was not committed under the current model")
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			if len(names) != 2 || names[0] != filepath.Base(entry) || names[1] != runstore.StampFile {
+				t.Fatalf("journal holds %v, want the fresh entry and the stamp", names)
+			}
+			if stamp, err := os.ReadFile(filepath.Join(dir, runstore.StampFile)); err != nil || !bytes.Equal(stamp, runstore.Stamp(sim.ModelVersion)) {
+				t.Fatalf("stamp %q, %v; want the current model's", stamp, err)
 			}
 		})
 	}

@@ -38,8 +38,9 @@ const SnapshotVersion = 4
 
 // ModelVersion names the simulation model. Bump it by hand in any
 // change that moves a simulated byte (TestModelVersionCanary fails
-// until then): checkpoints and stored results are used only under the
-// version that wrote them.
+// until then): a checkpoint resumes only under the version that wrote
+// it, and a run store another version stamped is cleared at its first
+// use (package runstore).
 const ModelVersion = 1
 
 // CheckpointSpec configures checkpoint writes during a run; it is the
@@ -319,43 +320,45 @@ func loadSnapshot(path string) (*chipSnapshot, error) {
 // whose restored state makes the simulator panic. The result is
 // bit-identical to an uninterrupted run, so callers (the run store's
 // users, the CLI tools) can re-execute after a crash and converge to
-// the same bytes. resumed reports whether the run continued from the
-// checkpoint rather than from cycle 0.
-func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (res Result, resumed bool, err error) {
+// the same bytes. from is the cycle the run continued from, 0 when it
+// started at cycle 0; the checkpoint is decoded once either way.
+func RunOrResume(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (res Result, from uint64, err error) {
 	if err := spec.validate(); err != nil {
-		return Result{}, false, err
+		return Result{}, 0, err
 	}
 	seq := opts.Telemetry.Emitter().Seq()
-	if res, ok, err := resumeAndRun(ctx, cfg, bench, opts, spec); ok {
-		return res, true, err
+	if res, from, err := resumeAndRun(ctx, cfg, bench, opts, spec); from > 0 {
+		return res, from, err
 	}
 	opts.Telemetry.Emitter().SetSeq(seq)
 	s, err := New(cfg, bench, opts)
 	if err != nil {
-		return Result{}, false, err
+		return Result{}, 0, err
 	}
 	s.ckpt = spec
 	res, err = s.RunContext(ctx)
-	return res, false, err
+	return res, 0, err
 }
 
 // resumeAndRun resumes the run from the checkpoint in spec.Path and
-// runs it to the end; ok is false when there is nothing to resume or
-// the restored state makes the simulator panic (a valid checksum over
-// parts that contradict each other is a damaged checkpoint too).
-func resumeAndRun(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (res Result, ok bool, err error) {
+// runs it to the end; from is the checkpoint's cycle, or 0 when there
+// is nothing to resume or the restored state makes the simulator panic
+// (a valid checksum over parts that contradict each other is a damaged
+// checkpoint too).
+func resumeAndRun(ctx context.Context, cfg config.Config, bench string, opts Options, spec CheckpointSpec) (res Result, from uint64, err error) {
 	defer func() {
 		if recover() != nil {
-			res, ok, err = Result{}, false, nil
+			res, from, err = Result{}, 0, nil
 		}
 	}()
 	s, err := resume(spec.Path, cfg, bench, opts)
 	if err != nil {
-		return Result{}, false, nil
+		return Result{}, 0, nil
 	}
+	from = s.startCycle
 	s.ckpt = spec
 	res, err = s.RunContext(ctx)
-	return res, true, err
+	return res, from, err
 }
 
 // resume builds the run cfg, bench and opts define and repositions it

@@ -21,18 +21,22 @@ import (
 // the Result with the raw JSONL event stream. Over a path that holds a
 // checkpoint of this run it resumes; otherwise it starts at cycle 0.
 // RunOrResume must report a resume exactly when the run emitted no
-// run.start.
+// run.start, and from the cycle of the checkpoint it found.
 func telRun(t *testing.T, cfg config.Config, bench string, optsFn func() Options, spec CheckpointSpec) (Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	opts := optsFn()
 	opts.Telemetry = telemetry.New(telemetry.WithEvents(&buf))
-	r, resumed, err := RunOrResume(context.Background(), cfg, bench, opts, spec)
+	info, _ := CheckpointInfo(spec.Path)
+	r, from, err := RunOrResume(context.Background(), cfg, bench, opts, spec)
 	if err != nil {
 		t.Fatalf("run %v/%s: %v", cfg.Kind, bench, err)
 	}
-	if started := bytes.Contains(buf.Bytes(), []byte(`"run.start"`)); resumed == started {
-		t.Fatalf("run %v/%s: RunOrResume reports resumed %v, but run.start emitted %v", cfg.Kind, bench, resumed, started)
+	if started := bytes.Contains(buf.Bytes(), []byte(`"run.start"`)); (from > 0) == started {
+		t.Fatalf("run %v/%s: RunOrResume reports resuming from cycle %d, but run.start emitted %v", cfg.Kind, bench, from, started)
+	}
+	if from > 0 && from != info.Cycle {
+		t.Fatalf("run %v/%s: RunOrResume reports resuming from cycle %d, the checkpoint is at %d", cfg.Kind, bench, from, info.Cycle)
 	}
 	return r, buf.Bytes()
 }

@@ -80,8 +80,8 @@ func realOutcome(f *testing.F, dir string) fuzzFile {
 		f.Fatal(errs[0])
 	}
 	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), runstore.ResultSuffix) {
-		f.Fatalf("run store holds %v (%v), want one committed result", entries, err)
+	if err != nil || len(entries) != 2 || !strings.HasSuffix(entries[0].Name(), runstore.ResultSuffix) {
+		f.Fatalf("run store holds %v (%v), want one committed result and the stamp", entries, err)
 	}
 	return readContainer(f, filepath.Join(dir, entries[0].Name()))
 }
@@ -146,8 +146,14 @@ func FuzzSnapshotRestore(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(dir, stored.name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			if err := os.WriteFile(filepath.Join(dir, runstore.StampFile), runstore.Stamp(sim.ModelVersion), 0o644); err != nil {
+				t.Fatal(err)
+			}
 			r := fuzzRunner(dir)
 			results, errs := r.Do(fuzzRunnerRun())
+			if len(patch) == 0 && r.RunsStarted() != 0 {
+				t.Fatal("the runner ran afresh over an intact stored outcome")
+			}
 			if res := results[0]; errs[0] == nil && r.RunsStarted() == 1 {
 				// The runner refused the stored outcome and ran afresh
 				// (with metrics attached, which the fresh run lacks).

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -126,22 +125,6 @@ func (h *Histogram) Buckets() []uint64 {
 // Fraction returns the fraction of observations equal to v (with the
 // overflow convention of Count). It returns 0 for an empty histogram.
 func (h *Histogram) Fraction(v int) float64 { return Ratio(h.Count(v), h.total) }
-
-// FractionAtLeast returns the fraction of observations >= v.
-func (h *Histogram) FractionAtLeast(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if v < 0 {
-		v = 0
-	}
-	var n uint64
-	for i := v; i < len(h.buckets); i++ {
-		n += h.buckets[i]
-	}
-	n += h.overflow
-	return Ratio(n, h.total)
-}
 
 // Mean returns the mean observed value, counting overflow observations
 // at their true values (the running sum is exact).
@@ -305,15 +288,6 @@ func (ts *TimeSeries) Append(t, v float64) {
 // Len returns the number of samples.
 func (ts *TimeSeries) Len() int { return len(ts.Values) }
 
-// Summary computes a Summary over the series values.
-func (ts *TimeSeries) Summary() Summary {
-	var s Summary
-	for _, v := range ts.Values {
-		s.Observe(v)
-	}
-	return s
-}
-
 // MarshalJSON encodes the series as parallel arrays (empty arrays, not
 // null, for a zero-sample series).
 func (ts *TimeSeries) MarshalJSON() ([]byte, error) {
@@ -386,25 +360,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using
-// nearest-rank on a sorted copy. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,9 +55,6 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Fraction(1); !almostEqual(got, 2.0/6.0, 1e-12) {
 		t.Errorf("Fraction(1) = %v, want %v", got, 2.0/6.0)
 	}
-	if got := h.FractionAtLeast(2); !almostEqual(got, 2.0/6.0, 1e-12) {
-		t.Errorf("FractionAtLeast(2) = %v, want %v", got, 2.0/6.0)
-	}
 	// mean of 0,1,1,2,7,0 = 11/6
 	if got := h.Mean(); !almostEqual(got, 11.0/6.0, 1e-12) {
 		t.Errorf("Mean = %v, want %v", got, 11.0/6.0)
@@ -65,7 +63,7 @@ func TestHistogramBasics(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(3)
-	if h.Mean() != 0 || h.Fraction(0) != 0 || h.FractionAtLeast(0) != 0 {
+	if h.Mean() != 0 || h.Fraction(0) != 0 {
 		t.Errorf("empty histogram should report zeros")
 	}
 }
@@ -186,9 +184,8 @@ func TestTimeSeries(t *testing.T) {
 	if ts.Len() != 10 {
 		t.Fatalf("len = %d, want 10", ts.Len())
 	}
-	s := ts.Summary()
-	if s.Min() != 0 || s.Max() != 3 {
-		t.Errorf("series min/max = %v/%v, want 0/3", s.Min(), s.Max())
+	if lo, hi := slices.Min(ts.Values), slices.Max(ts.Values); lo != 0 || hi != 3 {
+		t.Errorf("series min/max = %v/%v, want 0/3", lo, hi)
 	}
 }
 
@@ -212,9 +209,8 @@ func TestTimeSeriesDownsample(t *testing.T) {
 		ramp.Append(float64(i), float64(i))
 	}
 	rd := ramp.Downsample(7)
-	rs, os := rd.Summary(), ramp.Summary()
-	if !almostEqual(rs.Mean(), os.Mean(), 80) {
-		t.Errorf("ramp downsample mean %v far from %v", rs.Mean(), os.Mean())
+	if rm, om := Mean(rd.Values), Mean(ramp.Values); !almostEqual(rm, om, 80) {
+		t.Errorf("ramp downsample mean %v far from %v", rm, om)
 	}
 	// No-op when already small.
 	small := &TimeSeries{}
@@ -245,28 +241,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("Mean = %v, want 2", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {20, 1}, {50, 3}, {100, 5}, {101, 5}, {-2, 1},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Errorf("Percentile mutated its input: %v", xs)
 	}
 }
 

@@ -160,25 +160,6 @@ func multipleFor(fGHz float64) int {
 	return mult
 }
 
-// Uniform returns a map with zero variation where every core runs at the
-// given multiple — used for the nominal-voltage HP baseline and for
-// deterministic unit tests.
-func Uniform(rows, cols, multiple int, vdd float64) *Map {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("variation: invalid die %dx%d", rows, cols))
-	}
-	m := &Map{Rows: rows, Cols: cols, Vdd: vdd, Cores: make([]CoreSpec, rows*cols)}
-	for i := range m.Cores {
-		m.Cores[i] = CoreSpec{
-			Vth:      config.Vth,
-			FmaxGHz:  1000.0 / float64(int64(multiple)*config.CachePeriodPS),
-			Multiple: multiple,
-			PeriodPS: int64(multiple) * config.CachePeriodPS,
-		}
-	}
-	return m
-}
-
 // MultipleCounts returns how many cores landed on each clock multiple.
 func (m *Map) MultipleCounts() map[int]int {
 	counts := make(map[int]int)

@@ -109,25 +109,6 @@ func TestFrequencyGHz(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	m := Uniform(8, 8, 1, config.NominalVdd)
-	if len(m.Cores) != 64 {
-		t.Fatalf("len = %d, want 64", len(m.Cores))
-	}
-	for _, c := range m.Cores {
-		if c.Multiple != 1 || c.PeriodPS != config.CachePeriodPS {
-			t.Fatalf("uniform core = %+v", c)
-		}
-	}
-	if r := m.SpreadRatio(); math.Abs(r-1) > 1e-12 {
-		t.Errorf("uniform spread = %v, want 1", r)
-	}
-	counts := m.MultipleCounts()
-	if counts[1] != 64 {
-		t.Errorf("counts = %v, want 64 at multiple 1", counts)
-	}
-}
-
 func TestClusterCores(t *testing.T) {
 	m := genNT(7)
 	cl := m.ClusterCores(2, 16)
@@ -188,15 +169,6 @@ func TestGeneratePanicsOnBadDie(t *testing.T) {
 		}
 	}()
 	Generate(1, 0, 8, config.CoreNTVdd, DefaultParams())
-}
-
-func TestUniformPanicsOnBadDie(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero-col die")
-		}
-	}()
-	Uniform(8, 0, 4, config.NominalVdd)
 }
 
 func TestZeroCorrelationCellsRescued(t *testing.T) {
