@@ -1,6 +1,6 @@
 // Package cli is the shared command-line surface of the respin tools.
-// Every flag that more than one of cmd/respin-{sim,bench,sweep,trace,
-// serve} needs — seeds, quotas, parallelism, profiling, fault
+// Every flag that more than one of cmd/respin-{sim,bench,sweep,serve}
+// needs — seeds, quotas, parallelism, profiling, fault
 // injection, and the telemetry outputs — is declared exactly once here.
 // The flags that define a run write a v1.RunRequest, the document a
 // client would POST to /v1/run, so every tool reaches its simulator

@@ -119,7 +119,7 @@ func TestPrefetchWarmsCache(t *testing.T) {
 	if len(f7.Normalized[config.SHSTT]) != len(r.Benches) {
 		t.Fatal("figure incomplete after prefetch")
 	}
-	want := len(dedupe(r.figure7Runs()))
+	want := len(r.dedupe(r.figure7Runs()))
 	if n := strings.Count(buf.String(), "ran "); n != want {
 		t.Errorf("progress shows %d runs, want %d (prefetch + consume must share flights)", n, want)
 	}

@@ -53,7 +53,7 @@ func (r *Runner) figure9Runs() []Run {
 // evaluation service's "fig9" sweep preset fans out exactly the runs
 // the figure driver would.
 func (r *Runner) Figure9Runs() []Run {
-	return dedupe(r.figure9Runs())
+	return r.dedupe(r.figure9Runs())
 }
 
 // clusterSweepRuns covers the Section V.D sweep.
@@ -111,19 +111,22 @@ func (r *Runner) EvalRuns() []Run {
 		}
 	}
 	runs = append(runs, r.figure14Runs()...)
-	return dedupe(runs)
+	return r.dedupe(runs)
 }
 
-// dedupe removes runs whose label was already seen, preserving
-// first-seen order.
-func dedupe(runs []Run) []Run {
+// dedupe removes runs that simulate what an earlier run does, by the
+// key the runner's flights use (define), preserving first-seen order. A
+// run without a key is kept, to fail where it is run.
+func (r *Runner) dedupe(runs []Run) []Run {
 	seen := make(map[string]bool, len(runs))
 	out := make([]Run, 0, len(runs))
 	for _, run := range runs {
-		if seen[run.Label] {
-			continue
+		if _, key, err := r.define(run); err == nil {
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
 		}
-		seen[run.Label] = true
 		out = append(out, run)
 	}
 	return out

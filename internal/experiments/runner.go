@@ -7,11 +7,11 @@
 // Runner is the one batch executor: every batch of simulations — the
 // figure drivers, the fault and endurance sweeps, cmd/respin-sweep —
 // is a list of Run values passed to Runner.Do. Runs dispatch onto a
-// worker pool (Jobs wide) with singleflight deduplication by label: two
-// figures requesting the same configuration point share one in-flight
-// run instead of racing. Callers consume results by label or position,
-// never by completion order, so output is byte-identical at any
-// parallelism.
+// worker pool (Jobs wide) with singleflight deduplication by what they
+// simulate (sim.RunKey): two figures requesting the same configuration
+// point share one in-flight run instead of racing, whatever they label
+// it. Callers consume results by position, never by completion order,
+// so output is byte-identical at any parallelism.
 package experiments
 
 import (
@@ -90,7 +90,7 @@ type Runner struct {
 	// never collide on metric names.
 	Telemetry *telemetry.Collector
 
-	flights flight.Group[sim.Result] // the result cache, by run key
+	flights flight.Group[sim.Result] // the result cache, by runstore.Name of the run key
 
 	storeOnce sync.Once
 	store     *runstore.Store // CheckpointDir's, opened once (runStore)
@@ -108,11 +108,12 @@ type Runner struct {
 	resumed   atomic.Uint64 // runs continued from a stored checkpoint
 }
 
-// Run is one simulation of a batch. Its Label is the run's identity
-// within one Runner: the singleflight key, the "run.<label>." metric
-// prefix and the event scope — so two runs with equal labels must
-// describe the same simulation. On disk a run is keyed by its whole
-// definition (sim.RunKey), which the label omits parts of.
+// Run is one simulation of a batch. The runner keys it by its whole
+// definition (sim.RunKey), in memory and on disk. Its Label is only the
+// display name: the progress line, the "run.<label>." metric prefix,
+// the event scope and the run a panic names. Two runs of one definition
+// share one simulation, whose metrics land under the label of the run
+// that started it.
 type Run struct {
 	Label  string
 	Config config.Config
@@ -245,9 +246,9 @@ func (r *Runner) semLocked() chan struct{} {
 // Do executes (or recalls, or joins) each run on the worker pool and
 // returns their results and errors in run order, whatever the
 // completion order. A failed run does not stop the others. A run whose
-// label is already cached or in flight is answered by that flight (see
-// flight.Group), and a panic inside a simulation comes back as that
-// run's error.
+// definition is already cached or in flight is answered by that flight
+// (see flight.Group), and a panic inside a simulation comes back as
+// that run's error.
 func (r *Runner) Do(runs ...Run) ([]sim.Result, []error) {
 	results := make([]sim.Result, len(runs))
 	errs := make([]error, len(runs))
@@ -277,11 +278,25 @@ func (r *Runner) Prefetch(runs ...Run) {
 // snapshot under "run.<label>.".
 func (r *Runner) do(run Run) (sim.Result, error) {
 	r.registerTelemetry()
-	return r.flights.Do(context.Background(), run.Label, func() (sim.Result, error) {
-		res, err := r.simulate(run)
+	run, key, err := r.define(run)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return r.flights.Do(context.Background(), runstore.Name(key), func() (sim.Result, error) {
+		res, err := r.simulate(run, key)
 		r.Telemetry.Absorb("run."+run.Label, res.Metrics)
 		return res, err
 	})
+}
+
+// define gives run the runner's Endurance unless it sets its own, and
+// returns it with its key, sim.RunKey of what it simulates.
+func (r *Runner) define(run Run) (Run, string, error) {
+	if !run.Opts.Endurance.Enabled() {
+		run.Opts.Endurance = r.Endurance
+	}
+	key, err := sim.RunKey(run.Config, run.Bench, run.Opts)
+	return run, key, err
 }
 
 // must returns the runs' results for the experiment drivers, which die
@@ -364,12 +379,24 @@ func guard(label string, fn func() (sim.Result, error)) (res sim.Result, err err
 // RunsStarted and RunsCompleted and turns a panic into an error naming
 // the run, so one poisoned request can never take down the process.
 func (r *Runner) Exec(ctx context.Context, run Run) (sim.Result, error) {
+	key := ""
+	if r.CheckpointDir != "" {
+		var err error
+		if key, err = sim.RunKey(run.Config, run.Bench, run.Opts); err != nil {
+			return sim.Result{}, err
+		}
+	}
+	return r.exec(ctx, run, key)
+}
+
+// exec is Exec given the run's key, which only a run store reads.
+func (r *Runner) exec(ctx context.Context, run Run, key string) (sim.Result, error) {
 	if r.CheckpointDir == "" {
 		return r.execute(run.Label, func() (sim.Result, error) {
 			return sim.RunContext(ctx, run.Config, run.Bench, run.Opts)
 		})
 	}
-	return r.stored(ctx, run)
+	return r.stored(ctx, run, key)
 }
 
 // CacheHits reports how many requests were served by joining or
@@ -439,45 +466,38 @@ func (r *Runner) medium(kind config.ArchKind, bench string) sim.Result {
 	return r.result(r.mediumPoint(kind, bench))
 }
 
-// simulate answers one run of a batch (see Exec). The run gets the
-// runner's Endurance unless it sets its own, and with telemetry enabled
-// a detached collector that shares the runner's event emitter (scoped
-// by label) but has its own metric namespace, so concurrent simulations
-// never collide. A stored outcome's metrics are dropped without
-// telemetry, as an unstored run has none.
-func (r *Runner) simulate(run Run) (sim.Result, error) {
-	if !run.Opts.Endurance.Enabled() {
-		run.Opts.Endurance = r.Endurance
-	}
+// simulate answers one run of a batch, defined by define, with its key
+// (see Exec). With telemetry enabled the run gets a detached collector
+// that shares the runner's event emitter (scoped by label) but has its
+// own metric namespace, so concurrent simulations never collide. A
+// stored outcome's metrics are dropped without telemetry, as an
+// unstored run has none.
+func (r *Runner) simulate(run Run, key string) (sim.Result, error) {
 	if r.Telemetry.Enabled() {
 		run.Opts.Telemetry = telemetry.New(
 			telemetry.WithEmitter(r.Telemetry.Emitter()),
 			telemetry.WithScope(run.Label),
 		)
 	}
-	res, err := r.Exec(r.ctx(), run)
+	res, err := r.exec(r.ctx(), run, key)
 	if r.CheckpointDir != "" && !r.Telemetry.Enabled() {
 		res.Metrics = nil
 	}
 	return res, err
 }
 
-// stored answers one run from the run store in CheckpointDir: recalled
+// stored answers one run from the run store in CheckpointDir under
+// key, sim.RunKey of the options as the run executes them: recalled
 // when the store holds its outcome, otherwise executed there under ctx,
-// resuming from its checkpoint. The store key is taken from the options
-// as the run executes them. Every stored outcome carries its metrics, so
-// whether the caller attaches telemetry is not part of the key: a run
-// without a collector of its own gets a private one.
-func (r *Runner) stored(ctx context.Context, run Run) (sim.Result, error) {
+// resuming from its checkpoint. Every stored outcome carries its
+// metrics, so whether the caller attaches telemetry is not part of the
+// key: a run without a collector of its own gets a private one.
+func (r *Runner) stored(ctx context.Context, run Run, key string) (sim.Result, error) {
 	st, err := r.runStore()
 	if err != nil {
 		return sim.Result{}, err
 	}
 	opts := run.Opts
-	key, err := sim.RunKey(run.Config, run.Bench, opts)
-	if err != nil {
-		return sim.Result{}, err
-	}
 	if o, ok := recall(st, key); ok {
 		r.recalled.Add(1)
 		r.progressLine("kept", run.Label, o.Result, o.err())

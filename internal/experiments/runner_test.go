@@ -275,8 +275,8 @@ func TestCheckpointDirRecallsFinishedRuns(t *testing.T) {
 // TestEvalRunsSimulateOnce: no two runs of a reproduction, quick or
 // full, are the same simulation. Recording an epoch trace changes what
 // a result carries, not the simulation, so runs that differ only in
-// EpochTrace count as the same; they must share one label, which the
-// runner dedupes.
+// EpochTrace count as the same, and a reproduction must ask for such a
+// point once.
 func TestEvalRunsSimulateOnce(t *testing.T) {
 	for name, r := range map[string]*Runner{"quick": QuickRunner(), "full": NewRunner()} {
 		labels := make(map[string]string)
@@ -292,5 +292,39 @@ func TestEvalRunsSimulateOnce(t *testing.T) {
 			}
 			labels[key] = run.Label
 		}
+	}
+}
+
+// TestRunnerKeysRunsByDefinition: the runner answers a run by what it
+// simulates, not by its label. Two runs under one label with different
+// quotas each get their own result, and two labels over one definition
+// share one simulation.
+func TestRunnerKeysRunsByDefinition(t *testing.T) {
+	r := tinyRunner()
+	short, long := r.point(config.SHSTT, config.Medium, 16, "fft", 2000, false), r.point(config.SHSTT, config.Medium, 16, "fft", 3000, false)
+	long.Label = short.Label
+	results, errs := r.Do(short, long)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+	if results[0].Instructions == results[1].Instructions {
+		t.Errorf("quotas 2000 and 3000 under one label both ran %d instructions", results[0].Instructions)
+	}
+	if n := r.RunsStarted(); n != 2 {
+		t.Errorf("two definitions under one label started %d runs, want 2", n)
+	}
+
+	r = tinyRunner()
+	again := short
+	again.Label += ".again"
+	results, errs = r.Do(short, again)
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Error("two labels over one definition got different results")
+	}
+	if n := r.RunsStarted(); n != 1 {
+		t.Errorf("two labels over one definition started %d runs, want 1", n)
 	}
 }

@@ -85,7 +85,7 @@ func liveBytes(fn func() any) uint64 {
 
 // TestCacheBytesPerWay pins the array's host footprint: for every
 // Table I geometry, NewCache allocates no per-way column, only one
-// 4-byte word per set, the touched-way bitmap and the Cache header.
+// 4-byte word per set and the Cache header.
 // Attaching an endurance model without retention adds nothing; one with
 // retention adds the 8-byte write-stamp column for every way the pool
 // has room for, and detaching frees it.
@@ -95,7 +95,7 @@ func TestCacheBytesPerWay(t *testing.T) {
 		ways := p.Sets() * p.Assoc
 		var c *Cache
 		got := allocBytes(func() { c = NewCache(p) })
-		limit := uint64(4*p.Sets() + 8*((ways+63)/64) + header)
+		limit := uint64(4*p.Sets() + header)
 		if got > limit {
 			t.Errorf("%d B/%d-way: NewCache allocated %d bytes for %d sets (%.2f per way), limit %d",
 				p.SizeBytes, p.Assoc, got, p.Sets(), float64(got)/float64(ways), limit)

@@ -117,13 +117,6 @@ type Cache struct {
 	// blocked is the summed capacity of every set's block: the pool
 	// ways a compacting reallocation keeps.
 	blocked int
-	// touched holds one bit per global way index, set for every way
-	// whose columns may be non-zero: FillState sets it when it installs a
-	// victim way (the only write that turns an all-zero way non-zero) and
-	// Restore sets it for every way it restores. No path zeroes a column,
-	// so every other way is all-zero and Snapshot and Restore visit only
-	// the touched ways. A touched way always lies in its set's block.
-	touched []uint64
 	assoc   int
 	numSets uint64
 	// setMask strength-reduces the set-index modulo to a mask when the
@@ -164,8 +157,7 @@ const (
 const minPoolSlack = 1024
 
 // NewCache builds a cache from validated geometry parameters. It
-// allocates one word per set and the touched bitmap; the way pool grows
-// as fills need it.
+// allocates one word per set; the way pool grows as fills need it.
 func NewCache(p config.CacheParams) *Cache {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("mem: invalid cache params: %v", err))
@@ -187,7 +179,6 @@ func NewCache(p config.CacheParams) *Cache {
 	c := &Cache{
 		params:     p,
 		sets:       make([]uint32, sets),
-		touched:    make([]uint64, (ways+63)/64),
 		assoc:      p.Assoc,
 		numSets:    uint64(sets),
 		blockShift: shift,
@@ -630,8 +621,6 @@ func (c *Cache) FillState(addr uint64, st LineState) AccessResult {
 		}
 	}
 	way := victim - off
-	i := int(si)*c.assoc + way
-	c.touched[i>>6] |= 1 << (i & 63)
 	c.tags[victim] = block
 	c.state[victim] = st
 	if c.age[victim] != 1 {
@@ -690,10 +679,10 @@ func (c *Cache) Invalidate(addr uint64) AccessResult {
 }
 
 // Occupancy returns the number of valid lines (for tests and reports
-// only). Only touched ways can be valid, so it visits those alone.
+// only).
 func (c *Cache) Occupancy() int {
 	n := 0
-	c.forTouched(func(_ uint64, _, p int) {
+	c.forBlocks(func(_ uint64, _, p int) {
 		if c.state[p] != StateInvalid {
 			n++
 		}
@@ -701,21 +690,16 @@ func (c *Cache) Occupancy() int {
 	return n
 }
 
-// forTouched calls fn for every touched way in ascending global index
-// order, with its set, its way within the set and its pool index. fn
-// must not grow a block.
-func (c *Cache) forTouched(fn func(si uint64, way, p int)) {
-	si, base, off := uint64(0), -c.assoc, 0
-	for w, word := range c.touched {
-		for word != 0 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			if i >= base+c.assoc {
-				si = uint64(i / c.assoc)
-				base = int(si) * c.assoc
-				off, _ = c.block(si)
-			}
-			fn(si, i-base, off+i-base)
+// forBlocks calls fn for every way of every set's block, in set order
+// and so in ascending global index order, with its set, its way within
+// the set and its pool index. Every way past its set's block is
+// all-zero, so these are all the ways that can hold state. fn must not
+// grow a block.
+func (c *Cache) forBlocks(fn func(si uint64, way, p int)) {
+	for si, w := range c.sets {
+		off, n := int(w>>capBits), int(w&capMask)
+		for way := range n {
+			fn(uint64(si), way, off+way)
 		}
 	}
 }
@@ -725,10 +709,9 @@ func (c *Cache) Capacity() int { return int(c.numSets) * c.assoc }
 
 // Clear invalidates every line (used when a core is power-gated and its
 // private caches lose their content). Dirty lines are counted as
-// writebacks and the count returned. Only touched ways can be valid, so
-// it visits those alone.
+// writebacks and the count returned.
 func (c *Cache) Clear() (writebacks int) {
-	c.forTouched(func(_ uint64, _, p int) {
+	c.forBlocks(func(_ uint64, _, p int) {
 		switch c.state[p] {
 		case StateInvalid:
 			return
@@ -755,14 +738,14 @@ func (c *Cache) LiveCapacity() int {
 // write, so refreshes both reset the retention deadline and consume
 // endurance budget). It returns the number of lines refreshed so the
 // owner can charge the write energy. No-op without a retention model.
-// Only touched ways can be valid, so the pass visits those alone, in
-// the set/way order of a full sweep.
+// The pass visits the ways that can be valid in the set/way order of a
+// full sweep.
 func (c *Cache) Scrub(now uint64) (refreshed int) {
 	if c.endur == nil || c.retention == 0 {
 		return 0
 	}
 	c.SetNow(now)
-	c.forTouched(func(si uint64, way, p int) {
+	c.forBlocks(func(si uint64, way, p int) {
 		if c.state[p] == StateInvalid {
 			return
 		}

@@ -3,7 +3,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"respin/internal/checkpoint"
 	"respin/internal/stats"
@@ -72,10 +71,10 @@ func (c *Cache) live(p int) bool {
 }
 
 // Snapshot captures the array's mutable state, listing only the ways
-// whose columns are not all zero. It visits the touched ways alone, so
-// its cost follows what the run touched, not the array size. The
-// columns are sized by the touched-way count, which is exact unless a
-// restored state listed an all-zero way.
+// whose columns are not all zero. It visits the sets' blocks alone, so
+// its cost follows the set count and what the run filled, not the
+// array's way count, and its columns are sized by the count of listed
+// ways.
 func (c *Cache) Snapshot() CacheState {
 	st := CacheState{
 		Ways:      c.Capacity(),
@@ -85,9 +84,11 @@ func (c *Cache) Snapshot() CacheState {
 		Stats:     c.Stats,
 	}
 	n := 0
-	for _, word := range c.touched {
-		n += bits.OnesCount64(word)
-	}
+	c.forBlocks(func(_ uint64, _, p int) {
+		if c.live(p) {
+			n++
+		}
+	})
 	if n == 0 {
 		return st
 	}
@@ -100,7 +101,7 @@ func (c *Cache) Snapshot() CacheState {
 	age := make([]uint8, n)
 	states := make([]LineState, n)
 	k := 0
-	c.forTouched(func(si uint64, way, p int) {
+	c.forBlocks(func(si uint64, way, p int) {
 		if c.live(p) {
 			index[k], tags[k], age[k], states[k] = uint32(int(si)*c.assoc+way), c.tags[p], c.age[p], c.state[p]
 			if written != nil {
@@ -109,12 +110,7 @@ func (c *Cache) Snapshot() CacheState {
 			k++
 		}
 	})
-	if k > 0 {
-		st.Index, st.Tags, st.Age, st.LineStates = index[:k], tags[:k], age[:k], states[:k]
-		if written != nil {
-			st.Written = written[:k]
-		}
-	}
+	st.Index, st.Tags, st.Age, st.LineStates, st.Written = index, tags, age, states, written
 	return st
 }
 
@@ -197,8 +193,8 @@ func (st *CacheState) checkRanks(assoc int) error {
 // state. It rebuilds the pool from the listed ways: each set with a
 // listed way gets the smallest block capacity on grow's doubling path
 // that reaches its last listed way, the blocks are laid out in set order
-// in fresh columns, and the listed ways are scattered into them and
-// marked touched. Every other way is then all-zero, as in the
+// in fresh columns, and the listed ways are scattered into them. Every
+// other way is then all-zero, as in the
 // snapshotted array, so the result is logically identical to it
 // whatever this one held before. An invalid state is refused with an
 // error and leaves the array untouched.
@@ -207,7 +203,6 @@ func (c *Cache) Restore(st CacheState) error {
 		return err
 	}
 	clear(c.sets)
-	clear(c.touched)
 	// First pass: each set's block capacity. The indices ascend, so a
 	// set's last listed way is the last of its run.
 	c.blocked = 0
@@ -237,7 +232,6 @@ func (c *Cache) Restore(st CacheState) error {
 		if c.written != nil {
 			c.written[p] = st.Written[k]
 		}
-		c.touched[w>>6] |= 1 << (w & 63)
 	}
 	c.now = st.Now
 	c.rotation = st.Rotation

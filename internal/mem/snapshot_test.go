@@ -520,7 +520,7 @@ func fullScan(c *Cache) CacheState {
 // TestSnapshotMatchesFullScan: over random sequences of fills,
 // invalidations, Clear, Restore (of earlier snapshots, and of states
 // listing all-zero ways), scrubs, wear-leveling rotations and endurance
-// retirements, the touched-way Snapshot equals a full scan of the array
+// retirements, the block-walking Snapshot equals a full scan of the array
 // after every step, and its checkpoint record decodes to the same state.
 func TestSnapshotMatchesFullScan(t *testing.T) {
 	for _, g := range snapGeometries {

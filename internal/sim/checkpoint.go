@@ -16,7 +16,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"reflect"
 
 	"respin/internal/checkpoint"
 	"respin/internal/cluster"
@@ -397,15 +396,21 @@ type Info struct {
 
 // Holds reports whether the checkpoint belongs to the run that cfg,
 // bench and opts define under the current model. This is the one match
-// rule: the model version, the whole configuration, the benchmark and
-// every run-defining option must be equal, compared after the
-// defaulting New applies (Options.resolve). Telemetry is an attachment,
-// not part of the run, and is ignored.
+// rule: the model version must be the current one and the checkpoint's
+// run key must equal RunKey(cfg, bench, opts), so the whole
+// configuration, the benchmark and every run-defining option are
+// compared after the defaulting New applies (Options.resolve).
+// Telemetry is an attachment, not part of the run, and is ignored.
 func (i Info) Holds(cfg config.Config, bench string, opts Options) bool {
-	if i.model != ModelVersion || opts.resolve(cfg) != nil {
+	if i.model != ModelVersion {
 		return false
 	}
-	return i.Bench == bench && reflect.DeepEqual(i.Config, cfg) && reflect.DeepEqual(i.opts, opts.wire())
+	want, err := RunKey(cfg, bench, opts)
+	if err != nil {
+		return false
+	}
+	have, err := runKey(i.Config, i.Bench, i.opts)
+	return err == nil && have == want
 }
 
 // RunKey is the identity, as JSON text, of the run cfg, bench and opts
@@ -416,7 +421,12 @@ func RunKey(cfg config.Config, bench string, opts Options) (string, error) {
 	if err := opts.resolve(cfg); err != nil {
 		return "", err
 	}
-	key, err := json.Marshal([]any{cfg, bench, opts.wire()})
+	return runKey(cfg, bench, opts.wire())
+}
+
+// runKey is the key of a run whose options are already resolved.
+func runKey(cfg config.Config, bench string, opts optionsWire) (string, error) {
+	key, err := json.Marshal([]any{cfg, bench, opts})
 	if err != nil {
 		return "", fmt.Errorf("sim: run key: %w", err)
 	}
